@@ -6,8 +6,11 @@ and test it against the mechanism's exact output laws on enumerated (or
 sampled) neighboring datasets.  Neighbors differ in exactly one point drawn
 from a finite universe of atoms.  Every shipped mechanism's law depends on
 the dataset only through its multiset of points (objectives are averages),
-so enumeration happens at the multiset level and each audited law is cached
-by dataset content.
+so enumeration happens at the multiset level, and each audit call builds one
+law table: a row per distinct multiset, its law built once, in
+``(rows x |H|)`` arrays.  The audits map each pair to two rows and compute
+the gaps of all pairs with array operations, one fixed-size block of pairs
+at a time.  Audits refuse laws that are not exact.
 """
 
 from __future__ import annotations
@@ -37,6 +40,8 @@ from .spaces import SizeLimitError, sublevel_set
 AUDIT_TOL = 1e-9
 NEIGHBOR_PAIR_CAP = 2 * 10**5
 ENUMERATION_CAP = 10**6
+# Pairs per audit block times |H|: bounds the audits' working arrays.
+AUDIT_BLOCK_CELLS = 2**16
 
 
 # ---------------------------------------------------------------------------
@@ -45,11 +50,6 @@ ENUMERATION_CAP = 10**6
 
 def _dataset_from_atom_ids(universe: Dataset, ids: Sequence[int]) -> Dataset:
     return universe.take(list(ids))
-
-
-def _fingerprint(dataset: Dataset) -> bytes:
-    tail = b"" if dataset.y is None else dataset.y.tobytes()
-    return dataset.x.tobytes() + b"|" + tail
 
 
 def exhaustive_neighbor_pairs(
@@ -113,22 +113,108 @@ def sampled_neighbor_pairs(
         yield second, first
 
 
-class _LawCache:
+class _LawTable:
+    """Exact output laws of one mechanism, one row per distinct multiset.
+
+    A row is keyed by the dataset's points in multiset order (see
+    :meth:`Dataset.multiset_order`), so datasets that differ only in point
+    order share it.  Its law is built once, by ``mechanism.law`` on those
+    points in that order, and must be exact.  A wrapper that mixes base
+    laws (``mechanism.base``) takes them from a second table, shared by all
+    of its rows.  Rows are kept in ``(rows x |H|)`` arrays of probabilities
+    and log-probabilities.  Each audit call builds its own table.
+    """
+
     def __init__(self, mechanism: Mechanism) -> None:
         if mechanism.law is None:
             raise ValueError(
                 f"mechanism {mechanism.name!r} has no exact law to audit"
             )
         self._mechanism = mechanism
-        self._cache: dict[bytes, MechanismDistribution] = {}
+        self._base = None if mechanism.base is None else _LawTable(mechanism.base)
+        self._index: dict[tuple, int] = {}
+        self._laws: list[MechanismDistribution] = []
+        self._p = np.empty((0, 0))
+        self._logp = np.empty((0, 0))
+
+    @property
+    def probabilities(self) -> np.ndarray:
+        return self._p[: len(self._laws)]
+
+    @property
+    def log_probabilities(self) -> np.ndarray:
+        return self._logp[: len(self._laws)]
+
+    @property
+    def width(self) -> int:
+        return self._p.shape[1]
+
+    def row(self, dataset: Dataset) -> int:
+        order = dataset.multiset_order()
+        x = dataset.x[order]
+        y = None if dataset.y is None else dataset.y[order]
+        key = (x.shape, x.tobytes(), None if y is None else y.tobytes())
+        index = self._index.get(key)
+        if index is None:
+            index = self._add(Dataset(x=x, y=y))
+            self._index[key] = index
+        return index
 
     def law(self, dataset: Dataset) -> MechanismDistribution:
-        key = _fingerprint(dataset)
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = self._mechanism.law(dataset)
-            self._cache[key] = hit
-        return hit
+        return self._laws[self.row(dataset)]
+
+    def _add(self, dataset: Dataset) -> int:
+        mech = self._mechanism
+        if self._base is None:
+            law = mech.law(dataset)
+        else:
+            law = mech.law(dataset, self._base.law)
+        if not law.exact:
+            raise ValueError(
+                f"mechanism {mech.name!r} gave a sampled law at n={dataset.n}; "
+                "exact audits need exact laws"
+            )
+        index = len(self._laws)
+        if index == len(self._p):
+            size = max(16, 2 * index)
+            p = np.empty((size, law.space.size))
+            logp = np.empty_like(p)
+            if index:
+                p[:index] = self._p
+                logp[:index] = self._logp
+            self._p, self._logp = p, logp
+        self._p[index] = law.probabilities
+        self._logp[index] = law.log_probabilities
+        self._laws.append(law)
+        return index
+
+
+def _pair_blocks(
+    table: _LawTable, pairs: Iterable[tuple[Dataset, Dataset]]
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Read ``pairs`` once and yield (index of the block's first pair, left
+    rows, right rows) for blocks of at most AUDIT_BLOCK_CELLS / |H| pairs."""
+    left: list[int] = []
+    right: list[int] = []
+    first = 0
+    block = 0
+    last, last_row = None, -1
+    for a, b in pairs:
+        # Enumerators hand out one left dataset for a run of pairs.
+        if a is not last:
+            last, last_row = a, table.row(a)
+        left.append(last_row)
+        right.append(table.row(b))
+        if not block:
+            block = max(1, AUDIT_BLOCK_CELLS // table.width)
+        if len(left) == block:
+            yield first, np.array(left), np.array(right)
+            first += block
+            left, right = [], []
+    if left:
+        yield first, np.array(left), np.array(right)
+    elif first == 0:
+        raise ValueError("no neighbor pairs were supplied")
 
 
 # ---------------------------------------------------------------------------
@@ -163,32 +249,31 @@ def audit_pure_dp(
     infinite ratio and is reported as such; zero-zero entries carry no
     evidence and are skipped.
     """
-    cache = _LawCache(mechanism)
+    table = _LawTable(mechanism)
     worst = 0.0
     witness: Optional[dict] = None
     probed = 0
-    for index, (left, right) in enumerate(pairs):
-        probed += 1
-        p = cache.law(left)
-        q = cache.law(right)
-        lp, lq = p.log_probabilities, q.log_probabilities
-        both_zero = np.isneginf(lp) & np.isneginf(lq)
+    for first, left, right in _pair_blocks(table, pairs):
+        lp = table.log_probabilities[left]
+        lq = table.log_probabilities[right]
         with np.errstate(invalid="ignore"):
             gaps = np.abs(lp - lq)
-        gaps[both_zero] = 0.0
-        hid = int(np.argmax(gaps))
-        value = float(gaps[hid])
-        if value > worst or witness is None:
-            worst = value
+        gaps[np.isneginf(lp) & np.isneginf(lq)] = 0.0
+        hids = gaps.argmax(axis=1)
+        values = gaps[np.arange(len(hids)), hids]
+        j = int(values.argmax())
+        # Strict: the witness is the first pair that reaches the maximum.
+        if witness is None or values[j] > worst:
+            worst = float(values[j])
+            hid = int(hids[j])
             witness = {
-                "pair_index": index,
+                "pair_index": first + j,
                 "hypothesis_id": hid,
-                "log_ratio": value,
-                "p": float(p.probabilities[hid]),
-                "q": float(q.probabilities[hid]),
+                "log_ratio": worst,
+                "p": float(table.probabilities[left[j], hid]),
+                "q": float(table.probabilities[right[j], hid]),
             }
-    if probed == 0:
-        raise ValueError("no neighbor pairs were supplied")
+        probed = first + len(left)
     return PureAuditReport(max_log_ratio=worst, pairs_probed=probed, witness=witness)
 
 
@@ -205,21 +290,20 @@ def audit_approx_dp(
     """
     if not (math.isfinite(epsilon) and epsilon >= 0):
         raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
-    cache = _LawCache(mechanism)
+    table = _LawTable(mechanism)
     factor = math.exp(epsilon)
     worst = -1.0
     witness: Optional[dict] = None
     probed = 0
-    for index, (left, right) in enumerate(pairs):
-        probed += 1
-        p = cache.law(left).probabilities
-        q = cache.law(right).probabilities
-        value = float(np.clip(p - factor * q, 0.0, None).sum())
-        if value > worst:
-            worst = value
-            witness = {"pair_index": index, "realized_delta": value}
-    if probed == 0:
-        raise ValueError("no neighbor pairs were supplied")
+    for first, left, right in _pair_blocks(table, pairs):
+        p = table.probabilities[left]
+        q = table.probabilities[right]
+        values = np.clip(p - factor * q, 0.0, None).sum(axis=1)
+        j = int(values.argmax())
+        if values[j] > worst:
+            worst = float(values[j])
+            witness = {"pair_index": first + j, "realized_delta": worst}
+        probed = first + len(left)
     return ApproxAuditReport(
         epsilon=epsilon, realized_delta=worst, pairs_probed=probed, witness=witness
     )
@@ -237,16 +321,15 @@ def stability_audit(
     """
     if mechanism.problem is None or mechanism.space is None:
         raise ValueError("stability audit needs a mechanism bound to a problem")
-    cache = _LawCache(mechanism)
+    table = _LawTable(mechanism)
     losses = mechanism.problem.loss_matrix(mechanism.space, probe_points)
     worst = 0.0
-    probed = 0
-    for left, right in pairs:
-        probed += 1
-        diff = cache.law(left).probabilities - cache.law(right).probabilities
-        worst = max(worst, float(np.max(np.abs(diff @ losses))))
-    if probed == 0:
-        raise ValueError("no neighbor pairs were supplied")
+    for _, left, right in _pair_blocks(table, pairs):
+        diff = table.probabilities[left] - table.probabilities[right]
+        # A stack of one-row products: each matches a lone diff @ losses bit
+        # for bit, which one (pairs x |H|) product does not.
+        shifts = np.matmul(diff[:, None, :], losses)
+        worst = max(worst, float(np.abs(shifts).max()))
     return worst
 
 
@@ -430,10 +513,9 @@ def consistency_suite(
     probs = np.asarray(distribution.probs, dtype=float)
     pop = population_risk_vector(problem, space, distribution)
     best_pop = float(pop.min())
-    cache = _LawCache(mechanism)
-
-    def dataset_gaps(dataset: Dataset) -> tuple[float, float, float]:
-        law = cache.law(dataset)
+    def dataset_gaps(
+        law: MechanismDistribution, dataset: Dataset
+    ) -> tuple[float, float, float]:
         emp = risk_vector(problem, space, dataset)
         mean_pop = law.expectation(pop)
         mean_emp = law.expectation(emp)
@@ -448,10 +530,12 @@ def consistency_suite(
             raise SizeLimitError(
                 "multiset enumeration exceeds the cap; use mode='mc'"
             )
+        table = _LawTable(mechanism)
         excess = gen = aerm = 0.0
         mass = 0.0
         for ms, weight in _multiset_weights(probs, n):
-            e, g, a = dataset_gaps(_dataset_from_atom_ids(universe, ms))
+            dataset = _dataset_from_atom_ids(universe, ms)
+            e, g, a = dataset_gaps(table.law(dataset), dataset)
             excess += weight * e
             gen += weight * g
             aerm += weight * a
@@ -467,7 +551,7 @@ def consistency_suite(
         samples = np.empty((trials, 3))
         for t in range(trials):
             dataset = distribution.sample(n, trial_rng(seed, t))
-            samples[t] = dataset_gaps(dataset)
+            samples[t] = dataset_gaps(mechanism.law(dataset), dataset)
         means = samples.mean(axis=0)
         ses = samples.std(axis=0, ddof=1) / math.sqrt(trials)
         excess, gen, aerm = (float(v) for v in means)

@@ -12,8 +12,10 @@ Subcommands:
 
 Exit codes: 0 on success, 2 when an experiment's checked rows contain a
 failure (or a summarized CSV does), 1 for configuration, size-limit, or
-usage errors.  Error lines are prefixed ``config-error:``, ``size-limit:``,
-or ``assertion-failure:`` so callers can tell the three apart.
+usage errors, 3 for any other exception (a fault in the program, not in the
+config).  Error lines are prefixed ``config-error:``, ``size-limit:``,
+``assertion-failure:`` or ``internal-error:`` so callers can tell them
+apart.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import json
 import os
 import sys
 import time
+import traceback
 from typing import Optional, Sequence
 
 from . import __version__
@@ -201,9 +204,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SizeLimitError as exc:
         print(f"size-limit: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"config-error: {exc}", file=sys.stderr)
-        return 1
+    except Exception as exc:
+        print(f"internal-error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
+        return 3
     parser.error(f"unknown command {args.command!r}")
     return 1
 

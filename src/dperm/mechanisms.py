@@ -59,6 +59,10 @@ class PrivacyBudget:
 class MechanismDistribution:
     """Exact output law of a mechanism over a finite hypothesis space.
 
+    ``exact`` is False when the law is itself an estimate (the seeded Monte
+    Carlo mixture of :func:`subsample_wrapper` past its exact cap); audits
+    refuse such laws.
+
     Probabilities are stored both linearly and in log form; the two views
     must agree to within LOG_CONSISTENCY_TOL on every hypothesis of positive
     mass, and the linear view must sum to one within PROB_SUM_TOL.  These are
@@ -69,6 +73,7 @@ class MechanismDistribution:
     space: FiniteHypothesisSpace
     probabilities: np.ndarray
     log_probabilities: np.ndarray
+    exact: bool = True
 
     def __post_init__(self) -> None:
         p = np.asarray(self.probabilities, dtype=float)
@@ -130,7 +135,10 @@ class MechanismDistribution:
 
     @classmethod
     def from_probabilities(
-        cls, space: FiniteHypothesisSpace, probabilities: np.ndarray
+        cls,
+        space: FiniteHypothesisSpace,
+        probabilities: np.ndarray,
+        exact: bool = True,
     ) -> "MechanismDistribution":
         """Wrap an explicit probability vector (e.g. a mixture of laws)."""
         p = np.asarray(probabilities, dtype=float)
@@ -140,7 +148,7 @@ class MechanismDistribution:
         p = p / total
         with np.errstate(divide="ignore"):
             logp = np.log(p)
-        return cls(space=space, probabilities=p, log_probabilities=logp)
+        return cls(space=space, probabilities=p, log_probabilities=logp, exact=exact)
 
     def sample(self, rng: np.random.Generator) -> int:
         return int(rng.choice(self.space.size, p=self.probabilities))
@@ -166,6 +174,11 @@ class Mechanism:
     ``law`` is None for mechanisms with continuous output (``continuous``
     True) or when the exact law was too large to materialize
     (``law_mode == "none"``).
+
+    ``base`` is set on wrappers whose law mixes laws of another mechanism on
+    sub-datasets.  Their ``law(dataset, base_law)`` takes those laws from
+    ``base_law`` (``base.law`` when omitted), so an audit can build each
+    base law once and share it across datasets.
     """
 
     name: str
@@ -175,6 +188,7 @@ class Mechanism:
     budget_fn: Optional[BudgetFn] = None
     problem: Optional[Problem] = None
     space: Optional[FiniteHypothesisSpace] = None
+    base: Optional["Mechanism"] = None
     approximate: bool = False
     continuous: bool = False
     law_mode: str = "exact"
@@ -422,6 +436,66 @@ def amplify_approx(epsilon: float, delta: float, gamma: float) -> PrivacyBudget:
     return PrivacyBudget(eps_out, min(delta_out, 1.0))
 
 
+def _multiplicities(dataset: Dataset, order: np.ndarray) -> list[int]:
+    """Multiplicity of each distinct point, in the order ``order`` lists
+    them (see :meth:`Dataset.multiset_order`)."""
+    x = dataset.x[order].reshape(dataset.n, -1)
+    new = np.any(x[1:] != x[:-1], axis=1)
+    if dataset.y is not None:
+        y = dataset.y[order]
+        new |= y[1:] != y[:-1]
+    starts = np.flatnonzero(np.concatenate(([True], new)))
+    return np.diff(np.append(starts, dataset.n)).tolist()
+
+
+def _sub_multisets_fit(counts: list[int], m: int, cap: int) -> bool:
+    """Whether a multiset with these multiplicities has at most ``cap``
+    distinct size-m sub-multisets.
+
+    ways[j] counts the size-j sub-multisets of the groups seen so far; adding
+    a group of c copies turns it into the window sum of ways[j - c .. j].
+    Entries are clipped at cap + 1, which keeps every sum past the cap past
+    it.
+    """
+    ways = np.zeros(m + 1, dtype=np.int64)
+    ways[0] = 1
+    for c in counts:
+        prefix = np.cumsum(ways)
+        ways = prefix.copy()
+        ways[c + 1 :] -= prefix[: max(m - c, 0)]
+        np.minimum(ways, cap + 1, out=ways)
+    return int(ways[m]) <= cap
+
+
+def _sub_multisets(counts: list[int], m: int):
+    """Every vector s with 0 <= s_i <= counts_i and sum m, in lexicographic
+    order."""
+    k = len(counts)
+    s = [0] * k
+
+    def fill(start: int, amount: int) -> None:
+        # The smallest tail: as much as fits, as far right as it goes.
+        for j in range(k - 1, start - 1, -1):
+            s[j] = min(counts[j], amount)
+            amount -= s[j]
+
+    if sum(counts) < m:
+        return
+    fill(0, m)
+    yield tuple(s)
+    while True:
+        rest = 0
+        for i in range(k - 1, -1, -1):
+            if rest >= 1 and s[i] < counts[i]:
+                break
+            rest += s[i]
+        else:
+            return
+        s[i] += 1
+        fill(i + 1, rest - 1)
+        yield tuple(s)
+
+
 def subsample_wrapper(
     base: Mechanism,
     m: Union[int, str],
@@ -437,9 +511,14 @@ def subsample_wrapper(
     is claimed (0, 1/sqrt(n)).  A base with a pure claim is amplified through
     the tight pure bound; a base with delta > 0 goes through amplify_approx.
 
-    The exact mixture law averages base laws over all C(n, m) subsets when
-    that count is at most ``exact_cap``; beyond the cap the law is replaced by
-    a seeded Monte Carlo mixture and ``law_mode`` flips to "sampled".
+    The exact law is a mixture over the distinct size-m sub-multisets of the
+    dataset, not over all C(n, m) index subsets: the sub-multiset that keeps
+    s_i of the c_i copies of each distinct point has the multivariate
+    hypergeometric weight prod_i C(c_i, s_i) / C(n, m) and contributes the
+    base law on that sub-multiset.  Past ``exact_cap`` distinct
+    sub-multisets (reached only by datasets of mostly distinct points) the
+    law is a seeded Monte Carlo mixture over ``law_samples`` random subsets,
+    marked ``exact=False``, and ``law_mode`` flips to "sampled".
     """
     sqrt_rule = m == "sqrt"
     if not sqrt_rule:
@@ -464,6 +543,7 @@ def subsample_wrapper(
         law=None,
         problem=base.problem,
         space=base.space,
+        base=base,
         approximate=True,
         continuous=base.continuous,
         law_mode=base.law_mode,
@@ -480,25 +560,36 @@ def subsample_wrapper(
             return PrivacyBudget(amplify_pure(claimed.epsilon, gamma).tight, 0.0)
         return amplify_approx(claimed.epsilon, claimed.delta, gamma)
 
-    def law(dataset: Dataset) -> MechanismDistribution:
+    def law(
+        dataset: Dataset, base_law: Optional[LawFn] = None
+    ) -> MechanismDistribution:
         if base.law is None:
             raise ValueError(f"base mechanism {base.name!r} has no law")
+        base_law = base.law if base_law is None else base_law
         n = dataset.n
         size = subsample_size(n)
-        total = math.comb(n, size)
-        if total <= exact_cap:
-            acc = np.zeros(base.space.size)
-            for subset in itertools.combinations(range(n), size):
-                acc += base.law(dataset.take(subset)).probabilities
-            wrapper.law_mode = "exact"
-            return MechanismDistribution.from_probabilities(base.space, acc / total)
-        rng = np.random.default_rng(spawn_seed(law_seed, n))
+        order = dataset.multiset_order()
+        counts = _multiplicities(dataset, order)
         acc = np.zeros(base.space.size)
+        if _sub_multisets_fit(counts, size, exact_cap):
+            starts = np.cumsum(counts) - counts
+            total = math.comb(n, size)
+            for kept in _sub_multisets(counts, size):
+                weight = math.prod(map(math.comb, counts, kept)) / total
+                idx = np.concatenate(
+                    [order[a : a + t] for a, t in zip(starts, kept) if t]
+                )
+                acc += weight * base_law(dataset.take(idx)).probabilities
+            wrapper.law_mode = "exact"
+            return MechanismDistribution.from_probabilities(base.space, acc)
+        rng = np.random.default_rng(spawn_seed(law_seed, n))
         for _ in range(law_samples):
             subset = rng.choice(n, size=size, replace=False)
-            acc += base.law(dataset.take(subset)).probabilities
+            acc += base_law(dataset.take(subset)).probabilities
         wrapper.law_mode = "sampled"
-        return MechanismDistribution.from_probabilities(base.space, acc / law_samples)
+        return MechanismDistribution.from_probabilities(
+            base.space, acc / law_samples, exact=False
+        )
 
     def sample(dataset: Dataset, seed: int):
         size = subsample_size(dataset.n)

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from dperm.cli import main
-from dperm.experiments import CSV_COLUMNS
+from dperm.experiments import CSV_COLUMNS, EXPERIMENTS
 
 
 def write(path, text):
@@ -84,6 +84,18 @@ class TestRun:
     def test_missing_file_exits_1(self, capsys):
         assert main(["run", "/nonexistent/x.conf"]) == 1
         assert capsys.readouterr().err.startswith("config-error:")
+
+    def test_program_fault_exits_3(self, tmp_path, capsys, monkeypatch):
+        # A ValueError from inside a driver is a fault in the program, not a
+        # bad config, and must not be reported as config-error.
+        def broken(config):
+            raise ValueError("law does not sum to one")
+
+        monkeypatch.setitem(EXPERIMENTS, "audit", broken)
+        conf = write(tmp_path / "a.conf", AUDIT_CONF)
+        assert main(["run", conf]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("internal-error: ValueError: law does not sum")
 
     def test_size_limit_exits_1(self, tmp_path, capsys):
         conf = write(

@@ -1,0 +1,268 @@
+"""The law-table audits against per-pair oracles, their law counts, their
+refusal of sampled laws, and a planted defect they must catch."""
+
+import math
+import re
+
+import numpy as np
+import pytest
+
+from dperm.analysis import (
+    audit_approx_dp,
+    audit_pure_dp,
+    exhaustive_neighbor_pairs,
+    sampled_neighbor_pairs,
+    stability_audit,
+)
+from dperm.mechanisms import (
+    Mechanism,
+    PrivacyBudget,
+    erm_mechanism,
+    exponential_mechanism,
+    membership_flag_mechanism,
+    subsample_wrapper,
+)
+from dperm.problems import Dataset, threshold_classification
+
+
+def threshold_universe(u):
+    xs = (np.arange(u) + 0.5) / u
+    return Dataset(x=xs, y=(xs > 0.5).astype(float))
+
+
+# ---------------------------------------------------------------------------
+# Oracles: one law per distinct point order and one pair at a time.
+
+
+class OrderKeyedLaws:
+    def __init__(self, mechanism):
+        self.mechanism = mechanism
+        self.laws = {}
+
+    def __call__(self, dataset):
+        key = dataset.x.tobytes() + b"|" + dataset.y.tobytes()
+        if key not in self.laws:
+            self.laws[key] = self.mechanism.law(dataset)
+        return self.laws[key]
+
+
+def oracle_pure(mechanism, pairs):
+    law = OrderKeyedLaws(mechanism)
+    worst, witness, probed = 0.0, None, 0
+    for index, (left, right) in enumerate(pairs):
+        probed += 1
+        p, q = law(left), law(right)
+        lp, lq = p.log_probabilities, q.log_probabilities
+        both_zero = np.isneginf(lp) & np.isneginf(lq)
+        with np.errstate(invalid="ignore"):
+            gaps = np.abs(lp - lq)
+        gaps[both_zero] = 0.0
+        hid = int(np.argmax(gaps))
+        value = float(gaps[hid])
+        if value > worst or witness is None:
+            worst = value
+            witness = {
+                "pair_index": index,
+                "hypothesis_id": hid,
+                "log_ratio": value,
+                "p": float(p.probabilities[hid]),
+                "q": float(q.probabilities[hid]),
+            }
+    return worst, probed, witness
+
+
+def oracle_approx(mechanism, pairs, epsilon):
+    law = OrderKeyedLaws(mechanism)
+    factor = math.exp(epsilon)
+    worst, witness, probed = -1.0, None, 0
+    for index, (left, right) in enumerate(pairs):
+        probed += 1
+        p, q = law(left).probabilities, law(right).probabilities
+        value = float(np.clip(p - factor * q, 0.0, None).sum())
+        if value > worst:
+            worst = value
+            witness = {"pair_index": index, "realized_delta": value}
+    return worst, probed, witness
+
+
+def oracle_stability(mechanism, pairs, probe_points):
+    law = OrderKeyedLaws(mechanism)
+    losses = mechanism.problem.loss_matrix(mechanism.space, probe_points)
+    worst = 0.0
+    for left, right in pairs:
+        diff = law(left).probabilities - law(right).probabilities
+        worst = max(worst, float(np.max(np.abs(diff @ losses))))
+    return worst
+
+
+def counting(pairs, seen):
+    for pair in pairs:
+        seen[0] += 1
+        yield pair
+
+
+# ---------------------------------------------------------------------------
+# Equivalence
+
+
+SIZES = [(4, 3), (4, 5), (5, 4), (6, 3), (6, 5)]
+
+
+def pair_sets(u, n):
+    universe = threshold_universe(u)
+    return {
+        "exhaustive": list(exhaustive_neighbor_pairs(universe, n)),
+        "sampled": list(sampled_neighbor_pairs(universe, n, 150, seed=u * 10 + n)),
+    }
+
+
+def check_pure(mech, pairs):
+    seen = [0]
+    report = audit_pure_dp(mech, counting(pairs, seen))
+    worst, probed, witness = oracle_pure(mech, pairs)
+    assert seen[0] == len(pairs)
+    assert report.max_log_ratio == worst
+    assert report.pairs_probed == probed == len(pairs)
+    assert report.witness == witness
+
+
+def check_approx(mech, pairs, epsilon):
+    seen = [0]
+    report = audit_approx_dp(mech, counting(pairs, seen), epsilon)
+    worst, probed, witness = oracle_approx(mech, pairs, epsilon)
+    assert seen[0] == len(pairs)
+    assert report.realized_delta == worst
+    assert report.pairs_probed == probed == len(pairs)
+    assert report.witness == witness
+
+
+@pytest.mark.parametrize("u,n", SIZES)
+def test_pure_audit_matches_oracle(u, n):
+    problem, space = threshold_classification(resolution=8)
+    for pairs in pair_sets(u, n).values():
+        for eps in (0.5, 2.0):
+            check_pure(exponential_mechanism(problem, space, eps), pairs)
+        base = exponential_mechanism(problem, space, 1.0)
+        for m in (1, 2, 3):
+            check_pure(subsample_wrapper(base, m), pairs)
+
+
+@pytest.mark.parametrize("u,n", SIZES)
+def test_approx_audit_matches_oracle(u, n):
+    problem, space = threshold_classification(resolution=8)
+    universe = threshold_universe(u)
+    sqrt_erm = subsample_wrapper(erm_mechanism(problem, space), "sqrt")
+    flag = membership_flag_mechanism(0.5, 0.1, marker=float(universe.x[0]))
+    for pairs in pair_sets(u, n).values():
+        check_approx(sqrt_erm, pairs, 0.0)
+        check_approx(flag, pairs, 0.5)
+        for m in (1, 2):
+            check_approx(subsample_wrapper(flag, m), pairs, 0.3)
+        check_pure(flag, pairs)
+
+
+@pytest.mark.parametrize("u,n", SIZES)
+def test_stability_audit_matches_oracle(u, n):
+    problem, space = threshold_classification(resolution=8)
+    universe = threshold_universe(u)
+    for pairs in pair_sets(u, n).values():
+        for eps in (0.5, 2.0):
+            mech = exponential_mechanism(problem, space, eps)
+            seen = [0]
+            got = stability_audit(mech, counting(pairs, seen), universe)
+            assert seen[0] == len(pairs)
+            assert got == oracle_stability(mech, pairs, universe)
+
+
+# ---------------------------------------------------------------------------
+# Law counts
+
+
+def counted(mech, calls):
+    law = mech.law
+
+    def wrapper(dataset, *args):
+        calls.append(dataset.n)
+        return law(dataset, *args)
+
+    mech.law = wrapper
+    return mech
+
+
+def test_one_law_per_multiset():
+    problem, space = threshold_classification(resolution=16)
+    calls = []
+    mech = counted(exponential_mechanism(problem, space, 1.0), calls)
+    pairs = exhaustive_neighbor_pairs(threshold_universe(6), 5)
+    audit_pure_dp(mech, pairs)
+    assert len(calls) == math.comb(6 + 5 - 1, 5) == 252
+
+
+def test_subsample_base_laws_shared_across_datasets():
+    problem, space = threshold_classification(resolution=16)
+    base_calls, wrapper_calls = [], []
+    base = counted(exponential_mechanism(problem, space, 1.0), base_calls)
+    wrapped = counted(subsample_wrapper(base, 2), wrapper_calls)
+    audit_pure_dp(wrapped, exhaustive_neighbor_pairs(threshold_universe(6), 5))
+    assert len(wrapper_calls) == 252
+    assert base_calls == [2] * math.comb(6 + 2 - 1, 2) == [2] * 21
+
+
+# ---------------------------------------------------------------------------
+# Exactness
+
+
+def test_sampled_law_is_marked_inexact():
+    problem, space = threshold_classification(resolution=4)
+    base = exponential_mechanism(problem, space, 1.0)
+    distinct = Dataset(
+        x=np.array([0.1, 0.3, 0.6, 0.9]), y=np.array([0.0, 0.0, 1.0, 1.0])
+    )
+    repeated = Dataset(x=np.full(4, 0.3), y=np.zeros(4))
+    wrapped = subsample_wrapper(base, 3, exact_cap=2)
+    assert not wrapped.law(distinct).exact
+    assert wrapped.law(repeated).exact
+    assert subsample_wrapper(base, 3).law(distinct).exact
+
+
+@pytest.mark.parametrize("audit", ["pure", "approx", "stability"])
+def test_audits_refuse_sampled_laws(audit):
+    problem, space = threshold_classification(resolution=4)
+    base = exponential_mechanism(problem, space, 1.0)
+    wrapped = subsample_wrapper(base, 3, exact_cap=2)
+    universe = threshold_universe(4)
+    pairs = exhaustive_neighbor_pairs(universe, 4)
+    with pytest.raises(ValueError, match=re.escape(repr(wrapped.name))):
+        if audit == "pure":
+            audit_pure_dp(wrapped, pairs)
+        elif audit == "approx":
+            audit_approx_dp(wrapped, pairs, 1.0)
+        else:
+            stability_audit(wrapped, pairs, universe)
+
+
+# ---------------------------------------------------------------------------
+# Planted defect
+
+
+def overconfident_em(problem, space, epsilon, factor):
+    """An exponential mechanism run at factor * epsilon that claims epsilon."""
+    real = exponential_mechanism(problem, space, factor * epsilon)
+    return Mechanism(
+        name=f"em-x{factor}(eps={epsilon:g})",
+        sample=real.sample,
+        law=real.law,
+        budget=PrivacyBudget(epsilon),
+        problem=problem,
+        space=space,
+    )
+
+
+def test_planted_exponent_defect_fails_the_pure_audit():
+    problem, space = threshold_classification(resolution=64)
+    pairs = list(exhaustive_neighbor_pairs(threshold_universe(6), 5))
+    for eps, realized in ((0.5, 0.5853), (1.0, 1.2110), (2.0, 2.3342)):
+        mech = overconfident_em(problem, space, eps, factor=3)
+        report = audit_pure_dp(mech, pairs)
+        assert report.max_log_ratio == pytest.approx(realized, abs=1e-4)
+        assert report.max_log_ratio > mech.claimed_budget(5).epsilon + 1e-9

@@ -267,16 +267,21 @@ class TestSubsampling:
     def test_mixture_matches_hypergeometric_oracle(self):
         problem, space = PROBLEM_BUILDERS["threshold"](resolution=8)
         base = exponential_mechanism(problem, space, 1.0)
-        data = Dataset(
+        two_points = Dataset(
             x=np.array([0.2, 0.2, 0.7, 0.7, 0.7]),
             y=np.array([0.0, 0.0, 1.0, 1.0, 1.0]),
         )
-        for m in (1, 2, 3):
-            wrapped = subsample_wrapper(base, m=m)
-            assert wrapped.law_mode == "exact"
-            law = wrapped.law(data).probabilities
-            oracle = hypergeometric_subsample_law(base, data, m)
-            assert np.allclose(law, oracle, atol=1e-12)
+        three_points = Dataset(
+            x=np.array([0.7, 0.2, 0.45, 0.7, 0.2, 0.7]),
+            y=np.array([1.0, 0.0, 0.0, 1.0, 0.0, 1.0]),
+        )
+        for data in (two_points, three_points):
+            for m in (1, 2, 3):
+                wrapped = subsample_wrapper(base, m=m)
+                assert wrapped.law_mode == "exact"
+                law = wrapped.law(data).probabilities
+                oracle = hypergeometric_subsample_law(base, data, m)
+                assert np.allclose(law, oracle, atol=1e-12)
 
     def test_budget_fixed_m(self):
         problem, space = PROBLEM_BUILDERS["threshold"](resolution=8)
