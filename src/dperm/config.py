@@ -16,8 +16,9 @@ Example::
     n = 3
     universe = 4
 
-Unknown keys, unknown experiments, duplicate keys, and type mismatches all
-raise :class:`ConfigError` with the offending line.
+Unknown keys, unknown experiments, duplicate keys, type mismatches and
+values outside a key's bounds (``dperm list --keys``) all raise
+:class:`ConfigError` with the offending line.
 """
 
 from __future__ import annotations
@@ -44,6 +45,31 @@ class Field:
     kind: str  # int | float | str | ints | floats
     default: object
     help: str = ""
+    bounds: str = ""  # interval every number must lie in, e.g. "(0, inf)"
+
+    def check(self, key: str, value, where: str = "") -> None:
+        """Raise ConfigError (message prefixed by ``where``) unless every
+        number in ``value`` lies in ``bounds``; NaN lies in no interval."""
+        if not self.bounds:
+            return
+        lo, hi = (float(t) for t in self.bounds[1:-1].split(","))
+        closed_lo, closed_hi = self.bounds[0] == "[", self.bounds[-1] == "]"
+        for v in value if isinstance(value, tuple) else (value,):
+            above = v > lo or (closed_lo and v == lo)
+            below = v < hi or (closed_hi and v == hi)
+            if not (above and below):
+                raise ConfigError(
+                    f"{where}{key} must lie in {self.bounds}, got {v!r}"
+                )
+
+
+POSITIVE = "(0, inf)"
+FINITE = "(-inf, inf)"
+PROBABILITY = "(0, 1)"
+AT_LEAST_1 = "[1, inf)"
+AT_LEAST_2 = "[2, inf)"
+CELLS = "[1, 50]"  # finite_support_estimation's limit
+SUBSET = "[0, 50]"
 
 
 # Keys shared by every experiment.
@@ -55,95 +81,126 @@ COMMON_FIELDS: dict[str, Field] = {
 SCHEMAS: dict[str, dict[str, Field]] = {
     "audit": {
         "problem": Field("str", "threshold", "threshold or finite-support"),
-        "resolution": Field("int", 8, "hypothesis grid size (threshold problem)"),
-        "cells": Field("int", 8, "cell count (finite-support problem)"),
-        "subset_size": Field("int", 3, "max support size (finite-support problem)"),
-        "universe": Field("int", 4, "number of data atoms, at most 6"),
-        "n": Field("int", 3, "dataset size for neighbor enumeration"),
-        "epsilon": Field("floats", (0.5, 1.0, 2.0), "privacy levels to audit"),
-        "subsample_m": Field("int", 2, "fixed subsample size for amplification rows"),
-        "approx_delta": Field("float", 0.1, "delta of the approximate-budget base"),
+        "resolution": Field(
+            "int", 8, "hypothesis grid size (threshold problem)", AT_LEAST_1
+        ),
+        "cells": Field("int", 8, "cell count (finite-support problem)", CELLS),
+        "subset_size": Field(
+            "int", 3, "max support size (finite-support problem)", SUBSET
+        ),
+        "universe": Field("int", 4, "number of data atoms", "[2, 6]"),
+        "n": Field("int", 3, "dataset size for neighbor enumeration", AT_LEAST_1),
+        "epsilon": Field(
+            "floats", (0.5, 1.0, 2.0), "privacy levels to audit", POSITIVE
+        ),
+        "subsample_m": Field(
+            "int", 2, "fixed subsample size for amplification rows", AT_LEAST_1
+        ),
+        "approx_delta": Field(
+            "float", 0.1, "delta of the approximate-budget base", PROBABILITY
+        ),
     },
     "stability": {
         "problem": Field("str", "threshold", "threshold or finite-support"),
-        "resolution": Field("int", 8, "hypothesis grid size (threshold problem)"),
-        "cells": Field("int", 8, "cell count (finite-support problem)"),
-        "subset_size": Field("int", 3, "max support size (finite-support problem)"),
-        "universe": Field("int", 4, "number of data atoms, at most 6"),
-        "n": Field("int", 3, "dataset size for neighbor enumeration"),
-        "epsilon": Field("floats", (0.25, 0.5, 1.0, 2.0), "privacy levels"),
+        "resolution": Field(
+            "int", 8, "hypothesis grid size (threshold problem)", AT_LEAST_1
+        ),
+        "cells": Field("int", 8, "cell count (finite-support problem)", CELLS),
+        "subset_size": Field(
+            "int", 3, "max support size (finite-support problem)", SUBSET
+        ),
+        "universe": Field("int", 4, "number of data atoms", "[2, 6]"),
+        "n": Field("int", 3, "dataset size for neighbor enumeration", AT_LEAST_1),
+        "epsilon": Field("floats", (0.25, 0.5, 1.0, 2.0), "privacy levels", POSITIVE),
     },
     "aerm": {
-        "cells": Field("int", 8, "cell count of the support problem"),
-        "subset_size": Field("int", 3, "max support size"),
-        "n_grid": Field("ints", (50, 200), "dataset sizes"),
-        "epsilon": Field("floats", (0.5, 1.0), "privacy levels"),
-        "trials": Field("int", 40, "datasets per (n, epsilon) cell"),
+        "cells": Field("int", 8, "cell count of the support problem", CELLS),
+        "subset_size": Field("int", 3, "max support size", SUBSET),
+        "n_grid": Field("ints", (50, 200), "dataset sizes", AT_LEAST_2),
+        "epsilon": Field("floats", (0.5, 1.0), "privacy levels", POSITIVE),
+        "trials": Field("int", 40, "datasets per (n, epsilon) cell", AT_LEAST_2),
     },
     "utility-tail": {
         "problem": Field("str", "threshold", "threshold or finite-support"),
-        "resolution": Field("int", 32, "hypothesis grid size (threshold problem)"),
-        "cells": Field("int", 8, "cell count (finite-support problem)"),
-        "subset_size": Field("int", 3, "max support size"),
-        "n": Field("int", 60, "dataset size"),
-        "epsilon": Field("float", 1.0, "privacy level"),
-        "t_count": Field("int", 20, "number of tail thresholds"),
-        "t_min": Field("float", 0.01, "smallest tail threshold"),
-        "t_max": Field("float", 0.5, "largest tail threshold"),
+        "resolution": Field(
+            "int", 32, "hypothesis grid size (threshold problem)", AT_LEAST_1
+        ),
+        "cells": Field("int", 8, "cell count (finite-support problem)", CELLS),
+        "subset_size": Field("int", 3, "max support size", SUBSET),
+        "n": Field("int", 60, "dataset size", AT_LEAST_1),
+        "epsilon": Field("float", 1.0, "privacy level", POSITIVE),
+        "t_count": Field("int", 20, "number of tail thresholds", AT_LEAST_1),
+        "t_min": Field("float", 0.01, "smallest tail threshold", POSITIVE),
+        "t_max": Field("float", 0.5, "largest tail threshold", POSITIVE),
     },
     "consistency": {
         "mode": Field("str", "exact", "exact or mc"),
-        "n": Field("int", 3, "dataset size"),
-        "epsilon": Field("float", 1.0, "privacy level of the learner"),
-        "trials": Field("int", 200, "datasets in mc mode"),
-        "resolution": Field("int", 16, "hypothesis grid size"),
+        "n": Field("int", 3, "dataset size", AT_LEAST_1),
+        "epsilon": Field("float", 1.0, "privacy level of the learner", POSITIVE),
+        "trials": Field("int", 200, "datasets in mc mode", AT_LEAST_2),
+        "resolution": Field("int", 16, "hypothesis grid size", AT_LEAST_1),
     },
     "counterexample": {
-        "epsilon": Field("float", 1.0, "privacy level of the learner"),
-        "n": Field("int", 3, "dataset size of the packed family"),
+        "epsilon": Field("float", 1.0, "privacy level of the learner", POSITIVE),
+        "n": Field("int", 3, "dataset size of the packed family", AT_LEAST_1),
         "resolutions": Field(
-            "ints", tuple(2**k for k in range(1, 17)), "grid sizes to sweep"
+            "ints", tuple(2**k for k in range(1, 17)), "grid sizes to sweep", AT_LEAST_1
         ),
         "ratio_threshold": Field(
-            "float", 14.0, "ln(resolution) / (n epsilon / 4) above which the gap must exceed 1/2"
+            "float",
+            14.0,
+            "ln(resolution) / (n epsilon / 4) above which the gap must exceed 1/2",
+            FINITE,
         ),
     },
     "phase": {
-        "rates": Field("floats", (0.5, 1.0), "subsampling exponents r"),
-        "n_grid": Field("ints", (100, 1000, 10000), "dataset sizes"),
-        "trials": Field("int", 200, "datasets per (r, n) cell"),
-        "resolution": Field("int", 257, "hypothesis grid size"),
-        "support_size": Field("int", 512, "data support size"),
-        "theta": Field("float", 0.5, "true threshold"),
+        "rates": Field("floats", (0.5, 1.0), "subsampling exponents r", "[0, 1]"),
+        "n_grid": Field("ints", (100, 1000, 10000), "dataset sizes", AT_LEAST_1),
+        "trials": Field("int", 200, "datasets per (r, n) cell", AT_LEAST_2),
+        "resolution": Field("int", 257, "hypothesis grid size", AT_LEAST_1),
+        "support_size": Field("int", 512, "data support size", AT_LEAST_1),
+        "theta": Field("float", 0.5, "true threshold", "[0, 1]"),
     },
     "boost": {
-        "cells": Field("int", 8, "cell count of the support problem"),
-        "subset_size": Field("int", 3, "max support size"),
-        "skew": Field("float", 0.7, "cell i carries probability ~ skew^i"),
-        "n": Field("int", 600, "dataset size"),
-        "base_epsilon": Field("float", 2.0, "privacy level of the base learner"),
-        "epsilon": Field("float", 2.0, "privacy level of the selection step"),
-        "delta": Field("floats", (0.05, 0.2), "confidence targets"),
-        "trials": Field("int", 500, "measurement datasets per target"),
-        "calibration_trials": Field("int", 300, "datasets used to calibrate C"),
+        "cells": Field("int", 8, "cell count of the support problem", CELLS),
+        "subset_size": Field("int", 3, "max support size", SUBSET),
+        "skew": Field("float", 0.7, "cell i carries probability ~ skew^i", "(0, 1]"),
+        "n": Field("int", 600, "dataset size", AT_LEAST_1),
+        "base_epsilon": Field(
+            "float", 2.0, "privacy level of the base learner", POSITIVE
+        ),
+        "epsilon": Field("float", 2.0, "privacy level of the selection step", POSITIVE),
+        "delta": Field("floats", (0.05, 0.2), "confidence targets", PROBABILITY),
+        "trials": Field("int", 500, "measurement datasets per target", AT_LEAST_2),
+        "calibration_trials": Field(
+            "int", 300, "datasets used to calibrate C", AT_LEAST_2
+        ),
     },
     "rates": {
-        "n_grid": Field("ints", (100, 1000, 10000, 100000), "dataset sizes"),
-        "trials": Field("int", 500, "datasets per size"),
-        "epsilon_exponent": Field("float", 0.9, "epsilon(n) = n**(-exponent)"),
-        "slope_lo": Field("float", -1.1, "lower edge of the asserted slope band"),
-        "slope_hi": Field("float", -0.7, "upper edge of the asserted slope band"),
+        "n_grid": Field(
+            "ints", (100, 1000, 10000, 100000), "dataset sizes", AT_LEAST_2
+        ),
+        "trials": Field("int", 500, "datasets per size", AT_LEAST_2),
+        "epsilon_exponent": Field("float", 0.9, "epsilon(n) = n**(-exponent)", FINITE),
+        "slope_lo": Field(
+            "float", -1.1, "lower edge of the asserted slope band", FINITE
+        ),
+        "slope_hi": Field(
+            "float", -0.7, "upper edge of the asserted slope band", FINITE
+        ),
     },
     "sublevel": {
         "problem": Field("str", "logistic", "logistic or finite-support"),
-        "resolution": Field("int", 64, "hypothesis grid size (logistic problem)"),
-        "cells": Field("int", 8, "cell count (finite-support problem)"),
-        "subset_size": Field("int", 3, "max support size"),
-        "n": Field("int", 200, "dataset size per replication"),
-        "t_count": Field("int", 8, "number of sublevel thresholds"),
-        "t_min": Field("float", 0.02, "smallest threshold"),
-        "t_max": Field("float", 0.5, "largest threshold"),
-        "replications": Field("int", 20, "datasets per threshold"),
+        "resolution": Field(
+            "int", 64, "hypothesis grid size (logistic problem)", AT_LEAST_1
+        ),
+        "cells": Field("int", 8, "cell count (finite-support problem)", CELLS),
+        "subset_size": Field("int", 3, "max support size", SUBSET),
+        "n": Field("int", 200, "dataset size per replication", AT_LEAST_1),
+        "t_count": Field("int", 8, "number of sublevel thresholds", AT_LEAST_2),
+        "t_min": Field("float", 0.02, "smallest threshold", POSITIVE),
+        "t_max": Field("float", 0.5, "largest threshold", POSITIVE),
+        "replications": Field("int", 20, "datasets per threshold", AT_LEAST_1),
     },
 }
 
@@ -178,6 +235,8 @@ class RunConfig:
                 f"unknown keys for experiment {self.experiment!r}: "
                 f"{', '.join(sorted(extra))}"
             )
+        for key, value in merged.items():
+            schema[key].check(key, value)
         object.__setattr__(self, "params", merged)
 
     def __getitem__(self, key: str):
@@ -262,6 +321,7 @@ def parse_config_text(text: str) -> RunConfig:
                 f"{experiment!r}; accepted keys: {', '.join(accepted)}"
             )
         params[key] = _parse_value(schema[key], raw, key, line_no)
+        schema[key].check(key, params[key], f"line {line_no}: ")
     return RunConfig(experiment=experiment, seed=seed, output=output, params=params)
 
 
@@ -296,9 +356,11 @@ def describe_schema(experiment: str) -> list[tuple[str, str, str]]:
     """(key, kind, help) rows for an experiment, common keys first."""
     if experiment not in SCHEMAS:
         raise ConfigError(f"unknown experiment {experiment!r}")
-    rows = [(k, f.kind, f.help) for k, f in COMMON_FIELDS.items()]
-    rows += [(k, f.kind, f.help) for k, f in SCHEMAS[experiment].items()]
-    return rows
+    fields = {**COMMON_FIELDS, **SCHEMAS[experiment]}
+    return [
+        (k, f.kind, f"{f.help}; in {f.bounds}" if f.bounds else f.help)
+        for k, f in fields.items()
+    ]
 
 
 def default_config(experiment: str, **overrides) -> RunConfig:

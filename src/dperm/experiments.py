@@ -177,21 +177,25 @@ def map_trials(fn: Callable[[int], object], count: int) -> list:
 # Shared construction helpers
 
 
+def _support_space(config: RunConfig):
+    """Finite-support problem and space from the cells and subset_size keys."""
+    cells, size = config["cells"], config["subset_size"]
+    if size > cells:
+        raise ConfigError(f"subset_size must be <= cells, got {size} > {cells}")
+    return finite_support_estimation(cells, size)
+
+
 def _audit_problem(config: RunConfig):
     """Problem, space, and data-atom universe for the audit experiments."""
     kind = config["problem"]
     universe_size = config["universe"]
-    if not 2 <= universe_size <= 6:
-        raise ConfigError(
-            f"universe must have 2..6 atoms for exhaustive audits, got {universe_size}"
-        )
     if kind == "threshold":
         problem, space = threshold_classification(resolution=config["resolution"])
         xs = (np.arange(universe_size) + 0.5) / universe_size
         universe = Dataset(x=xs, y=(xs > 0.5).astype(float))
     elif kind == "finite-support":
         cells = config["cells"]
-        problem, space = finite_support_estimation(cells, config["subset_size"])
+        problem, space = _support_space(config)
         size = min(universe_size, cells)
         universe = Dataset(x=(np.arange(size) + 0.5) / cells)
     else:
@@ -204,7 +208,7 @@ def _audit_problem(config: RunConfig):
 def _support_problem(config: RunConfig):
     """Finite-support problem with the uniform distribution on its cells."""
     cells = config["cells"]
-    problem, space = finite_support_estimation(cells, config["subset_size"])
+    problem, space = _support_space(config)
     distribution = discrete_points(x=(np.arange(cells) + 0.5) / cells)
     return problem, space, distribution
 
@@ -275,8 +279,6 @@ def run_audit(config: RunConfig) -> ExperimentOutcome:
     # after subsampling at the amplified (epsilon', delta').
     base_eps = float(config["epsilon"][0])
     base_delta = config["approx_delta"]
-    if not 0.0 < base_delta < 1.0:
-        raise ConfigError(f"approx_delta must lie in (0, 1), got {base_delta}")
     marker = float(universe.x[0] if universe.x.ndim == 1 else universe.x[0, 0])
     flag = membership_flag_mechanism(base_eps, base_delta, marker)
     flag_report = audit_approx_dp(flag, pairs, epsilon=base_eps)
@@ -332,13 +334,9 @@ def run_aerm(config: RunConfig) -> ExperimentOutcome:
     suboptimality bound, per (n, epsilon) cell."""
     problem, space, distribution = _support_problem(config)
     trials = config["trials"]
-    if trials < 2:
-        raise ConfigError(f"trials must be >= 2, got {trials}")
     rows: list[Row] = []
     cell = 0
     for n in config["n_grid"]:
-        if n < 2:
-            raise ConfigError(f"n_grid entries must be >= 2, got {n}")
         for eps in config["epsilon"]:
             mech = exponential_mechanism(problem, space, eps)
             cell_seed = spawn_seed(config.seed, cell)
@@ -383,8 +381,8 @@ def run_utility_tail(config: RunConfig) -> ExperimentOutcome:
         raise ConfigError(
             f"problem must be 'threshold' or 'finite-support', got {kind!r}"
         )
-    if config["t_count"] < 1 or config["t_min"] <= 0 or config["t_max"] < config["t_min"]:
-        raise ConfigError("need t_count >= 1 and 0 < t_min <= t_max")
+    if config["t_max"] < config["t_min"]:
+        raise ConfigError("need t_min <= t_max")
     t_grid = np.geomspace(config["t_min"], config["t_max"], config["t_count"])
     mech = exponential_mechanism(problem, space, eps)
     dataset = distribution.sample(n, trial_rng(config.seed, 0))
@@ -526,8 +524,6 @@ def run_boost(config: RunConfig) -> ExperimentOutcome:
     problem, space, _uniform = _support_problem(config)
     cells = config["cells"]
     skew = config["skew"]
-    if not 0.0 < skew <= 1.0:
-        raise ConfigError(f"skew must lie in (0, 1], got {skew}")
     # A skewed cell law gives the support problem a unique optimum, so the
     # excess of a drawn hypothesis actually varies across trials.
     weights = skew ** np.arange(cells)
@@ -536,8 +532,6 @@ def run_boost(config: RunConfig) -> ExperimentOutcome:
     )
     n = config["n"]
     trials, calibration_trials = config["trials"], config["calibration_trials"]
-    if trials < 2 or calibration_trials < 2:
-        raise ConfigError("trials and calibration_trials must be >= 2")
     base_eps, sel_eps = config["base_epsilon"], config["epsilon"]
     base = exponential_mechanism(problem, space, base_eps)
     pop = population_risk_vector(problem, space, distribution)
@@ -611,10 +605,8 @@ def run_rates(config: RunConfig) -> ExperimentOutcome:
     problem, _ = pth_power_mean(resolution=2)  # naming and loss conventions only
     n_grid = list(config["n_grid"])
     trials = config["trials"]
-    if trials < 2:
-        raise ConfigError(f"trials must be >= 2, got {trials}")
-    if any(n < 2 for n in n_grid) or len(n_grid) < 2:
-        raise ConfigError("n_grid needs >= 2 sizes, all >= 2")
+    if len(n_grid) < 2:
+        raise ConfigError("n_grid needs >= 2 sizes")
     exponent = config["epsilon_exponent"]
 
     def population_risk(h: np.ndarray) -> np.ndarray:
@@ -695,8 +687,8 @@ def run_sublevel(config: RunConfig) -> ExperimentOutcome:
         raise ConfigError(
             f"problem must be 'logistic' or 'finite-support', got {kind!r}"
         )
-    if config["t_count"] < 2 or config["t_min"] <= 0 or config["t_max"] <= config["t_min"]:
-        raise ConfigError("need t_count >= 2 and 0 < t_min < t_max")
+    if config["t_max"] <= config["t_min"]:
+        raise ConfigError("need t_min < t_max")
     t_grid = np.geomspace(config["t_min"], config["t_max"], config["t_count"])
     fit = estimate_sublevel_condition(
         problem,

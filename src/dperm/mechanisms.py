@@ -18,13 +18,11 @@ mechanism promises at dataset size ``n``; the audit routines in
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .problems import Dataset, Problem, objective_vector, risk_vector
 from .seeding import spawn_seed
@@ -35,6 +33,40 @@ LOG_CONSISTENCY_TOL = 1e-10
 LOG_UNDERFLOW = -740.0
 SUBSAMPLE_EXACT_CAP = 10**5
 BOOST_LAW_CAP = 2 * 10**5
+
+
+def logsumexp(a: np.ndarray) -> float:
+    """log(sum(exp(a))) of a real 1-d array with no NaN and no +inf.
+
+    The steps are those of scipy.special.logsumexp on real input, so the
+    result is the same to the last bit: the m entries at the maximum are
+    taken out of the sum, the rest are summed as exp(a - max), that sum is
+    divided by m, and the result is log1p(s) + log(m) + max.  An all -inf
+    input gives -inf.
+    """
+    a = np.asarray(a, dtype=float)
+    a_max = a.max()
+    if a_max == -np.inf:
+        return a_max
+    top = a == a_max
+    m = float(np.count_nonzero(top))
+    s = np.exp(np.where(top, -np.inf, a) - a_max).sum()
+    if s != 0:
+        s = s / m
+    return np.log1p(s) + np.log(m) + a_max
+
+
+def logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    """:func:`logsumexp` of each row of a 2-d array, by the same steps."""
+    a = np.asarray(a, dtype=float)
+    a_max = a.max(axis=1, keepdims=True)
+    top = a == a_max
+    m = top.sum(axis=1, keepdims=True, dtype=float)
+    # An all -inf row would make a - a_max NaN; shift it by 0 instead.
+    shift = np.where(a_max == -np.inf, 0.0, a_max)
+    s = np.exp(np.where(top, -np.inf, a) - shift).sum(axis=1, keepdims=True)
+    s = np.where(s == 0, s, s / m)
+    return (np.log1p(s) + np.log(m) + a_max)[:, 0]
 
 
 @dataclass(frozen=True)
@@ -91,8 +123,7 @@ class MechanismDistribution:
         pos = p > 0
         if np.any(np.isnan(logp)) or np.any(logp[pos] > 1e-12):
             raise ValueError("log-probabilities must be <= 0 and not NaN")
-        with np.errstate(divide="ignore"):
-            ref = np.log(p[pos])
+        ref = np.log(p[pos])
         if pos.any() and float(np.max(np.abs(ref - logp[pos]))) > LOG_CONSISTENCY_TOL:
             raise ValueError("linear and log probabilities disagree beyond tolerance")
         # exp underflows to 0.0 just below log of the smallest subnormal
@@ -715,17 +746,18 @@ def boost_high_confidence(
         part_laws = [base.law(dataset.take(idx)).probabilities for idx in train]
         val_risks = risk_vector(problem, space, dataset.take(validation))
         scale = selection_scale(dataset.n)
+        # One row per candidate tuple, in itertools.product order.
+        combos = np.indices((space.size,) * a).reshape(a, -1).T
+        weight = part_laws[0][combos[:, 0]]
+        for j in range(1, a):
+            weight = weight * part_laws[j][combos[:, j]]
+        keep = weight != 0.0
+        combos, weight = combos[keep], weight[keep]
+        logits = -scale * val_risks[combos]
+        sel = np.exp(logits - logsumexp_rows(logits)[:, None])
         probs = np.zeros(space.size)
-        for combo in itertools.product(range(space.size), repeat=a):
-            weight = 1.0
-            for j, hid in enumerate(combo):
-                weight *= part_laws[j][hid]
-            if weight == 0.0:
-                continue
-            logits = -scale * val_risks[np.asarray(combo)]
-            sel = np.exp(logits - logsumexp(logits))
-            for j, hid in enumerate(combo):
-                probs[hid] += weight * sel[j]
+        # add.at accumulates in index order, the order of the tuple loop.
+        np.add.at(probs, combos.ravel(), (weight[:, None] * sel).ravel())
         return MechanismDistribution.from_probabilities(space, probs)
 
     def sample(dataset: Dataset, seed: int) -> int:

@@ -36,7 +36,6 @@ __all__ = [
     "uniform_box",
     "discrete_points",
     "labeled_threshold",
-    "packed_interval",
     "threshold_classification",
     "linear_logistic",
     "pth_power_mean",
@@ -255,21 +254,6 @@ def labeled_threshold(theta: float, support_size: int = 0) -> DataDistribution:
         return discrete_points(xs, y=(xs > theta).astype(float))
     return DataDistribution(
         kind="labeled-threshold", lower=np.array([0.0]), upper=np.array([1.0]), theta=theta
-    )
-
-
-def packed_interval(epsilon: float, n: int, index: int) -> DataDistribution:
-    """Two-atom distribution matching packed dataset ``index`` in proportion."""
-    family = packed_datasets(epsilon, n)
-    if not 0 <= index < family.count:
-        raise ValueError(f"index {index} outside the {family.count} packed intervals")
-    z = family.datasets[index]
-    below, above = z.x.min(), z.x.max()
-    p_below = (n // 2) / n
-    return discrete_points(
-        np.array([below, above]),
-        y=np.array([0.0, 1.0]),
-        probs=np.array([p_below, 1.0 - p_below]),
     )
 
 

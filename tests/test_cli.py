@@ -81,6 +81,20 @@ class TestRun:
         assert main(["run", conf]) == 1
         assert capsys.readouterr().err.startswith("config-error:")
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("epsilon = -1", "line 2: epsilon must lie in (0, inf)"),
+            # Each key is in range; together they are not.
+            ("problem = finite-support\ncells = 3\nsubset_size = 4",
+             "subset_size must be <= cells"),
+        ],
+    )
+    def test_out_of_range_value_exits_1(self, tmp_path, capsys, body, message):
+        conf = write(tmp_path / "bad.conf", f"experiment = audit\n{body}\n")
+        assert main(["run", conf]) == 1
+        assert capsys.readouterr().err.startswith(f"config-error: {message}")
+
     def test_missing_file_exits_1(self, capsys):
         assert main(["run", "/nonexistent/x.conf"]) == 1
         assert capsys.readouterr().err.startswith("config-error:")

@@ -1,5 +1,8 @@
 """Config parsing: schemas, round trips, and rejection messages."""
 
+import glob
+import os
+
 import pytest
 
 from dperm.config import (
@@ -12,6 +15,8 @@ from dperm.config import (
     parse_config_file,
     parse_config_text,
 )
+
+SCRIPTS = os.path.join(os.path.dirname(__file__), os.pardir, "scripts")
 
 
 @pytest.mark.parametrize("experiment", sorted(SCHEMAS))
@@ -99,6 +104,53 @@ class TestRejections:
     def test_unknown_key_in_constructor(self):
         with pytest.raises(ConfigError, match="unknown keys"):
             RunConfig(experiment="audit", params={"bogus": 1})
+
+
+@pytest.mark.parametrize(
+    "experiment, assignment",
+    [
+        ("audit", "epsilon = 0.5, -1"),
+        ("audit", "epsilon = nan"),
+        ("audit", "epsilon = inf"),
+        ("audit", "approx_delta = 1.0"),
+        ("audit", "n = 0"),
+        ("audit", "subsample_m = 0"),
+        ("audit", "universe = 7"),
+        ("stability", "resolution = 0"),
+        ("aerm", "n_grid = 50, 1"),
+        ("aerm", "trials = 1"),
+        ("utility-tail", "t_min = 0"),
+        ("consistency", "trials = 1"),
+        ("counterexample", "resolutions = 16, 0"),
+        ("phase", "rates = 0.5, 1.5"),
+        ("phase", "theta = -0.1"),
+        ("boost", "delta = 0.1, 0"),
+        ("boost", "skew = 0"),
+        ("boost", "calibration_trials = 1"),
+        ("boost", "cells = 51"),
+        ("rates", "n_grid = 1, 100"),
+        ("rates", "epsilon_exponent = nan"),
+        ("sublevel", "replications = 0"),
+    ],
+)
+def test_out_of_range_value_rejected(experiment, assignment):
+    key = assignment.split("=")[0].strip()
+    with pytest.raises(ConfigError, match=f"^line 2: {key} must lie in"):
+        parse_config_text(f"experiment = {experiment}\n{assignment}\n")
+
+
+def test_bounds_are_inclusive_where_closed():
+    config = parse_config_text("experiment = phase\nrates = 0, 1\ntheta = 1\n")
+    assert config["rates"] == (0.0, 1.0)
+    with pytest.raises(ConfigError, match="^universe must lie in"):
+        default_config("audit", universe=1)
+
+
+def test_shipped_configs_in_range():
+    paths = sorted(glob.glob(os.path.join(SCRIPTS, "*.conf")))
+    assert paths
+    for path in paths:
+        parse_config_file(path)
 
 
 def test_describe_schema_lists_common_keys_first():

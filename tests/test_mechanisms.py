@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp as scipy_logsumexp
 from scipy.stats import laplace as scipy_laplace
 
 from dperm.mechanisms import (
@@ -28,6 +29,8 @@ from dperm.mechanisms import (
     laplace_erm_mean,
     laplace_icdf,
     logconcave_sampler,
+    logsumexp,
+    logsumexp_rows,
     membership_flag_mechanism,
     pth_power_erm,
     pth_power_erm_batch,
@@ -40,6 +43,7 @@ from dperm.problems import (
     discrete_points,
     labeled_threshold,
     objective_vector,
+    risk_vector,
     uniform_box,
 )
 from dperm.seeding import trial_rng
@@ -125,6 +129,54 @@ class TestDistribution:
         law = MechanismDistribution.from_logits(space, np.array(logits))
         assert abs(law.probabilities.sum() - 1.0) <= 1e-12
         assert np.all(law.probabilities >= 0)
+
+
+def logsumexp_cases():
+    """Inputs for the kernel-versus-scipy checks: sizes 1 to 20,000, ties at
+    the maximum, rounded inputs with many ties, -inf entries, an all -inf
+    input, and magnitudes up to 1e308."""
+    rng = np.random.default_rng(20)
+    cases = [np.zeros(1), np.array([-3.5]), np.full(7, 2.25), np.full(4, -np.inf)]
+    cases.append(np.array([0.0, -np.inf, 1.0, -np.inf]))
+    cases.append(np.array([1e308, -1e308, 1e308]))
+    cases.append(np.array([1e308, 1e308 * (1 - 1e-15), 1.0]))
+    for size in (1, 2, 3, 7, 8, 9, 16, 17, 100, 484, 1000, 4099, 20_000):
+        for scale in (1e-3, 1.0, 30.0, 700.0, 1e6, 1e300):
+            x = scale * rng.standard_normal(size)
+            cases.append(x)
+            cases.append(np.round(x / scale * 2) * scale)
+            cases.append(np.where(rng.random(size) < 0.3, -np.inf, x))
+            tied = x.copy()
+            tied[rng.integers(size, size=max(1, size // 4))] = x.max()
+            cases.append(tied)
+    return cases
+
+
+class TestLogSumExp:
+    def test_equals_scipy_bit_for_bit(self):
+        # Spreads past the float range overflow a - max to -inf, which is
+        # the right term; both sides warn about it, so silence that here.
+        with np.errstate(over="ignore"):
+            for a in logsumexp_cases():
+                ref = scipy_logsumexp(a)
+                assert logsumexp(a) == ref, a
+                assert logsumexp_rows(a[None, :])[0] == ref, a
+
+    def test_rows_equal_scipy_per_row(self):
+        rng = np.random.default_rng(21)
+        for width in (1, 2, 3, 5, 8, 9, 17):
+            rows = np.round(5 * rng.standard_normal((500, width)), 1)
+            rows[::7, 0] = -np.inf
+            rows[::11] = -np.inf
+            out = logsumexp_rows(rows)
+            assert out.shape == (500,)
+            for row, value in zip(rows, out):
+                assert value == scipy_logsumexp(row)
+
+    def test_all_neg_inf_is_neg_inf_without_warning(self):
+        with np.errstate(all="raise"):
+            assert logsumexp(np.full(3, -np.inf)) == -np.inf
+            assert np.all(logsumexp_rows(np.full((2, 3), -np.inf)) == -np.inf)
 
 
 class TestExponentialMechanism:
@@ -451,6 +503,47 @@ class TestBoosting:
         counts = np.bincount(draws, minlength=space.size)
         result = chi_square_gof(law, counts)
         assert result.pvalue > 1e-3
+
+    @pytest.mark.parametrize(
+        "kind, kwargs, base_eps, delta_target, n",
+        [
+            # a = 2 parts over 4 hypotheses.
+            ("finite-support", dict(cells=3, max_subset_size=1), 1.0, 0.5, 12),
+            # a = 3 parts over 7 hypotheses.
+            ("finite-support", dict(cells=3, max_subset_size=2), 2.0, 0.2, 16),
+            # A base so sharp that its part laws put exactly zero mass on
+            # most hypotheses, so the zero-weight tuples are skipped.
+            ("finite-support", dict(cells=3, max_subset_size=2), 5000.0, 0.5, 9),
+        ],
+    )
+    def test_exact_law_equals_tuple_loop(self, kind, kwargs, base_eps, delta_target, n):
+        problem, space = PROBLEM_BUILDERS[kind](**kwargs)
+        base = exponential_mechanism(problem, space, base_eps)
+        boosted = boost_high_confidence(base, space, delta_target=delta_target, epsilon=1.0)
+        data = discrete_points(
+            np.array([0.1, 0.5, 0.9]), probs=np.array([0.5, 0.3, 0.2])
+        ).sample(n, trial_rng(3, n))
+        a = boosted.info["parts"]
+        train, validation = boost_parts(n, a)
+        part_laws = [base.law(data.take(idx)).probabilities for idx in train]
+        if base_eps > 100:
+            assert all(np.sum(law == 0.0) > 0 for law in part_laws)
+        val_risks = risk_vector(problem, space, data.take(validation))
+        scale = 1.0 * n / (4.0 * (a + 1))
+        # The tuple loop the array law replaced, with scipy's logsumexp.
+        oracle = np.zeros(space.size)
+        for combo in itertools.product(range(space.size), repeat=a):
+            weight = 1.0
+            for j, hid in enumerate(combo):
+                weight *= part_laws[j][hid]
+            if weight == 0.0:
+                continue
+            logits = -scale * val_risks[np.asarray(combo)]
+            sel = np.exp(logits - scipy_logsumexp(logits))
+            for j, hid in enumerate(combo):
+                oracle[hid] += weight * sel[j]
+        oracle = oracle / oracle.sum()
+        assert np.array_equal(boosted.law(data).probabilities, oracle)
 
     def test_over_cap_is_sample_only(self):
         # 93 hypotheses to the 5th power dwarfs the enumeration cap, so the
