@@ -9,8 +9,7 @@ perturbs another), which makes reruns byte-identical.
 Row semantics: ``value`` is the measured quantity, ``bound`` the value it is
 held against, and ``passed`` says whether the check came out as claimed; rows
 with ``passed`` empty are informational.  Most checks are value <= bound; the
-counterexample gap rows demand value > bound.  ``DPERM_THREADS`` bounds the
-worker threads used for trial loops (default 1); results do not depend on it.
+counterexample gap rows demand value > bound.
 """
 
 from __future__ import annotations
@@ -18,8 +17,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -147,30 +144,6 @@ def _finish(experiment: str, rows: list[Row], witnesses: list[dict]) -> Experime
         failures=failures,
         witnesses=witnesses,
     )
-
-
-def thread_count() -> int:
-    raw = os.environ.get("DPERM_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"DPERM_THREADS must be an integer, got {raw!r}"
-        ) from None
-    return max(1, value)
-
-
-def map_trials(fn: Callable[[int], object], count: int) -> list:
-    """Evaluate fn(0..count-1), optionally on a thread pool.
-
-    Safe only for fns whose result depends on the index alone, which every
-    trial closure here guarantees by deriving its randomness from the index.
-    """
-    workers = thread_count()
-    if workers == 1 or count <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=min(workers, count)) as pool:
-        return list(pool.map(fn, range(count)))
 
 
 # ---------------------------------------------------------------------------
@@ -341,12 +314,10 @@ def run_aerm(config: RunConfig) -> ExperimentOutcome:
             mech = exponential_mechanism(problem, space, eps)
             cell_seed = spawn_seed(config.seed, cell)
             cell += 1
-
-            def one_trial(t: int, _n=n, _mech=mech, _seed=cell_seed) -> float:
-                dataset = distribution.sample(_n, trial_rng(_seed, t))
-                return aerm_gap(_mech, dataset)
-
-            gaps = np.array(map_trials(one_trial, trials))
+            gaps = np.array([
+                aerm_gap(mech, distribution.sample(n, trial_rng(cell_seed, t)))
+                for t in range(trials)
+            ])
             mean = float(gaps.mean())
             se = float(gaps.std(ddof=1) / math.sqrt(trials))
             bound = aerm_bound(n, eps, space.size, 0.0, problem.zeta(n))
@@ -560,7 +531,7 @@ def run_boost(config: RunConfig) -> ExperimentOutcome:
 
         calib_root = spawn_seed(config.seed, 1000 + index)
         scores = np.array(
-            map_trials(lambda t: excess_at(calib_root, t), calibration_trials)
+            [excess_at(calib_root, t) for t in range(calibration_trials)]
         )
         # The calibrated constant may come out negative when the theoretical
         # per-part guarantee xi is loose; the ceiling is then driven by the
@@ -573,9 +544,7 @@ def run_boost(config: RunConfig) -> ExperimentOutcome:
 
         measure_root = spawn_seed(config.seed, 2000 + index)
         failures = np.array(
-            map_trials(
-                lambda t: excess_at(measure_root, t) > ceiling + 1e-12, trials
-            ),
+            [excess_at(measure_root, t) > ceiling + 1e-12 for t in range(trials)],
             dtype=float,
         )
         freq = float(failures.mean())

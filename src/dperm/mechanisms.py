@@ -6,14 +6,16 @@ Every mechanism here exposes the same two call paths:
   :class:`MechanismDistribution` over the hypothesis ids of a finite space,
   whenever that distribution is tractable.  Auditing code consumes laws, so
   exactness matters more than speed on this path.
-* ``sample(dataset, seed)`` draws one output.  The seed is consumed as-is
-  (callers derive per-trial seeds themselves); sub-draws inside composite
-  mechanisms fork the seed through :func:`dperm.seeding.spawn_seed` so the
-  pieces stay independent.
+* ``sample(dataset, seed)`` draws one output.  Unless a factory gives its
+  own, it is one draw from ``law(dataset)`` under ``default_rng(seed)``.
+  The seed is consumed as-is (callers derive per-trial seeds themselves);
+  sub-draws inside composite mechanisms fork the seed through
+  :func:`dperm.seeding.spawn_seed` so the pieces stay independent.
 
-Budgets are claims, not measurements.  ``claimed_budget(n)`` reports what the
-mechanism promises at dataset size ``n``; the audit routines in
-:mod:`dperm.analysis` check those promises against the realized laws.
+Budgets are claims, not measurements.  ``budget(n)`` is what the mechanism
+promises at dataset size ``n``, read through ``claimed_budget(n)``; the audit
+routines in :mod:`dperm.analysis` check those promises against the realized
+laws.
 """
 
 from __future__ import annotations
@@ -200,11 +202,12 @@ BudgetFn = Callable[[int], PrivacyBudget]
 class Mechanism:
     """A randomized learner bundled with its claimed privacy budget.
 
-    ``budget`` holds an n-independent claim; wrappers whose claim depends on
-    the dataset size store ``budget_fn`` instead and leave ``budget`` unset.
-    ``law`` is None for mechanisms with continuous output (``continuous``
-    True) or when the exact law was too large to materialize
-    (``law_mode == "none"``).
+    ``budget(n)`` is the claim at dataset size n, read through
+    :meth:`claimed_budget`; None means the mechanism makes no claim.
+    ``law`` is None when no exact law is available (continuous output, or a
+    law too large to materialize).  When ``sample`` is omitted it is derived
+    from the ``law`` given here: one draw from ``law(dataset)`` under
+    ``default_rng(seed)``.
 
     ``base`` is set on wrappers whose law mixes laws of another mechanism on
     sub-datasets.  Their ``law(dataset, base_law)`` takes those laws from
@@ -213,26 +216,31 @@ class Mechanism:
     """
 
     name: str
-    sample: SampleFn
+    sample: Optional[SampleFn] = None
     law: Optional[LawFn] = None
-    budget: Optional[PrivacyBudget] = None
-    budget_fn: Optional[BudgetFn] = None
+    budget: Optional[BudgetFn] = None
     problem: Optional[Problem] = None
     space: Optional[FiniteHypothesisSpace] = None
     base: Optional["Mechanism"] = None
-    approximate: bool = False
-    continuous: bool = False
-    law_mode: str = "exact"
     info: dict = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        if self.sample is None:
+            if self.law is None:
+                raise ValueError(f"mechanism {self.name!r} has neither sample nor law")
+            law = self.law
+
+            def sample(dataset: Dataset, seed: int) -> int:
+                return law(dataset).sample(np.random.default_rng(seed))
+
+            self.sample = sample
+
     def claimed_budget(self, n: int) -> PrivacyBudget:
-        if self.budget_fn is not None:
-            if n < 1:
-                raise ValueError(f"dataset size must be >= 1, got {n}")
-            return self.budget_fn(n)
+        if n < 1:
+            raise ValueError(f"dataset size must be >= 1, got {n}")
         if self.budget is None:
             raise ValueError(f"mechanism {self.name!r} makes no privacy claim")
-        return self.budget
+        return self.budget(n)
 
 
 def em_scale(epsilon: float, n: int) -> float:
@@ -261,14 +269,10 @@ def exponential_mechanism(
         logits = log_measure - em_scale(epsilon, dataset.n) * values
         return MechanismDistribution.from_logits(space, logits)
 
-    def sample(dataset: Dataset, seed: int) -> int:
-        return law(dataset).sample(np.random.default_rng(seed))
-
     return Mechanism(
         name=f"em({problem.name},eps={epsilon:g})",
-        sample=sample,
         law=law,
-        budget=PrivacyBudget(epsilon, 0.0),
+        budget=lambda n: PrivacyBudget(epsilon),
         problem=problem,
         space=space,
     )
@@ -296,7 +300,6 @@ def erm_mechanism(problem: Problem, space: FiniteHypothesisSpace) -> Mechanism:
         name=f"erm({problem.name})",
         sample=sample,
         law=law,
-        budget=None,
         problem=problem,
         space=space,
     )
@@ -371,11 +374,8 @@ def laplace_erm_mean(problem: Problem, epsilon: float, p: int = 10) -> Mechanism
     return Mechanism(
         name=f"laplace-erm({problem.name},eps={epsilon:g})",
         sample=sample,
-        law=None,
-        budget=PrivacyBudget(epsilon, 0.0),
+        budget=lambda n: PrivacyBudget(epsilon),
         problem=problem,
-        continuous=True,
-        law_mode="none",
     )
 
 
@@ -411,16 +411,11 @@ def membership_flag_mechanism(
         probs[1 - bit] = p_flip
         return MechanismDistribution.from_probabilities(space, probs)
 
-    def sample(dataset: Dataset, seed: int) -> int:
-        return law(dataset).sample(np.random.default_rng(seed))
-
     return Mechanism(
         name=f"membership-flag(eps={epsilon:g},delta={delta:g})",
-        sample=sample,
         law=law,
-        budget=PrivacyBudget(epsilon, delta),
+        budget=lambda n: PrivacyBudget(epsilon, delta),
         space=space,
-        approximate=delta > 0,
     )
 
 
@@ -549,14 +544,14 @@ def subsample_wrapper(
     base law on that sub-multiset.  Past ``exact_cap`` distinct
     sub-multisets (reached only by datasets of mostly distinct points) the
     law is a seeded Monte Carlo mixture over ``law_samples`` random subsets,
-    marked ``exact=False``, and ``law_mode`` flips to "sampled".
+    marked ``exact=False``.
     """
     sqrt_rule = m == "sqrt"
     if not sqrt_rule:
         if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or m < 1:
             raise ValueError(f"m must be a positive integer or 'sqrt', got {m!r}")
         m = int(m)
-    if base.budget is None and base.budget_fn is None and not sqrt_rule:
+    if base.budget is None and not sqrt_rule:
         raise ValueError(
             "a fixed subsample size needs a base privacy claim; "
             "use m='sqrt' to wrap an arbitrary base"
@@ -568,25 +563,12 @@ def subsample_wrapper(
             raise ValueError(f"subsample size {size} exceeds dataset size {n}")
         return size
 
-    wrapper = Mechanism(
-        name=f"subsample({base.name},m={'sqrt' if sqrt_rule else m})",
-        sample=None,  # type: ignore[arg-type]  # filled below
-        law=None,
-        problem=base.problem,
-        space=base.space,
-        base=base,
-        approximate=True,
-        continuous=base.continuous,
-        law_mode=base.law_mode,
-        info={"base": base.name, "rule": "sqrt" if sqrt_rule else "fixed"},
-    )
-
-    def budget_fn(n: int) -> PrivacyBudget:
+    def budget(n: int) -> PrivacyBudget:
         size = subsample_size(n)
         gamma = size / n
-        if base.budget is None and base.budget_fn is None:
+        if base.budget is None:
             return PrivacyBudget(0.0, 1.0 / math.sqrt(n))
-        claimed = base.claimed_budget(size) if base.budget is None else base.budget
+        claimed = base.claimed_budget(size)
         if claimed.pure:
             return PrivacyBudget(amplify_pure(claimed.epsilon, gamma).tight, 0.0)
         return amplify_approx(claimed.epsilon, claimed.delta, gamma)
@@ -594,8 +576,6 @@ def subsample_wrapper(
     def law(
         dataset: Dataset, base_law: Optional[LawFn] = None
     ) -> MechanismDistribution:
-        if base.law is None:
-            raise ValueError(f"base mechanism {base.name!r} has no law")
         base_law = base.law if base_law is None else base_law
         n = dataset.n
         size = subsample_size(n)
@@ -611,13 +591,11 @@ def subsample_wrapper(
                     [order[a : a + t] for a, t in zip(starts, kept) if t]
                 )
                 acc += weight * base_law(dataset.take(idx)).probabilities
-            wrapper.law_mode = "exact"
             return MechanismDistribution.from_probabilities(base.space, acc)
         rng = np.random.default_rng(spawn_seed(law_seed, n))
         for _ in range(law_samples):
             subset = rng.choice(n, size=size, replace=False)
             acc += base_law(dataset.take(subset)).probabilities
-        wrapper.law_mode = "sampled"
         return MechanismDistribution.from_probabilities(
             base.space, acc / law_samples, exact=False
         )
@@ -628,11 +606,15 @@ def subsample_wrapper(
         subset = rng.choice(dataset.n, size=size, replace=False)
         return base.sample(dataset.take(subset), spawn_seed(seed, 1))
 
-    wrapper.sample = sample
-    wrapper.law = None if base.law is None else law
-    wrapper.budget_fn = budget_fn
-    wrapper.approximate = True
-    return wrapper
+    return Mechanism(
+        name=f"subsample({base.name},m={'sqrt' if sqrt_rule else m})",
+        sample=sample,
+        law=None if base.law is None else law,
+        budget=budget,
+        problem=base.problem,
+        space=base.space,
+        base=base,
+    )
 
 
 def two_stage_subset_selection(
@@ -674,17 +656,12 @@ def two_stage_subset_selection(
             probs[ids] = np.exp(g_logp + inner_logp)
         return MechanismDistribution.from_probabilities(space, probs)
 
-    def sample(dataset: Dataset, seed: int) -> int:
-        return law(dataset).sample(np.random.default_rng(seed))
-
     return Mechanism(
         name=f"two-stage({problem.name},eps={epsilon:g})",
-        sample=sample,
         law=law,
-        budget=PrivacyBudget(epsilon, 0.0),
+        budget=lambda n: PrivacyBudget(epsilon),
         problem=problem,
         space=space,
-        info={"stage_epsilon": epsilon / 2.0, "groups": len(groups)},
     )
 
 
@@ -715,7 +692,8 @@ def boost_high_confidence(
     candidate's training part and every validation risk, which bounds the
     selection utility's sensitivity by 2(a+1)/n and fixes the exponent scale
     at epsilon * n / (4(a+1)).  The composite claims
-    (max(base epsilon, epsilon), base delta).
+    (max(base epsilon, epsilon), base delta), with the base claim taken at
+    the size of one part, n // (a+1).
 
     The exact law enumerates candidate tuples and is materialized only while
     |H|^a stays within ``law_cap``; past that the mechanism is sample-only.
@@ -737,11 +715,11 @@ def boost_high_confidence(
     def selection_scale(n: int) -> float:
         return epsilon * n / (4.0 * (a + 1))
 
-    def law(dataset: Dataset) -> Optional[MechanismDistribution]:
-        if base.law is None:
-            return None
-        if space.size**a > law_cap:
-            return None
+    def budget(n: int) -> PrivacyBudget:
+        claimed = base.claimed_budget(n // (a + 1))
+        return PrivacyBudget(max(claimed.epsilon, epsilon), claimed.delta)
+
+    def law(dataset: Dataset) -> MechanismDistribution:
         train, validation = boost_parts(dataset.n, a)
         part_laws = [base.law(dataset.take(idx)).probabilities for idx in train]
         val_risks = risk_vector(problem, space, dataset.take(validation))
@@ -778,11 +756,10 @@ def boost_high_confidence(
         name=f"boost({base.name},delta={delta_target:g},eps={epsilon:g})",
         sample=sample,
         law=law if has_law else None,
-        budget=PrivacyBudget(max(base.budget.epsilon, epsilon), base.budget.delta),
+        budget=budget,
         problem=problem,
         space=space,
-        law_mode="exact" if has_law else "none",
-        info={"parts": a, "selection_epsilon": epsilon},
+        info={"parts": a},
     )
 
 

@@ -8,7 +8,6 @@ seeded random draws and refuse to build a problem violating it.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass
@@ -22,15 +21,12 @@ __all__ = [
     "Dataset",
     "Problem",
     "DataDistribution",
-    "RiskEstimate",
     "PackedFamily",
-    "dataset_from_csv",
     "empirical_risk",
     "risk_vector",
     "objective",
     "objective_vector",
     "erm",
-    "population_risk",
     "population_risk_vector",
     "packed_datasets",
     "uniform_box",
@@ -97,47 +93,6 @@ class Dataset:
         if self.y is not None:
             keys.append(self.y)
         return np.lexsort(keys[::-1])
-
-    def replace_point(self, i: int, other: "Dataset", j: int) -> "Dataset":
-        """Copy with point i swapped for point j of ``other``."""
-        x = self.x.copy()
-        x[i] = other.x[j]
-        y = None
-        if self.y is not None:
-            y = self.y.copy()
-            y[i] = other.y[j] if other.y is not None else 0.0
-        return Dataset(x=x, y=y)
-
-    def to_csv(self, path) -> None:
-        """One point per row; the label column comes last when present."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            xs = self.x[:, None] if self.x.ndim == 1 else self.x
-            for i in range(self.n):
-                row = [repr(float(v)) for v in xs[i]]
-                if self.y is not None:
-                    row.append(repr(float(self.y[i])))
-                writer.writerow(row)
-
-
-def dataset_from_csv(path, labeled: bool = False) -> Dataset:
-    """Inverse of Dataset.to_csv; ``labeled`` says whether a label column exists."""
-    rows = []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if row:
-                rows.append([float(v) for v in row])
-    if not rows:
-        raise ValueError(f"no rows in {path}")
-    data = np.asarray(rows)
-    if labeled:
-        x = data[:, :-1]
-        y = data[:, -1]
-    else:
-        x, y = data, None
-    if x.shape[1] == 1:
-        x = x[:, 0]
-    return Dataset(x=x, y=y)
 
 
 def _zero_reg(n: int, payload: np.ndarray) -> float:
@@ -261,12 +216,6 @@ def labeled_threshold(theta: float, support_size: int = 0) -> DataDistribution:
 # risk evaluation
 
 
-@dataclass(frozen=True)
-class RiskEstimate:
-    value: float
-    stderr: float
-
-
 def empirical_risk(problem: Problem, payload: np.ndarray, dataset: Dataset) -> float:
     """Mean scalar loss of one hypothesis; reference (unvectorized) route."""
     total = 0.0
@@ -305,39 +254,6 @@ def objective_vector(problem: Problem, space: FiniteHypothesisSpace, dataset: Da
 def erm(problem: Problem, space: FiniteHypothesisSpace, dataset: Dataset) -> int:
     """Id of the objective minimizer; exact ties resolve to the lowest id."""
     return int(np.argmin(objective_vector(problem, space, dataset)))
-
-
-def population_risk(
-    problem: Problem,
-    distribution: DataDistribution,
-    payload: np.ndarray,
-    mode: str = "exact",
-    samples: int = 2000,
-    seed: int = 0,
-) -> RiskEstimate:
-    """Expected loss of one hypothesis under the data distribution.
-
-    Exact mode sums over the finite support and is only available for
-    discrete distributions; monte_carlo mode reports the standard error of
-    the sample mean.
-    """
-    single = FiniteHypothesisSpace(
-        payloads=np.asarray(payload, dtype=float).reshape(1, -1), measure=np.array([1.0])
-    )
-    if mode == "exact":
-        if not distribution.discrete:
-            raise ValueError("exact population risk needs an enumerable support")
-        losses = problem.loss_matrix(single, distribution.atoms())[0]
-        return RiskEstimate(value=float(losses @ distribution.probs), stderr=0.0)
-    if mode == "monte_carlo":
-        rng = np.random.default_rng(seed)
-        data = distribution.sample(samples, rng)
-        losses = problem.loss_matrix(single, data)[0]
-        return RiskEstimate(
-            value=float(losses.mean()),
-            stderr=float(losses.std(ddof=1) / math.sqrt(samples)) if samples > 1 else float("inf"),
-        )
-    raise ValueError(f"unknown mode {mode!r}")
 
 
 def population_risk_vector(

@@ -1,17 +1,8 @@
-"""Row formatting and the trial-mapping helper."""
+"""Row formatting."""
 
 import numpy as np
-import pytest
 
-from dperm.experiments import (
-    CSV_COLUMNS,
-    Row,
-    _cell,
-    map_trials,
-    rows_to_csv,
-    thread_count,
-)
-from dperm.seeding import trial_rng
+from dperm.experiments import CSV_COLUMNS, Row, _cell, rows_to_csv
 
 
 class TestCell:
@@ -49,30 +40,3 @@ def test_rows_to_csv_quotes_commas():
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert '"em(threshold,eps=1)"' in lines[1]
     assert lines[1].endswith("true")
-
-
-class TestThreads:
-    def test_default_is_one(self, monkeypatch):
-        monkeypatch.delenv("DPERM_THREADS", raising=False)
-        assert thread_count() == 1
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("DPERM_THREADS", "4")
-        assert thread_count() == 4
-        monkeypatch.setenv("DPERM_THREADS", "0")
-        assert thread_count() == 1
-
-    def test_garbage_rejected(self, monkeypatch):
-        monkeypatch.setenv("DPERM_THREADS", "many")
-        with pytest.raises(ValueError):
-            thread_count()
-
-    def test_threaded_matches_serial(self, monkeypatch):
-        def trial(i):
-            return float(trial_rng(42, i).uniform())
-
-        monkeypatch.delenv("DPERM_THREADS", raising=False)
-        serial = map_trials(trial, 32)
-        monkeypatch.setenv("DPERM_THREADS", "4")
-        threaded = map_trials(trial, 32)
-        assert serial == threaded

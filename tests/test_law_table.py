@@ -252,7 +252,7 @@ def overconfident_em(problem, space, epsilon, factor):
         name=f"em-x{factor}(eps={epsilon:g})",
         sample=real.sample,
         law=real.law,
-        budget=PrivacyBudget(epsilon),
+        budget=lambda n: PrivacyBudget(epsilon),
         problem=problem,
         space=space,
     )

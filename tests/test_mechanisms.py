@@ -330,8 +330,9 @@ class TestSubsampling:
         for data in (two_points, three_points):
             for m in (1, 2, 3):
                 wrapped = subsample_wrapper(base, m=m)
-                assert wrapped.law_mode == "exact"
-                law = wrapped.law(data).probabilities
+                exact = wrapped.law(data)
+                assert exact.exact
+                law = exact.probabilities
                 oracle = hypergeometric_subsample_law(base, data, m)
                 assert np.allclose(law, oracle, atol=1e-12)
 
@@ -374,7 +375,7 @@ class TestSubsampling:
             return 0
 
         spy = Mechanism(
-            name="spy", sample=spy_sample, budget=PrivacyBudget(1.0)
+            name="spy", sample=spy_sample, budget=lambda n: PrivacyBudget(1.0)
         )
         data = uniform_box([0.0], [1.0]).sample(12, trial_rng(0, 0))
         subsample_wrapper(spy, m=3).sample(data, seed=5)
@@ -383,11 +384,10 @@ class TestSubsampling:
     def test_sampled_law_mode_kicks_in(self):
         problem, space = PROBLEM_BUILDERS["threshold"](resolution=4)
         base = exponential_mechanism(problem, space, 1.0)
-        wrapped = subsample_wrapper(base, m=3, exact_cap=2)
         data = labeled_threshold(0.5, support_size=8).sample(6, trial_rng(1, 0))
-        assert wrapped.law_mode == "exact"
-        law = wrapped.law(data)
-        assert wrapped.law_mode == "sampled"
+        assert subsample_wrapper(base, m=3).law(data).exact
+        law = subsample_wrapper(base, m=3, exact_cap=2).law(data)
+        assert not law.exact
         assert law.probabilities.sum() == pytest.approx(1.0)
 
 
@@ -406,7 +406,6 @@ class TestMembershipFlag:
     def test_budget(self):
         flag = membership_flag_mechanism(0.5, 0.05, marker=0.1)
         assert flag.claimed_budget(3) == PrivacyBudget(0.5, 0.05)
-        assert flag.approximate
 
 
 class TestLaplace:
@@ -426,7 +425,7 @@ class TestLaplace:
         data = uniform_box([0.0], [1.0]).sample(5, trial_rng(0, 0))
         draws = np.array([mech.sample(data, seed=s) for s in range(300)])
         assert draws.min() >= 0.0 and draws.max() <= 1.0
-        assert mech.continuous and mech.law is None
+        assert mech.law is None
 
     def test_erm_mean_deterministic_in_seed(self):
         problem, _ = PROBLEM_BUILDERS["pth-power"]()
@@ -486,6 +485,24 @@ class TestBoosting:
         budget = boosted.claimed_budget(60)
         assert budget.epsilon == pytest.approx(2.0)
         assert boosted.info["parts"] == math.ceil(math.log(3 / 0.2))
+
+    def test_claim_of_a_size_dependent_base_uses_the_part_size(self):
+        problem, space = PROBLEM_BUILDERS["finite-support"](cells=3, max_subset_size=1)
+        base = subsample_wrapper(exponential_mechanism(problem, space, 2.0), 2)
+        boosted = boost_high_confidence(base, space, delta_target=0.5, epsilon=0.1)
+        # a = ceil(ln 6) = 2 parts, so n = 60 gives parts of 60 // 3 = 20.
+        assert boosted.info["parts"] == 2
+        part_claim = amplify_pure(2.0, 2 / 20).tight
+        assert part_claim > 0.1
+        assert part_claim != pytest.approx(amplify_pure(2.0, 2 / 60).tight)
+        assert boosted.claimed_budget(60) == PrivacyBudget(part_claim, 0.0)
+
+    def test_base_without_claim_refused(self):
+        problem, space = PROBLEM_BUILDERS["finite-support"](cells=3, max_subset_size=1)
+        with pytest.raises(ValueError, match="privacy claim"):
+            boost_high_confidence(
+                erm_mechanism(problem, space), space, delta_target=0.5, epsilon=1.0
+            )
 
     def test_exact_law_matches_sampling(self):
         # Small enough for tuple enumeration; GOF against 20k draws.
@@ -599,3 +616,80 @@ class TestRandomWalk:
         problem, _ = PROBLEM_BUILDERS["pth-power"]()
         with pytest.raises(ValueError):
             logconcave_sampler(problem, [0.0, 0.0], [1.0], 1.0, steps=100)
+
+
+def _threshold_case():
+    problem, space = PROBLEM_BUILDERS["threshold"](resolution=4)
+    data = labeled_threshold(0.5, support_size=8).sample(6, trial_rng(1, 0))
+    return problem, space, data
+
+
+def _em():
+    problem, space, data = _threshold_case()
+    return exponential_mechanism(problem, space, 1.0), data
+
+
+def _erm():
+    problem, space, data = _threshold_case()
+    return erm_mechanism(problem, space), data
+
+
+def _flag():
+    _, _, data = _threshold_case()
+    return membership_flag_mechanism(1.0, 0.1, marker=data.x[0]), data
+
+
+def _subsample_exact():
+    base, data = _em()
+    return subsample_wrapper(base, m=3), data
+
+
+def _subsample_sampled():
+    base, data = _em()
+    return subsample_wrapper(base, m=3, exact_cap=2, law_samples=50), data
+
+
+def _two_stage():
+    problem, space = PROBLEM_BUILDERS["best-subset"](d=3, s=1, resolution=3)
+    data = Dataset(
+        x=np.array([[0.2, 0.4, 0.6], [0.8, 0.1, 0.3], [0.5, 0.5, 0.9]]),
+        y=np.array([0.2, 0.9, 0.4]),
+    )
+    return two_stage_subset_selection(problem, space, epsilon=1.0), data
+
+
+def _boost():
+    problem, space = PROBLEM_BUILDERS["finite-support"](cells=3, max_subset_size=1)
+    data = discrete_points(
+        np.array([0.1, 0.5, 0.9]), probs=np.array([0.6, 0.3, 0.1])
+    ).sample(12, trial_rng(0, 0))
+    base = exponential_mechanism(problem, space, 1.0)
+    return boost_high_confidence(base, space, delta_target=0.5, epsilon=1.0), data
+
+
+def _laplace():
+    problem, _ = PROBLEM_BUILDERS["pth-power"]()
+    data = uniform_box([0.0], [1.0]).sample(8, trial_rng(1, 0))
+    return laplace_erm_mean(problem, epsilon=1.0), data
+
+
+def _state(mech):
+    """Every field of a mechanism: dicts by value, the rest by identity."""
+    return {k: dict(v) if isinstance(v, dict) else id(v) for k, v in vars(mech).items()}
+
+
+@pytest.mark.parametrize(
+    "build",
+    [_em, _erm, _flag, _subsample_exact, _subsample_sampled, _two_stage, _boost,
+     _laplace],
+)
+def test_no_mechanism_changes_during_a_computation(build):
+    mech, data = build()
+    before = _state(mech)
+    for seed in range(3):
+        if mech.law is not None:
+            mech.law(data)
+        mech.sample(data, seed)
+        if mech.budget is not None:
+            mech.claimed_budget(data.n)
+    assert _state(mech) == before

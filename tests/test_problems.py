@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from dperm.problems import (
     PROBLEM_BUILDERS,
     Dataset,
-    dataset_from_csv,
     discrete_points,
     empirical_risk,
     erm,
@@ -18,7 +17,6 @@ from dperm.problems import (
     objective,
     objective_vector,
     packed_datasets,
-    population_risk,
     population_risk_vector,
     risk_vector,
     uniform_box,
@@ -122,22 +120,6 @@ class TestDataset:
         sub.x[0] = 99.0
         assert data.x[2] == 0.3
 
-    def test_replace_point(self):
-        a = Dataset(x=np.array([0.1, 0.2]), y=np.array([0.0, 0.0]))
-        b = Dataset(x=np.array([0.9]), y=np.array([1.0]))
-        c = a.replace_point(1, b, 0)
-        assert c.x.tolist() == [0.1, 0.9]
-        assert c.y.tolist() == [0.0, 1.0]
-        assert a.x[1] == 0.2
-
-    def test_csv_round_trip(self, tmp_path):
-        data = Dataset(x=np.array([0.25, 0.75]), y=np.array([0.0, 1.0]))
-        path = tmp_path / "d.csv"
-        data.to_csv(path)
-        back = dataset_from_csv(path, labeled=True)
-        assert np.allclose(back.x, data.x)
-        assert np.allclose(back.y, data.y)
-
 
 class TestDistributions:
     def test_discrete_sampling_hits_atoms_only(self):
@@ -171,8 +153,13 @@ class TestDistributions:
         dist = labeled_threshold(0.5, support_size=16)
         risks = population_risk_vector(problem, space, dist)
         hid = seed % space.size
-        single = population_risk(problem, dist, space.payload(hid))
-        assert single.value == pytest.approx(risks[hid])
+        # Oracle: the scalar loss summed over the atoms, not loss_matrix.
+        atoms = dist.atoms()
+        oracle = sum(
+            float(p) * float(problem.loss(space.payload(hid), atoms.point(i)))
+            for i, p in enumerate(dist.probs)
+        )
+        assert risks[hid] == pytest.approx(oracle)
 
 
 class TestPackedFamily:
