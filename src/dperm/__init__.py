@@ -1,9 +1,9 @@
 """Differentially private empirical risk minimization lab.
 
 Private learners over finite hypothesis spaces with exact output laws,
-privacy wrappers (subsampling amplification, confidence boosting, structured
-selection), exact privacy and stability audits, and the experiment drivers
-that hold every claimed bound to measurement.
+privacy wrappers (subsampling amplification, confidence boosting), exact
+privacy and stability audits, and the experiment drivers that hold every
+claimed bound to measurement.
 """
 
 from .analysis import (
@@ -34,10 +34,8 @@ from .mechanisms import (
     boost_high_confidence,
     erm_mechanism,
     exponential_mechanism,
-    laplace_erm_mean,
     logconcave_sampler,
     subsample_wrapper,
-    two_stage_subset_selection,
 )
 from .problems import (
     DataDistribution,
@@ -92,7 +90,6 @@ __all__ = [
     "estimate_sublevel_condition",
     "exhaustive_neighbor_pairs",
     "exponential_mechanism",
-    "laplace_erm_mean",
     "logconcave_sampler",
     "packed_datasets",
     "parse_config_file",
@@ -105,7 +102,6 @@ __all__ = [
     "subsample_wrapper",
     "total_variation",
     "trial_rng",
-    "two_stage_subset_selection",
     "utility_tail_check",
     "__version__",
 ]

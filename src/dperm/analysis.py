@@ -10,7 +10,8 @@ so enumeration happens at the multiset level, and each audit call builds one
 law table: a row per distinct multiset, its law built once, in
 ``(rows x |H|)`` arrays.  The audits map each pair to two rows and compute
 the gaps of all pairs with array operations, one fixed-size block of pairs
-at a time.  Audits refuse laws that are not exact.
+at a time.  Every law is exact: a law too large to build raises
+:class:`dperm.spaces.SizeLimitError`, which ends the audit that asked for it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,12 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 from scipy import stats
 
-from .mechanisms import Mechanism, MechanismDistribution, exponential_mechanism
+from .mechanisms import (
+    Mechanism,
+    MechanismDistribution,
+    em_scale,
+    exponential_mechanism,
+)
 from .problems import (
     DataDistribution,
     Dataset,
@@ -119,10 +125,10 @@ class _LawTable:
     A row is keyed by the dataset's points in multiset order (see
     :meth:`Dataset.multiset_order`), so datasets that differ only in point
     order share it.  Its law is built once, by ``mechanism.law`` on those
-    points in that order, and must be exact.  A wrapper that mixes base
-    laws (``mechanism.base``) takes them from a second table, shared by all
-    of its rows.  Rows are kept in ``(rows x |H|)`` arrays of probabilities
-    and log-probabilities.  Each audit call builds its own table.
+    points in that order.  A wrapper that mixes base laws
+    (``mechanism.base``) takes them from a second table, shared by all of
+    its rows.  Rows are kept in ``(rows x |H|)`` arrays of probabilities and
+    log-probabilities.  Each audit call builds its own table.
     """
 
     def __init__(self, mechanism: Mechanism) -> None:
@@ -169,11 +175,6 @@ class _LawTable:
             law = mech.law(dataset)
         else:
             law = mech.law(dataset, self._base.law)
-        if not law.exact:
-            raise ValueError(
-                f"mechanism {mech.name!r} gave a sampled law at n={dataset.n}; "
-                "exact audits need exact laws"
-            )
         index = len(self._laws)
         if index == len(self._p):
             size = max(16, 2 * index)
@@ -397,7 +398,7 @@ class TailCheckRow:
 def utility_tail_check(
     mechanism: Mechanism, dataset: Dataset, t_grid: Sequence[float]
 ) -> list[TailCheckRow]:
-    """Check P[objective(H) > min + 2t] <= ratio(t) * exp(-eps n t / 4).
+    """Check P[objective(H) > min + 2t] <= ratio(t) * exp(-em_scale(eps, n) t).
 
     ``ratio(t)`` is the inverse relative measure of the t-sublevel set of the
     realized objective, so both sides are computed exactly from the law.
@@ -411,7 +412,7 @@ def utility_tail_check(
     values = objective_vector(mechanism.problem, mechanism.space, dataset)
     law = mechanism.law(dataset)
     best = float(values.min())
-    scale = budget.epsilon * dataset.n / 4.0
+    scale = em_scale(budget.epsilon, dataset.n)
     rows = []
     for t in t_grid:
         if t <= 0:
@@ -621,8 +622,9 @@ class CounterexampleResult:
     swept over grid resolutions.
 
     ``monotone`` asserts the nondecreasing reading of the sweep at an exact
-    1e-9 tolerance.  ``ratio`` is ln(resolution) / (n epsilon / 4); once it
-    reaches ``ratio_threshold`` the gap is required to exceed one half.
+    1e-9 tolerance.  ``ratio`` is ln(resolution) / em_scale(epsilon, n);
+    once it reaches ``ratio_threshold`` the gap is required to exceed one
+    half.
     """
 
     epsilon: float
@@ -647,7 +649,7 @@ def counterexample_experiment(
     threshold, yet under any fixed privacy level the learner's expected
     empirical risk stays bounded away from zero once the hypothesis grid is
     fine enough: the gap grows with resolution and crosses one half when
-    ln(resolution) is large against n * epsilon / 4.
+    ln(resolution) is large against em_scale(epsilon, n).
     """
     if len(resolutions) < 1 or any(int(g) < 1 for g in resolutions):
         raise ValueError("resolutions must be positive integers")
@@ -662,7 +664,7 @@ def counterexample_experiment(
             gap = aerm_gap(mech, dataset)
             if gap > worst:
                 worst, arg = gap, i
-        ratio = math.log(g) / (n * epsilon / 4.0)
+        ratio = math.log(g) / em_scale(epsilon, n)
         rows.append(
             CounterexampleRow(
                 resolution=g,

@@ -3,9 +3,10 @@
 Every mechanism here exposes the same two call paths:
 
 * ``law(dataset)`` returns the exact output distribution as a
-  :class:`MechanismDistribution` over the hypothesis ids of a finite space,
-  whenever that distribution is tractable.  Auditing code consumes laws, so
-  exactness matters more than speed on this path.
+  :class:`MechanismDistribution` over the hypothesis ids of a finite space.
+  Every law is exact: a law too large to build raises
+  :class:`dperm.spaces.SizeLimitError` instead of being estimated, so
+  auditing code never sees a sampled law.
 * ``sample(dataset, seed)`` draws one output.  Unless a factory gives its
   own, it is one draw from ``law(dataset)`` under ``default_rng(seed)``.
   The seed is consumed as-is (callers derive per-trial seeds themselves);
@@ -28,7 +29,7 @@ import numpy as np
 
 from .problems import Dataset, Problem, objective_vector, risk_vector
 from .seeding import spawn_seed
-from .spaces import FiniteHypothesisSpace
+from .spaces import FiniteHypothesisSpace, SizeLimitError
 
 PROB_SUM_TOL = 1e-12
 LOG_CONSISTENCY_TOL = 1e-10
@@ -93,10 +94,6 @@ class PrivacyBudget:
 class MechanismDistribution:
     """Exact output law of a mechanism over a finite hypothesis space.
 
-    ``exact`` is False when the law is itself an estimate (the seeded Monte
-    Carlo mixture of :func:`subsample_wrapper` past its exact cap); audits
-    refuse such laws.
-
     Probabilities are stored both linearly and in log form; the two views
     must agree to within LOG_CONSISTENCY_TOL on every hypothesis of positive
     mass, and the linear view must sum to one within PROB_SUM_TOL.  These are
@@ -107,7 +104,6 @@ class MechanismDistribution:
     space: FiniteHypothesisSpace
     probabilities: np.ndarray
     log_probabilities: np.ndarray
-    exact: bool = True
 
     def __post_init__(self) -> None:
         p = np.asarray(self.probabilities, dtype=float)
@@ -168,10 +164,7 @@ class MechanismDistribution:
 
     @classmethod
     def from_probabilities(
-        cls,
-        space: FiniteHypothesisSpace,
-        probabilities: np.ndarray,
-        exact: bool = True,
+        cls, space: FiniteHypothesisSpace, probabilities: np.ndarray
     ) -> "MechanismDistribution":
         """Wrap an explicit probability vector (e.g. a mixture of laws)."""
         p = np.asarray(probabilities, dtype=float)
@@ -181,7 +174,7 @@ class MechanismDistribution:
         p = p / total
         with np.errstate(divide="ignore"):
             logp = np.log(p)
-        return cls(space=space, probabilities=p, log_probabilities=logp, exact=exact)
+        return cls(space=space, probabilities=p, log_probabilities=logp)
 
     def sample(self, rng: np.random.Generator) -> int:
         return int(rng.choice(self.space.size, p=self.probabilities))
@@ -204,10 +197,10 @@ class Mechanism:
 
     ``budget(n)`` is the claim at dataset size n, read through
     :meth:`claimed_budget`; None means the mechanism makes no claim.
-    ``law`` is None when no exact law is available (continuous output, or a
-    law too large to materialize).  When ``sample`` is omitted it is derived
-    from the ``law`` given here: one draw from ``law(dataset)`` under
-    ``default_rng(seed)``.
+    ``law`` is None when the mechanism gives no law (a boost whose candidate
+    tuples pass its cap, or a wrapper of such a base).  When ``sample`` is
+    omitted it is derived from the ``law`` given here: one draw from
+    ``law(dataset)`` under ``default_rng(seed)``.
 
     ``base`` is set on wrappers whose law mixes laws of another mechanism on
     sub-datasets.  Their ``law(dataset, base_law)`` takes those laws from
@@ -348,35 +341,6 @@ def pth_power_erm_batch(
         hi = np.where(go_left, mid, hi)
         lo = np.where(go_left, lo, mid)
     return 0.5 * (lo + hi)
-
-
-def laplace_erm_mean(problem: Problem, epsilon: float, p: int = 10) -> Mechanism:
-    """Additive-noise learner for 1-d unlabeled pth-power estimation on [0, 1].
-
-    Computes the exact empirical minimizer, perturbs it with Laplace noise of
-    scale 2 / (epsilon * n), and clamps back to the unit interval.  Output is
-    a float payload, so no finite law is available; audits of this mechanism
-    go through its claimed budget only.
-    """
-    if not (epsilon > 0 and math.isfinite(epsilon)):
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
-    if problem.dimension != 1 or problem.labeled:
-        raise ValueError("laplace_erm_mean expects a 1-d unlabeled problem")
-
-    def sample(dataset: Dataset, seed: int) -> float:
-        if dataset.x.ndim != 1:
-            raise ValueError("expected scalar sample points")
-        erm = pth_power_erm(dataset.x, p=p)
-        rng = np.random.default_rng(seed)
-        noise = laplace_icdf(float(rng.random()), 2.0 / (epsilon * dataset.n))
-        return float(np.clip(erm + noise, 0.0, 1.0))
-
-    return Mechanism(
-        name=f"laplace-erm({problem.name},eps={epsilon:g})",
-        sample=sample,
-        budget=lambda n: PrivacyBudget(epsilon),
-        problem=problem,
-    )
 
 
 def membership_flag_mechanism(
@@ -526,8 +490,6 @@ def subsample_wrapper(
     base: Mechanism,
     m: Union[int, str],
     exact_cap: int = SUBSAMPLE_EXACT_CAP,
-    law_samples: int = 2000,
-    law_seed: int = 0,
 ) -> Mechanism:
     """Run ``base`` on a uniform size-m subsample drawn without replacement.
 
@@ -543,8 +505,7 @@ def subsample_wrapper(
     hypergeometric weight prod_i C(c_i, s_i) / C(n, m) and contributes the
     base law on that sub-multiset.  Past ``exact_cap`` distinct
     sub-multisets (reached only by datasets of mostly distinct points) the
-    law is a seeded Monte Carlo mixture over ``law_samples`` random subsets,
-    marked ``exact=False``.
+    law raises SizeLimitError naming the mechanism.
     """
     sqrt_rule = m == "sqrt"
     if not sqrt_rule:
@@ -556,6 +517,8 @@ def subsample_wrapper(
             "a fixed subsample size needs a base privacy claim; "
             "use m='sqrt' to wrap an arbitrary base"
         )
+
+    name = f"subsample({base.name},m={'sqrt' if sqrt_rule else m})"
 
     def subsample_size(n: int) -> int:
         size = int(math.isqrt(n)) if sqrt_rule else m
@@ -581,24 +544,21 @@ def subsample_wrapper(
         size = subsample_size(n)
         order = dataset.multiset_order()
         counts = _multiplicities(dataset, order)
+        if not _sub_multisets_fit(counts, size, exact_cap):
+            raise SizeLimitError(
+                f"mechanism {name!r}: {n} points hold more than {exact_cap} "
+                f"distinct size-{size} sub-multisets"
+            )
         acc = np.zeros(base.space.size)
-        if _sub_multisets_fit(counts, size, exact_cap):
-            starts = np.cumsum(counts) - counts
-            total = math.comb(n, size)
-            for kept in _sub_multisets(counts, size):
-                weight = math.prod(map(math.comb, counts, kept)) / total
-                idx = np.concatenate(
-                    [order[a : a + t] for a, t in zip(starts, kept) if t]
-                )
-                acc += weight * base_law(dataset.take(idx)).probabilities
-            return MechanismDistribution.from_probabilities(base.space, acc)
-        rng = np.random.default_rng(spawn_seed(law_seed, n))
-        for _ in range(law_samples):
-            subset = rng.choice(n, size=size, replace=False)
-            acc += base_law(dataset.take(subset)).probabilities
-        return MechanismDistribution.from_probabilities(
-            base.space, acc / law_samples, exact=False
-        )
+        starts = np.cumsum(counts) - counts
+        total = math.comb(n, size)
+        for kept in _sub_multisets(counts, size):
+            weight = math.prod(map(math.comb, counts, kept)) / total
+            idx = np.concatenate(
+                [order[a : a + t] for a, t in zip(starts, kept) if t]
+            )
+            acc += weight * base_law(dataset.take(idx)).probabilities
+        return MechanismDistribution.from_probabilities(base.space, acc)
 
     def sample(dataset: Dataset, seed: int):
         size = subsample_size(dataset.n)
@@ -607,61 +567,13 @@ def subsample_wrapper(
         return base.sample(dataset.take(subset), spawn_seed(seed, 1))
 
     return Mechanism(
-        name=f"subsample({base.name},m={'sqrt' if sqrt_rule else m})",
+        name=name,
         sample=sample,
         law=None if base.law is None else law,
         budget=budget,
         problem=base.problem,
         space=base.space,
         base=base,
-    )
-
-
-def two_stage_subset_selection(
-    problem: Problem, space: FiniteHypothesisSpace, epsilon: float
-) -> Mechanism:
-    """Structured ERM that first picks a support group, then a hypothesis.
-
-    The space must carry ``meta["support_groups"]``, a list of
-    (group_key, hypothesis_id_array) pairs partitioning the hypothesis ids.
-    Stage one runs an exponential mechanism over groups at budget epsilon/2
-    with utility -min objective within the group (a one-point swap moves that
-    utility by at most 2/n, the same sensitivity as the plain objective);
-    stage two spends the remaining epsilon/2 inside the chosen group.  The
-    composed law lives on the original hypothesis space, so audits see the
-    mechanism end to end.
-    """
-    if not (epsilon > 0 and math.isfinite(epsilon)):
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
-    groups = space.meta.get("support_groups")
-    if not groups:
-        raise ValueError("space.meta['support_groups'] is required")
-    covered = np.concatenate([np.asarray(ids) for _, ids in groups])
-    if len(np.unique(covered)) != space.size or len(covered) != space.size:
-        raise ValueError("support groups must partition the hypothesis ids")
-
-    log_measure = np.log(space.measure)
-
-    def law(dataset: Dataset) -> MechanismDistribution:
-        values = objective_vector(problem, space, dataset)
-        stage_scale = em_scale(epsilon / 2.0, dataset.n)
-        group_logits = np.array(
-            [-stage_scale * float(values[ids].min()) for _, ids in groups]
-        )
-        group_logp = group_logits - logsumexp(group_logits)
-        probs = np.zeros(space.size)
-        for (_, ids), g_logp in zip(groups, group_logp):
-            inner = log_measure[ids] - stage_scale * values[ids]
-            inner_logp = inner - logsumexp(inner)
-            probs[ids] = np.exp(g_logp + inner_logp)
-        return MechanismDistribution.from_probabilities(space, probs)
-
-    return Mechanism(
-        name=f"two-stage({problem.name},eps={epsilon:g})",
-        law=law,
-        budget=lambda n: PrivacyBudget(epsilon),
-        problem=problem,
-        space=space,
     )
 
 
@@ -794,7 +706,6 @@ class RandomWalkSampler:
     steps: int
     step_size: Optional[float] = None
     burn_in: Optional[int] = None
-    adapt: bool = True
 
     def __post_init__(self) -> None:
         self.lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
@@ -853,7 +764,7 @@ class RandomWalkSampler:
                         accepted += 1
                     else:
                         window_accepts += 1
-            if self.adapt and t < self.burn_in and (t + 1) % 50 == 0:
+            if t < self.burn_in and (t + 1) % 50 == 0:
                 rate = window_accepts / 50.0
                 sigma = float(
                     np.clip(sigma * math.exp(0.5 * (rate - 0.4)), 1e-6 * width, width)

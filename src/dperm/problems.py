@@ -35,7 +35,6 @@ __all__ = [
     "threshold_classification",
     "linear_logistic",
     "pth_power_mean",
-    "best_subset_regression",
     "finite_support_estimation",
 ]
 
@@ -119,13 +118,11 @@ class Problem:
 
     name: str
     dimension: int
-    labeled: bool
     loss: Callable
     loss_matrix: Callable
     regularizer: Callable = _zero_reg
     reg_vector: Callable = _zero_reg_vector
     zeta: Callable = _zero_zeta
-    lipschitz: float | None = None
 
 
 @dataclass(eq=False)
@@ -349,7 +346,6 @@ def threshold_classification(
     problem = Problem(
         name="threshold_classification",
         dimension=1,
-        labeled=True,
         loss=loss,
         loss_matrix=loss_matrix,
     )
@@ -396,13 +392,11 @@ def linear_logistic(
     problem = Problem(
         name="linear_logistic",
         dimension=d,
-        labeled=True,
         loss=loss,
         loss_matrix=loss_matrix,
         regularizer=regularizer,
         reg_vector=reg_vector,
         zeta=lambda n: lam * max_norm2 / math.sqrt(n),
-        lipschitz=math.sqrt(d) / scale,
     )
 
     def sampler(rng):
@@ -426,83 +420,10 @@ def pth_power_mean(resolution: int = 64) -> tuple[Problem, FiniteHypothesisSpace
     problem = Problem(
         name="pth_power_mean",
         dimension=1,
-        labeled=False,
         loss=loss,
         loss_matrix=loss_matrix,
-        lipschitz=10.0,
     )
     _probe_unit_range(problem, space, lambda rng: rng.uniform(0.0, 1.0))
-    return problem, space
-
-
-def best_subset_regression(
-    d: int = 4, s: int = 2, resolution: int = 5, lam: float = 0.1
-) -> tuple[Problem, FiniteHypothesisSpace]:
-    """s-sparse linear prediction with coefficients in the unit ball.
-
-    The space is the union over all C(d, s) supports of an s-dimensional
-    grid on [-1,1]^s, keeping cell centers of norm <= 1; each hypothesis
-    records its support, so a draw releases the (support, coefficients)
-    pair.  Absolute prediction error is rescaled by 1 + sqrt(d).
-    """
-    if not 1 <= s <= d:
-        raise ValueError(f"need 1 <= s <= d, got s={s}, d={d}")
-    scale = 1.0 + math.sqrt(d)
-    sub_grid = discretize_box(
-        GridSpec((-1.0,) * s, (1.0,) * s, (resolution,) * s)
-    ).payloads
-    sub_grid = sub_grid[np.sqrt(np.sum(sub_grid**2, axis=1)) <= 1.0 + 1e-12]
-    if len(sub_grid) == 0:
-        raise ValueError("no grid point inside the unit ball; raise the resolution")
-    payload_rows = []
-    support_groups = []
-    next_id = 0
-    for support in itertools.combinations(range(d), s):
-        block = np.zeros((len(sub_grid), d))
-        block[:, list(support)] = sub_grid
-        payload_rows.append(block)
-        ids = np.arange(next_id, next_id + len(sub_grid))
-        support_groups.append((support, ids))
-        next_id += len(sub_grid)
-    payloads = np.concatenate(payload_rows, axis=0)
-    space = FiniteHypothesisSpace(
-        payloads=payloads,
-        measure=np.ones(len(payloads)),
-        meta={"support_groups": support_groups},
-    )
-    max_norm2 = float(np.max(np.sum(payloads**2, axis=1)))
-
-    def loss(payload, z):
-        x, y = z
-        return float(abs(float(y) - float(np.dot(payload, np.atleast_1d(x)))) / scale)
-
-    def loss_matrix(sp, dataset):
-        x = dataset.x if dataset.x.ndim == 2 else dataset.x[:, None]
-        pred = sp.payloads @ x.T
-        return np.abs(dataset.y[None, :] - pred) / scale
-
-    def regularizer(n, payload):
-        return lam * float(np.dot(payload, payload)) / math.sqrt(n)
-
-    def reg_vector(n, sp):
-        return lam * np.sum(sp.payloads**2, axis=1) / math.sqrt(n)
-
-    problem = Problem(
-        name="best_subset_regression",
-        dimension=d,
-        labeled=True,
-        loss=loss,
-        loss_matrix=loss_matrix,
-        regularizer=regularizer,
-        reg_vector=reg_vector,
-        zeta=lambda n: lam * max_norm2 / math.sqrt(n),
-        lipschitz=math.sqrt(d) / scale,
-    )
-
-    def sampler(rng):
-        return (rng.uniform(0.0, 1.0, size=d), rng.uniform(0.0, 1.0))
-
-    _probe_unit_range(problem, space, sampler)
     return problem, space
 
 
@@ -550,7 +471,6 @@ def finite_support_estimation(
     problem = Problem(
         name="finite_support_estimation",
         dimension=1,
-        labeled=False,
         loss=loss,
         loss_matrix=loss_matrix,
     )
@@ -562,6 +482,5 @@ PROBLEM_BUILDERS = {
     "threshold": threshold_classification,
     "logistic": linear_logistic,
     "pth-power": pth_power_mean,
-    "best-subset": best_subset_regression,
     "finite-support": finite_support_estimation,
 }

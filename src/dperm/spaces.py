@@ -73,21 +73,14 @@ class GridSpec:
     def size(self) -> int:
         return int(np.prod([int(r) for r in self.resolution], dtype=object))
 
-    @property
-    def cell_volume(self) -> float:
-        vol = 1.0
-        for lo, hi, r in zip(self.lower, self.upper, self.resolution):
-            vol *= (hi - lo) / r
-        return vol
-
 
 @dataclass(eq=False)
 class FiniteHypothesisSpace:
     """Finite set of hypotheses with positive measure weights.
 
     ``payloads`` holds one parameter vector per row; ids are the row indices.
-    ``meta`` carries optional structure used by specific mechanisms (for
-    example the support grouping of a sparse grid).
+    ``meta`` carries optional structure used by specific problems (for
+    example the cell membership table of the finite-support problem).
     """
 
     payloads: np.ndarray
@@ -110,7 +103,6 @@ class FiniteHypothesisSpace:
         total = float(self.measure.sum())
         if not math.isfinite(total):
             raise ValueError("total measure must be finite")
-        self.ids = np.arange(len(self.payloads))
         self.total_measure = total
 
     @property
@@ -142,22 +134,18 @@ class SublevelReport:
 
 
 def discretize_box(
-    grid: GridSpec,
-    measure: str = "counting",
-    max_size: int = DEFAULT_GRID_CAP,
+    grid: GridSpec, max_size: int = DEFAULT_GRID_CAP
 ) -> FiniteHypothesisSpace:
     """Enumerate the cell centers of ``grid`` as a hypothesis space.
 
     Cell ``(i_1, ..., i_d)`` maps to the point with coordinate
     ``lower_k + (i_k + 1/2) * (upper_k - lower_k) / resolution_k``.  Axes are
     enumerated in row-major order (last axis fastest), so the same GridSpec
-    always yields the bitwise-identical payload array.
+    always yields the bitwise-identical payload array.  Every hypothesis
+    has weight 1 (counting measure).
 
-    ``measure`` is "counting" (weight 1 per hypothesis) or "cell-volume".
     Raises SizeLimitError when the cell count exceeds ``max_size``.
     """
-    if measure not in ("counting", "cell-volume"):
-        raise ValueError(f"unknown measure {measure!r}")
     if grid.size > max_size:
         raise SizeLimitError(
             f"grid holds {grid.size} cells, above the cap of {max_size}"
@@ -171,9 +159,9 @@ def discretize_box(
     else:
         mesh = np.meshgrid(*axes, indexing="ij")
         payloads = np.stack([m.ravel() for m in mesh], axis=1)
-    weight = 1.0 if measure == "counting" else grid.cell_volume
-    weights = np.full(len(payloads), weight)
-    return FiniteHypothesisSpace(payloads=payloads, measure=weights)
+    return FiniteHypothesisSpace(
+        payloads=payloads, measure=np.ones(len(payloads))
+    )
 
 
 def sublevel_set(

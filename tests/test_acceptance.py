@@ -131,7 +131,6 @@ def test_c03_pure_subsampling_amplification():
             base = exponential_mechanism(problem, space, eps)
             for m in (1, 2, 3):
                 wrapped = subsample_wrapper(base, m)
-                assert wrapped.law(pairs[0][0]).exact
                 realized = audit_pure_dp(wrapped, pairs).max_log_ratio
                 amp = amplify_pure(eps, m / n)
                 assert realized <= amp.tight + 1e-9, (

@@ -1,0 +1,76 @@
+"""The benchmark under perfbench/ still binds to the package.
+
+perfbench traces dperm functions by name, wraps its mechanism factories and
+generates its configs from dperm's schemas.  A change under src/ that breaks
+any of these should fail here, in the test suite, and not first in a
+benchmark run.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import dperm
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module("tracing"), importlib.import_module("workloads")
+
+
+@pytest.mark.parametrize("name", ["repeated-data", "fresh-data"])
+def test_workload_builds_under_instrumentation(perfbench, name, tmp_path):
+    tracing, workloads = perfbench
+    with tracing.instrument(tracing.Tracer()):
+        workload = workloads.build(name, 0, str(tmp_path))
+    assert workload.ops
+    assert list(tmp_path.glob("*.conf"))
+
+
+def _dotted(node):
+    """``a.b.c`` of an attribute chain rooted at a plain name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    return [node.id] + parts[::-1]
+
+
+@pytest.mark.parametrize("path", sorted(PERFBENCH.glob("*.py")), ids=lambda p: p.name)
+def test_every_package_name_perfbench_reads_resolves(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = {}
+    missing = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update({a.asname or a.name: dperm
+                          for a in node.names if a.name == "dperm"})
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("dperm"):
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                name = f"{node.module}.{alias.name}"
+                if not hasattr(module, alias.name):
+                    try:  # ``from dperm import cli`` names a submodule
+                        importlib.import_module(name)
+                    except ImportError:
+                        missing.append(name)
+                        continue
+                bound[alias.asname or alias.name] = getattr(module, alias.name)
+    for node in ast.walk(tree):
+        chain = _dotted(node) if isinstance(node, ast.Attribute) else None
+        if not chain or chain[0] not in bound:
+            continue
+        target = bound[chain[0]]
+        for attr in chain[1:]:
+            if not hasattr(target, attr):
+                missing.append(".".join(chain))
+                break
+            target = getattr(target, attr)
+    assert not missing

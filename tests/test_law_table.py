@@ -1,5 +1,5 @@
 """The law-table audits against per-pair oracles, their law counts, their
-refusal of sampled laws, and a planted defect they must catch."""
+refusal of laws past a size cap, and a planted defect they must catch."""
 
 import math
 import re
@@ -17,12 +17,14 @@ from dperm.analysis import (
 from dperm.mechanisms import (
     Mechanism,
     PrivacyBudget,
+    boost_high_confidence,
     erm_mechanism,
     exponential_mechanism,
     membership_flag_mechanism,
     subsample_wrapper,
 )
 from dperm.problems import Dataset, threshold_classification
+from dperm.spaces import SizeLimitError
 
 
 def threshold_universe(u):
@@ -212,33 +214,40 @@ def test_subsample_base_laws_shared_across_datasets():
 # Exactness
 
 
-def test_sampled_law_is_marked_inexact():
-    problem, space = threshold_classification(resolution=4)
-    base = exponential_mechanism(problem, space, 1.0)
-    distinct = Dataset(
-        x=np.array([0.1, 0.3, 0.6, 0.9]), y=np.array([0.0, 0.0, 1.0, 1.0])
-    )
-    repeated = Dataset(x=np.full(4, 0.3), y=np.zeros(4))
-    wrapped = subsample_wrapper(base, 3, exact_cap=2)
-    assert not wrapped.law(distinct).exact
-    assert wrapped.law(repeated).exact
-    assert subsample_wrapper(base, 3).law(distinct).exact
-
-
 @pytest.mark.parametrize("audit", ["pure", "approx", "stability"])
 def test_audits_refuse_sampled_laws(audit):
+    # The multiset of all four atoms has C(4, 3) = 4 sub-multisets, past the
+    # cap of 2, so its law is refused instead of being estimated.
     problem, space = threshold_classification(resolution=4)
     base = exponential_mechanism(problem, space, 1.0)
     wrapped = subsample_wrapper(base, 3, exact_cap=2)
     universe = threshold_universe(4)
     pairs = exhaustive_neighbor_pairs(universe, 4)
-    with pytest.raises(ValueError, match=re.escape(repr(wrapped.name))):
+    with pytest.raises(SizeLimitError, match=re.escape(repr(wrapped.name))):
         if audit == "pure":
             audit_pure_dp(wrapped, pairs)
         elif audit == "approx":
             audit_approx_dp(wrapped, pairs, 1.0)
         else:
             stability_audit(wrapped, pairs, universe)
+
+
+def test_boost_over_a_capped_subsample_is_refused():
+    # A boost with one part runs its base on the first n // 2 points (the
+    # audit's law table puts them in sorted order).  Four distinct points
+    # there pass the subsample's cap, so the boost has no exact law for
+    # them, and its audit must say so.
+    problem, space = threshold_classification(resolution=4)
+    em = exponential_mechanism(problem, space, 1.0)
+    sub = subsample_wrapper(em, 3, exact_cap=2)
+    boost = boost_high_confidence(sub, space, 2.0, 1.0)
+    assert boost.info["parts"] == 1
+    distinct = threshold_universe(4).take([0, 1, 2, 3, 3, 3, 3, 3])
+    with pytest.raises(SizeLimitError, match=re.escape(repr(sub.name))):
+        boost.law(distinct)
+    pairs = exhaustive_neighbor_pairs(threshold_universe(4), 8)
+    with pytest.raises(SizeLimitError, match=re.escape(repr(sub.name))):
+        audit_pure_dp(boost, pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ independently of the library code (notes kept with the frozen values).
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from dperm.mechanisms import (
     em_scale,
     erm_mechanism,
     exponential_mechanism,
-    laplace_erm_mean,
     laplace_icdf,
     logconcave_sampler,
     logsumexp,
@@ -35,7 +35,6 @@ from dperm.mechanisms import (
     pth_power_erm,
     pth_power_erm_batch,
     subsample_wrapper,
-    two_stage_subset_selection,
 )
 from dperm.problems import (
     PROBLEM_BUILDERS,
@@ -47,7 +46,7 @@ from dperm.problems import (
     uniform_box,
 )
 from dperm.seeding import trial_rng
-from dperm.spaces import FiniteHypothesisSpace
+from dperm.spaces import FiniteHypothesisSpace, SizeLimitError
 
 
 def two_point_space():
@@ -329,10 +328,7 @@ class TestSubsampling:
         )
         for data in (two_points, three_points):
             for m in (1, 2, 3):
-                wrapped = subsample_wrapper(base, m=m)
-                exact = wrapped.law(data)
-                assert exact.exact
-                law = exact.probabilities
+                law = subsample_wrapper(base, m=m).law(data).probabilities
                 oracle = hypergeometric_subsample_law(base, data, m)
                 assert np.allclose(law, oracle, atol=1e-12)
 
@@ -381,14 +377,20 @@ class TestSubsampling:
         subsample_wrapper(spy, m=3).sample(data, seed=5)
         assert seen == [3]
 
-    def test_sampled_law_mode_kicks_in(self):
+    def test_law_past_the_exact_cap_raises(self):
         problem, space = PROBLEM_BUILDERS["threshold"](resolution=4)
         base = exponential_mechanism(problem, space, 1.0)
-        data = labeled_threshold(0.5, support_size=8).sample(6, trial_rng(1, 0))
-        assert subsample_wrapper(base, m=3).law(data).exact
-        law = subsample_wrapper(base, m=3, exact_cap=2).law(data)
-        assert not law.exact
-        assert law.probabilities.sum() == pytest.approx(1.0)
+        distinct = Dataset(
+            x=np.array([0.1, 0.3, 0.6, 0.9]), y=np.array([0.0, 0.0, 1.0, 1.0])
+        )
+        repeated = Dataset(x=np.full(4, 0.3), y=np.zeros(4))
+        # Four distinct points hold C(4, 3) = 4 sub-multisets of size 3.
+        capped = subsample_wrapper(base, m=3, exact_cap=2)
+        with pytest.raises(SizeLimitError, match=re.escape(repr(capped.name))):
+            capped.law(distinct)
+        assert capped.law(repeated).probabilities.sum() == pytest.approx(1.0)
+        under = subsample_wrapper(base, m=3, exact_cap=4).law(distinct)
+        assert under.probabilities.sum() == pytest.approx(1.0)
 
 
 class TestMembershipFlag:
@@ -418,21 +420,6 @@ class TestLaplace:
         ours = laplace_icdf(u, scale)
         ref = scipy_laplace.ppf(u, loc=0.0, scale=scale)
         assert ours == pytest.approx(ref, rel=1e-9, abs=1e-9)
-
-    def test_erm_mean_mechanism_clamps(self):
-        problem, _ = PROBLEM_BUILDERS["pth-power"]()
-        mech = laplace_erm_mean(problem, epsilon=0.01)
-        data = uniform_box([0.0], [1.0]).sample(5, trial_rng(0, 0))
-        draws = np.array([mech.sample(data, seed=s) for s in range(300)])
-        assert draws.min() >= 0.0 and draws.max() <= 1.0
-        assert mech.law is None
-
-    def test_erm_mean_deterministic_in_seed(self):
-        problem, _ = PROBLEM_BUILDERS["pth-power"]()
-        mech = laplace_erm_mean(problem, epsilon=1.0)
-        data = uniform_box([0.0], [1.0]).sample(8, trial_rng(1, 0))
-        assert mech.sample(data, seed=42) == mech.sample(data, seed=42)
-        assert mech.sample(data, seed=42) != mech.sample(data, seed=43)
 
 
 class TestPthPowerErm:
@@ -573,26 +560,6 @@ class TestBoosting:
         assert 0 <= boosted.sample(data, seed=1) < space.size
 
 
-class TestTwoStageSelection:
-    def test_law_is_distribution_and_private(self):
-        from dperm.analysis import audit_pure_dp, exhaustive_neighbor_pairs
-
-        problem, space = PROBLEM_BUILDERS["best-subset"](d=3, s=1, resolution=3)
-        mech = two_stage_subset_selection(problem, space, epsilon=1.0)
-        universe = Dataset(
-            x=np.array([[0.2, 0.4, 0.6], [0.8, 0.1, 0.3]]),
-            y=np.array([0.2, 0.9]),
-        )
-        pairs = exhaustive_neighbor_pairs(universe, 3)
-        report = audit_pure_dp(mech, pairs)
-        assert report.max_log_ratio <= 1.0 + 1e-9
-
-    def test_requires_group_meta(self):
-        problem, space = PROBLEM_BUILDERS["threshold"](resolution=4)
-        with pytest.raises(ValueError):
-            two_stage_subset_selection(problem, space, epsilon=1.0)
-
-
 class TestRandomWalk:
     def test_acceptance_tuned_and_in_box(self):
         problem, _ = PROBLEM_BUILDERS["pth-power"]()
@@ -644,33 +611,23 @@ def _subsample_exact():
     return subsample_wrapper(base, m=3), data
 
 
-def _subsample_sampled():
-    base, data = _em()
-    return subsample_wrapper(base, m=3, exact_cap=2, law_samples=50), data
-
-
-def _two_stage():
-    problem, space = PROBLEM_BUILDERS["best-subset"](d=3, s=1, resolution=3)
-    data = Dataset(
-        x=np.array([[0.2, 0.4, 0.6], [0.8, 0.1, 0.3], [0.5, 0.5, 0.9]]),
-        y=np.array([0.2, 0.9, 0.4]),
-    )
-    return two_stage_subset_selection(problem, space, epsilon=1.0), data
-
-
-def _boost():
+def _boost(**kwargs):
     problem, space = PROBLEM_BUILDERS["finite-support"](cells=3, max_subset_size=1)
     data = discrete_points(
         np.array([0.1, 0.5, 0.9]), probs=np.array([0.6, 0.3, 0.1])
     ).sample(12, trial_rng(0, 0))
     base = exponential_mechanism(problem, space, 1.0)
-    return boost_high_confidence(base, space, delta_target=0.5, epsilon=1.0), data
+    mech = boost_high_confidence(
+        base, space, delta_target=0.5, epsilon=1.0, **kwargs
+    )
+    return mech, data
 
 
-def _laplace():
-    problem, _ = PROBLEM_BUILDERS["pth-power"]()
-    data = uniform_box([0.0], [1.0]).sample(8, trial_rng(1, 0))
-    return laplace_erm_mean(problem, epsilon=1.0), data
+def _boost_sample_only():
+    # 4 hypotheses and 2 parts give 16 candidate tuples, past a cap of 15.
+    mech, data = _boost(law_cap=15)
+    assert mech.law is None
+    return mech, data
 
 
 def _state(mech):
@@ -680,8 +637,7 @@ def _state(mech):
 
 @pytest.mark.parametrize(
     "build",
-    [_em, _erm, _flag, _subsample_exact, _subsample_sampled, _two_stage, _boost,
-     _laplace],
+    [_em, _erm, _flag, _subsample_exact, _boost, _boost_sample_only],
 )
 def test_no_mechanism_changes_during_a_computation(build):
     mech, data = build()

@@ -23,17 +23,11 @@ from dperm.problems import (
 )
 from dperm.seeding import trial_rng
 
-def _regression_data(n, rng):
-    # 4-d features with a scalar response in [0,1].
-    return Dataset(x=rng.uniform(0.0, 1.0, size=(n, 4)), y=rng.uniform(0.0, 1.0, size=n))
-
-
 # Samplers able to feed each problem in its native shape.
 FEEDERS = {
     "threshold": lambda n, rng: labeled_threshold(0.4, support_size=32).sample(n, rng),
     "logistic": lambda n, rng: labeled_threshold(0.5, support_size=32).sample(n, rng),
     "pth-power": lambda n, rng: uniform_box([0.0], [1.0]).sample(n, rng),
-    "best-subset": _regression_data,
     "finite-support": lambda n, rng: uniform_box([0.0], [1.0]).sample(n, rng),
 }
 

@@ -36,11 +36,6 @@ class TestGrid:
         assert np.allclose(space.payloads[1], [0.25, 1.0])
         assert np.allclose(space.payloads[3], [0.75, 1.0 / 3.0])
 
-    def test_cell_volume_measure(self):
-        grid = GridSpec(lower=(0.0,), upper=(1.0,), resolution=(8,))
-        space = discretize_box(grid, measure="cell-volume")
-        assert np.allclose(space.measure, 0.125)
-
     def test_size_cap(self):
         with pytest.raises(SizeLimitError):
             discretize_box(unit_grid(100), max_size=99)
