@@ -214,6 +214,24 @@ def test_subsample_base_laws_shared_across_datasets():
 # Exactness
 
 
+def test_sampled_law_is_marked_inexact():
+    # Four distinct points hold C(4, 3) = 4 sub-multisets of size 3, past the
+    # cap of 2: the law raises naming the mechanism rather than being sampled.
+    # Repeated points hold one sub-multiset, and the default cap admits all 4.
+    problem, space = threshold_classification(resolution=4)
+    base = exponential_mechanism(problem, space, 1.0)
+    distinct = Dataset(
+        x=np.array([0.1, 0.3, 0.6, 0.9]), y=np.array([0.0, 0.0, 1.0, 1.0])
+    )
+    repeated = Dataset(x=np.full(4, 0.3), y=np.zeros(4))
+    wrapped = subsample_wrapper(base, 3, exact_cap=2)
+    with pytest.raises(SizeLimitError, match=re.escape(repr(wrapped.name))):
+        wrapped.law(distinct)
+    assert wrapped.law(repeated).probabilities.sum() == pytest.approx(1.0)
+    law = subsample_wrapper(base, 3).law(distinct)
+    assert law.probabilities.sum() == pytest.approx(1.0)
+
+
 @pytest.mark.parametrize("audit", ["pure", "approx", "stability"])
 def test_audits_refuse_sampled_laws(audit):
     # The multiset of all four atoms has C(4, 3) = 4 sub-multisets, past the

@@ -377,20 +377,17 @@ class TestSubsampling:
         subsample_wrapper(spy, m=3).sample(data, seed=5)
         assert seen == [3]
 
-    def test_law_past_the_exact_cap_raises(self):
+    def test_sampled_law_mode_kicks_in(self):
+        # Past the cap, where a sampled law once stood in, the law is
+        # refused; under the cap it is built.
         problem, space = PROBLEM_BUILDERS["threshold"](resolution=4)
         base = exponential_mechanism(problem, space, 1.0)
-        distinct = Dataset(
-            x=np.array([0.1, 0.3, 0.6, 0.9]), y=np.array([0.0, 0.0, 1.0, 1.0])
-        )
-        repeated = Dataset(x=np.full(4, 0.3), y=np.zeros(4))
-        # Four distinct points hold C(4, 3) = 4 sub-multisets of size 3.
+        data = labeled_threshold(0.5, support_size=8).sample(6, trial_rng(1, 0))
+        law = subsample_wrapper(base, m=3).law(data)
+        assert law.probabilities.sum() == pytest.approx(1.0)
         capped = subsample_wrapper(base, m=3, exact_cap=2)
         with pytest.raises(SizeLimitError, match=re.escape(repr(capped.name))):
-            capped.law(distinct)
-        assert capped.law(repeated).probabilities.sum() == pytest.approx(1.0)
-        under = subsample_wrapper(base, m=3, exact_cap=4).law(distinct)
-        assert under.probabilities.sum() == pytest.approx(1.0)
+            capped.law(data)
 
 
 class TestMembershipFlag:
