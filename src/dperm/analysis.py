@@ -840,12 +840,19 @@ def empirical_law_on_grid(
 def sample_counts(
     mechanism: Mechanism, dataset: Dataset, draws: int, seed: int
 ) -> np.ndarray:
-    """Histogram of ``draws`` independent outputs over the hypothesis ids."""
+    """Histogram of ``draws`` independent outputs over the hypothesis ids.
+
+    Draw i uses seed ``spawn_seed(seed, i)``.  A mechanism whose draws come
+    from its law takes them all from one law through ``sample_many``; any
+    other is sampled seed by seed.
+    """
     if mechanism.space is None:
         raise ValueError("sample_counts needs a finite-space mechanism")
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
-    out = np.zeros(mechanism.space.size, dtype=int)
-    for i in range(draws):
-        out[int(mechanism.sample(dataset, spawn_seed(seed, i)))] += 1
-    return out
+    seeds = [spawn_seed(seed, i) for i in range(draws)]
+    if mechanism.sample_many is not None:
+        ids = mechanism.sample_many(dataset, seeds)
+    else:
+        ids = [int(mechanism.sample(dataset, s)) for s in seeds]
+    return np.bincount(ids, minlength=mechanism.space.size)

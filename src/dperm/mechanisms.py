@@ -8,10 +8,15 @@ Every mechanism here exposes the same two call paths:
   :class:`dperm.spaces.SizeLimitError` instead of being estimated, so
   auditing code never sees a sampled law.
 * ``sample(dataset, seed)`` draws one output.  Unless a factory gives its
-  own, it is one draw from ``law(dataset)`` under ``default_rng(seed)``.
-  The seed is consumed as-is (callers derive per-trial seeds themselves);
-  sub-draws inside composite mechanisms fork the seed through
+  own, it is one draw from ``law(dataset)`` under ``default_rng(seed)``,
+  and ``sample_many(dataset, seeds)`` gives the same draws for many seeds
+  from one law.  The seed is consumed as-is (callers derive per-trial seeds
+  themselves); sub-draws inside composite mechanisms fork the seed through
   :func:`dperm.seeding.spawn_seed` so the pieces stay independent.
+
+Every draw from a probability vector goes through
+:func:`dperm.draws.categorical` with the generator's own uniforms, so it
+gives the index that ``Generator.choice(p=...)`` would give.
 
 Budgets are claims, not measurements.  ``budget(n)`` is what the mechanism
 promises at dataset size ``n``, read through ``claimed_budget(n)``; the audit
@@ -23,10 +28,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
+from .draws import categorical
 from .problems import Dataset, Problem, objective_vector, risk_vector
 from .seeding import spawn_seed
 from .spaces import FiniteHypothesisSpace, SizeLimitError
@@ -113,21 +119,21 @@ class MechanismDistribution:
                 "probability vectors must have one entry per hypothesis, "
                 f"got shapes {p.shape} and {logp.shape} for |H|={self.space.size}"
             )
-        if np.any(p < 0) or not np.all(np.isfinite(p)):
+        if (p < 0).any() or not np.isfinite(p).all():
             raise ValueError("probabilities must be finite and nonnegative")
         total = float(p.sum())
         if abs(total - 1.0) > PROB_SUM_TOL:
             raise ValueError(f"probabilities sum to {total!r}, not 1 within {PROB_SUM_TOL}")
         pos = p > 0
-        if np.any(np.isnan(logp)) or np.any(logp[pos] > 1e-12):
+        if np.isnan(logp).any() or (logp[pos] > 1e-12).any():
             raise ValueError("log-probabilities must be <= 0 and not NaN")
         ref = np.log(p[pos])
-        if pos.any() and float(np.max(np.abs(ref - logp[pos]))) > LOG_CONSISTENCY_TOL:
+        if pos.any() and float(np.abs(ref - logp[pos]).max()) > LOG_CONSISTENCY_TOL:
             raise ValueError("linear and log probabilities disagree beyond tolerance")
         # exp underflows to 0.0 just below log of the smallest subnormal
         # (about -744.4), so a zero linear entry is consistent with any
         # log-probability under that floor, not only with -inf.
-        if np.any(logp[~pos] > LOG_UNDERFLOW):
+        if (logp[~pos] > LOG_UNDERFLOW).any():
             raise ValueError(
                 "zero-mass hypotheses must carry log-probability -inf "
                 f"or below the underflow floor {LOG_UNDERFLOW}"
@@ -150,7 +156,7 @@ class MechanismDistribution:
             raise ValueError(
                 f"expected {space.size} logits, got shape {logits.shape}"
             )
-        if np.any(np.isnan(logits)) or np.any(logits == np.inf):
+        if np.isnan(logits).any() or (logits == np.inf).any():
             raise ValueError("logits must be < inf and not NaN")
         lse = float(logsumexp(logits))
         if not math.isfinite(lse):
@@ -177,7 +183,7 @@ class MechanismDistribution:
         return cls(space=space, probabilities=p, log_probabilities=logp)
 
     def sample(self, rng: np.random.Generator) -> int:
-        return int(rng.choice(self.space.size, p=self.probabilities))
+        return int(categorical(self.probabilities, rng.random()))
 
     def expectation(self, values: np.ndarray) -> float:
         values = np.asarray(values, dtype=float)
@@ -200,7 +206,11 @@ class Mechanism:
     ``law`` is None when the mechanism gives no law (a boost whose candidate
     tuples pass its cap, or a wrapper of such a base).  When ``sample`` is
     omitted it is derived from the ``law`` given here: one draw from
-    ``law(dataset)`` under ``default_rng(seed)``.
+    ``law(dataset)`` under ``default_rng(seed)``.  Such a mechanism also gets
+    ``sample_many(dataset, seeds)``, the same draws for many seeds: it builds
+    ``self.law(dataset)`` once and looks up one ``default_rng(seed).random()``
+    per seed in one kernel call.  A mechanism with its own ``sample`` has no
+    ``sample_many`` (it is None).
 
     ``base`` is set on wrappers whose law mixes laws of another mechanism on
     sub-datasets.  Their ``law(dataset, base_law)`` takes those laws from
@@ -216,6 +226,9 @@ class Mechanism:
     space: Optional[FiniteHypothesisSpace] = None
     base: Optional["Mechanism"] = None
     info: dict = field(default_factory=dict)
+    sample_many: Optional[Callable[[Dataset, Sequence[int]], np.ndarray]] = field(
+        default=None, init=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if self.sample is None:
@@ -226,7 +239,12 @@ class Mechanism:
             def sample(dataset: Dataset, seed: int) -> int:
                 return law(dataset).sample(np.random.default_rng(seed))
 
+            def sample_many(dataset: Dataset, seeds: Sequence[int]) -> np.ndarray:
+                u = np.array([np.random.default_rng(s).random() for s in seeds])
+                return categorical(self.law(dataset).probabilities, u)
+
             self.sample = sample
+            self.sample_many = sample_many
 
     def claimed_budget(self, n: int) -> PrivacyBudget:
         if n < 1:
@@ -308,20 +326,15 @@ def laplace_icdf(u: float, scale: float) -> float:
     return -scale * math.copysign(1.0, w) * math.log1p(-2.0 * abs(w))
 
 
-def pth_power_erm(x: np.ndarray, p: int = 10, tol: float = 1e-10) -> float:
-    """Exact minimizer of sum_i |x_i - h|^p over h, for even p >= 2.
+def pth_power_erm_batch(
+    x: np.ndarray, p: int = 10, tol: float = 1e-10
+) -> np.ndarray:
+    """Row-wise exact minimizer of sum_i |x_i - h|^p over h, for even p >= 2,
+    on a (trials, n) batch of samples.
 
     The derivative p * sum_i sign(h - x_i)|h - x_i|^(p-1) is continuous and
     nondecreasing, so bisection on [min x, max x] pins the root.
     """
-    out = pth_power_erm_batch(np.asarray(x, dtype=float)[None, :], p=p, tol=tol)
-    return float(out[0])
-
-
-def pth_power_erm_batch(
-    x: np.ndarray, p: int = 10, tol: float = 1e-10
-) -> np.ndarray:
-    """Row-wise pth-power ERM for a (trials, n) batch of samples."""
     if p < 2 or p % 2 != 0:
         raise ValueError(f"p must be an even integer >= 2, got {p}")
     x = np.asarray(x, dtype=float)
@@ -661,7 +674,7 @@ def boost_high_confidence(
         sel = np.exp(logits - logsumexp(logits))
         sel = sel / sel.sum()
         rng = np.random.default_rng(spawn_seed(seed, a))
-        return candidates[int(rng.choice(a, p=sel))]
+        return candidates[int(categorical(sel, rng.random()))]
 
     has_law = base.law is not None and space.size**a <= law_cap
     return Mechanism(
@@ -754,7 +767,7 @@ class RandomWalkSampler:
         total = self.burn_in + self.steps
         for t in range(total):
             proposal = state + sigma * rng.standard_normal(d)
-            ok = bool(np.all(proposal >= self.lower) and np.all(proposal <= self.upper))
+            ok = bool((proposal >= self.lower).all() and (proposal <= self.upper).all())
             if ok:
                 new_energy = objective_at(proposal)
                 # 1 - U keeps the draw strictly positive before the log.

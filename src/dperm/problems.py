@@ -15,6 +15,7 @@ from typing import Callable
 
 import numpy as np
 
+from .draws import categorical
 from .spaces import FiniteHypothesisSpace, GridSpec, SizeLimitError, discretize_box
 
 __all__ = [
@@ -141,12 +142,6 @@ class DataDistribution:
     def discrete(self) -> bool:
         return self.x_atoms is not None
 
-    @property
-    def labeled(self) -> bool:
-        if self.discrete:
-            return self.y_atoms is not None
-        return self.theta is not None
-
     def atoms(self) -> Dataset:
         if not self.discrete:
             raise ValueError(f"{self.kind} distribution has no finite support")
@@ -156,7 +151,7 @@ class DataDistribution:
         if n < 1:
             raise ValueError(f"sample size must be >= 1, got {n}")
         if self.discrete:
-            idx = rng.choice(len(self.x_atoms), size=n, p=self.probs)
+            idx = categorical(self.probs, rng.random(n))
             y = None if self.y_atoms is None else self.y_atoms[idx]
             return Dataset(x=self.x_atoms[idx], y=y)
         x = rng.uniform(self.lower, self.upper, size=(n, len(self.lower)))
@@ -229,7 +224,7 @@ def risk_vector(problem: Problem, space: FiniteHypothesisSpace, dataset: Dataset
         raise ValueError(
             f"loss matrix shape {losses.shape}, expected {(space.size, dataset.n)}"
         )
-    if not np.all(np.isfinite(losses)):
+    if not np.isfinite(losses).all():
         raise ValueError("loss matrix contains non-finite entries")
     return losses.mean(axis=1)
 
@@ -243,7 +238,7 @@ def objective(problem: Problem, payload: np.ndarray, dataset: Dataset) -> float:
 def objective_vector(problem: Problem, space: FiniteHypothesisSpace, dataset: Dataset) -> np.ndarray:
     """Regularized objective for every hypothesis."""
     values = risk_vector(problem, space, dataset) + problem.reg_vector(dataset.n, space)
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise ValueError("objective contains non-finite values")
     return values
 

@@ -27,9 +27,11 @@ from dperm.analysis import (
     utility_tail_check,
 )
 from dperm.mechanisms import (
+    boost_high_confidence,
     erm_mechanism,
     exponential_mechanism,
     membership_flag_mechanism,
+    subsample_wrapper,
 )
 from dperm.problems import (
     PROBLEM_BUILDERS,
@@ -38,7 +40,7 @@ from dperm.problems import (
     labeled_threshold,
     objective_vector,
 )
-from dperm.seeding import trial_rng
+from dperm.seeding import spawn_seed, trial_rng
 from dperm.spaces import SizeLimitError
 
 
@@ -387,3 +389,66 @@ def test_sample_counts_deterministic():
     b = sample_counts(mech, data, draws=500, seed=9)
     assert np.array_equal(a, b)
     assert a.sum() == 500
+
+
+def _per_seed_counts(mech, data, draws, seed):
+    out = np.zeros(mech.space.size, dtype=int)
+    for i in range(draws):
+        out[int(mech.sample(data, spawn_seed(seed, i)))] += 1
+    return out
+
+
+def _counting(fn, calls):
+    def wrapped(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    return wrapped
+
+
+class TestSampleCountsBatch:
+    @pytest.fixture
+    def em_case(self):
+        problem, space = PROBLEM_BUILDERS["threshold"](resolution=16)
+        mech = exponential_mechanism(problem, space, 1.0)
+        data = labeled_threshold(0.5, support_size=64).sample(40, trial_rng(0, 0))
+        return mech, data
+
+    @pytest.mark.parametrize("draws", [1, 999, 1000, 4000])
+    def test_em_batch_equals_per_seed_loop(self, em_case, draws):
+        mech, data = em_case
+        assert mech.sample_many is not None
+        for seed in (0, 9, 2**40 + 3):
+            counts = sample_counts(mech, data, draws, seed)
+            assert np.array_equal(counts, _per_seed_counts(mech, data, draws, seed))
+
+    def test_one_law_per_call_after_rebinding(self, em_case):
+        # perfbench's tracing replaces law and sample after construction.
+        mech, data = em_case
+        expected = _per_seed_counts(mech, data, 4000, 5)
+        laws, draws = [], []
+        mech.law = _counting(mech.law, laws)
+        mech.sample = _counting(mech.sample, draws)
+        assert np.array_equal(sample_counts(mech, data, 4000, 5), expected)
+        assert len(laws) == 1 and not draws
+
+    def test_own_samplers_keep_the_per_seed_loop(self):
+        problem, space = PROBLEM_BUILDERS["finite-support"](6, 2)
+        em = exponential_mechanism(problem, space, 1.0)
+        weights = 0.7 ** np.arange(6)
+        data = discrete_points((np.arange(6) + 0.5) / 6, probs=weights / weights.sum()).sample(
+            60, trial_rng(3, 0))
+        mechs = [
+            erm_mechanism(problem, space),
+            subsample_wrapper(em, 10),
+            boost_high_confidence(em, space, 0.2, 1.0),
+        ]
+        for mech in mechs:
+            assert mech.sample_many is None
+            laws, draws = [], []
+            expected = _per_seed_counts(mech, data, 150, 11)
+            if mech.law is not None:
+                mech.law = _counting(mech.law, laws)
+            mech.sample = _counting(mech.sample, draws)
+            assert np.array_equal(sample_counts(mech, data, 150, 11), expected)
+            assert len(draws) == 150 and not laws

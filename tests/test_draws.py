@@ -1,0 +1,100 @@
+"""The categorical draw kernel gives exactly the index Generator.choice gives."""
+
+import numpy as np
+import pytest
+
+from dperm.draws import GUIDE_MIN_DRAWS, categorical
+
+SEEDS = 200
+DRAWS = 5000
+
+
+def _probabilities(k: int, kind: str) -> np.ndarray:
+    rng = np.random.default_rng(1000 + k)
+    if kind == "uniform":
+        w = np.ones(k)
+    elif kind == "skewed":
+        w = 0.7 ** np.arange(k)
+    elif kind == "dirichlet":
+        w = rng.dirichlet(np.full(k, 0.1))
+    elif kind == "zero-mass":
+        # Zero atoms first, last and in runs: their CDF steps are tied.
+        w = rng.random(k)
+        w[::3] = 0.0
+        w[-1] = 0.0
+        if not w.any():
+            w[k // 2] = 1.0
+    elif kind == "tiny-mass":
+        # Atoms too light to move the running sum: tied steps of positive mass.
+        w = np.where(np.arange(k) % 2 == 0, 1.0, 1e-20)
+    else:
+        raise ValueError(kind)
+    return w / w.sum()
+
+
+def _cdf(p: np.ndarray) -> np.ndarray:
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+CASES = [
+    (k, kind)
+    for k in (1, 2, 8, 93, 512)
+    for kind in ("uniform", "skewed", "dirichlet", "zero-mass", "tiny-mass")
+    if k > 1 or kind == "uniform"
+]
+
+
+@pytest.mark.parametrize("k,kind", CASES)
+def test_matches_generator_choice(k, kind):
+    p = _probabilities(k, kind)
+    assert DRAWS >= max(GUIDE_MIN_DRAWS, k)  # the batches take the table path
+    for seed in range(SEEDS):
+        ref, mine = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert np.array_equal(categorical(p, mine.random(DRAWS)), ref.choice(k, DRAWS, p=p))
+        assert categorical(p, mine.random()) == ref.choice(k, p=p)
+        # Both consumed the same uniforms, so later draws stay aligned.
+        assert mine.bit_generator.state == ref.bit_generator.state
+
+
+# At these sizes some uniform just below an edge j / k has u k rounded up to
+# j while a CDF value lies between them, so the table starts past the answer.
+OVERSHOOT_CASES = [(10, "uniform"), (1000, "uniform"), (1000, "tiny-mass")]
+
+
+@pytest.mark.parametrize("k,kind", CASES + OVERSHOOT_CASES)
+def test_boundary_uniforms(k, kind):
+    """Uniforms on, just below and just above every CDF value and every
+    bucket edge j / k, plus the largest double below one."""
+    p = _probabilities(k, kind)
+    cdf = _cdf(p)
+    marks = np.concatenate([cdf, np.arange(k) / k])
+    u = np.concatenate([marks, np.nextafter(marks, 0.0), np.nextafter(marks, 2.0),
+                        [0.0, np.nextafter(1.0, 0.0)]])
+    u = u[(u >= 0.0) & (u < 1.0)]
+    batch = np.tile(u, -(-GUIDE_MIN_DRAWS // u.size))
+    expected = cdf.searchsorted(batch, side="right")
+    assert np.array_equal(categorical(p, batch), expected)
+    assert [int(categorical(p, v)) for v in u] == expected[: u.size].tolist()
+
+
+def test_top_uniform_at_93_atoms():
+    p = _probabilities(93, "uniform")
+    top = np.nextafter(1.0, 0.0)
+    assert categorical(p, top) == 92
+    assert (categorical(p, np.full(GUIDE_MIN_DRAWS, top)) == 92).all()
+
+
+@pytest.mark.parametrize("p", [
+    [0.5, -0.1, 0.6],
+    [0.5, np.nan, 0.5],
+    [0.55, 0.55],
+    [0.5, np.inf],
+    [],
+])
+def test_bad_probabilities_raise(p):
+    with pytest.raises(ValueError):
+        categorical(np.array(p, dtype=float), 0.5)
+    with pytest.raises(ValueError):
+        np.random.default_rng(0).choice(max(len(p), 1), p=p)

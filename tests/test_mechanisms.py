@@ -32,7 +32,6 @@ from dperm.mechanisms import (
     logsumexp,
     logsumexp_rows,
     membership_flag_mechanism,
-    pth_power_erm,
     pth_power_erm_batch,
     subsample_wrapper,
 )
@@ -429,27 +428,28 @@ class TestPthPowerErm:
         rng = np.random.default_rng(0)
         for _ in range(5):
             x = rng.uniform(0, 1, size=7)
-            fast = pth_power_erm(x, p=10)
+            fast = pth_power_erm_batch(x[None, :], p=10)[0]
             slow = self.brute_minimum(x, 10)
             assert fast == pytest.approx(slow, abs=1e-4)
 
     def test_p2_is_the_mean(self):
         x = np.array([0.1, 0.5, 0.6])
-        assert pth_power_erm(x, p=2) == pytest.approx(x.mean(), abs=1e-9)
+        assert pth_power_erm_batch(x[None, :], p=2)[0] == pytest.approx(x.mean(), abs=1e-9)
 
     def test_batch_agrees_with_single(self):
         rng = np.random.default_rng(3)
         x = rng.uniform(0, 1, size=(6, 9))
         batch = pth_power_erm_batch(x, p=10)
         for row in range(6):
-            assert batch[row] == pytest.approx(pth_power_erm(x[row], p=10), abs=1e-9)
+            one = pth_power_erm_batch(x[row][None, :], p=10)[0]
+            assert batch[row] == pytest.approx(one, abs=1e-9)
 
     def test_constant_sample(self):
-        assert pth_power_erm(np.array([0.3, 0.3, 0.3]), p=4) == pytest.approx(0.3)
+        assert pth_power_erm_batch(np.array([[0.3, 0.3, 0.3]]), p=4)[0] == pytest.approx(0.3)
 
     def test_odd_p_rejected(self):
         with pytest.raises(ValueError):
-            pth_power_erm(np.array([0.1, 0.2]), p=3)
+            pth_power_erm_batch(np.array([[0.1, 0.2]]), p=3)
 
 
 class TestBoosting:
