@@ -323,7 +323,7 @@ def stability_audit(
     if mechanism.problem is None or mechanism.space is None:
         raise ValueError("stability audit needs a mechanism bound to a problem")
     table = _LawTable(mechanism)
-    losses = mechanism.problem.loss_matrix(mechanism.space, probe_points)
+    losses = mechanism.problem.loss_matrix(mechanism.space.payloads, probe_points)
     worst = 0.0
     for _, left, right in _pair_blocks(table, pairs):
         diff = table.probabilities[left] - table.probabilities[right]

@@ -205,12 +205,12 @@ class Mechanism:
     :meth:`claimed_budget`; None means the mechanism makes no claim.
     ``law`` is None when the mechanism gives no law (a boost whose candidate
     tuples pass its cap, or a wrapper of such a base).  When ``sample`` is
-    omitted it is derived from the ``law`` given here: one draw from
-    ``law(dataset)`` under ``default_rng(seed)``.  Such a mechanism also gets
-    ``sample_many(dataset, seeds)``, the same draws for many seeds: it builds
-    ``self.law(dataset)`` once and looks up one ``default_rng(seed).random()``
-    per seed in one kernel call.  A mechanism with its own ``sample`` has no
-    ``sample_many`` (it is None).
+    omitted it is derived from the law: one draw from ``self.law(dataset)``
+    under ``default_rng(seed)``, reading ``self.law`` at call time.  Such a
+    mechanism also gets ``sample_many(dataset, seeds)``, the same draws for
+    many seeds: it builds ``self.law(dataset)`` once and looks up one
+    ``default_rng(seed).random()`` per seed in one kernel call.  A mechanism
+    with its own ``sample`` has no ``sample_many`` (it is None).
 
     ``base`` is set on wrappers whose law mixes laws of another mechanism on
     sub-datasets.  Their ``law(dataset, base_law)`` takes those laws from
@@ -234,10 +234,9 @@ class Mechanism:
         if self.sample is None:
             if self.law is None:
                 raise ValueError(f"mechanism {self.name!r} has neither sample nor law")
-            law = self.law
 
             def sample(dataset: Dataset, seed: int) -> int:
-                return law(dataset).sample(np.random.default_rng(seed))
+                return self.law(dataset).sample(np.random.default_rng(seed))
 
             def sample_many(dataset: Dataset, seeds: Sequence[int]) -> np.ndarray:
                 u = np.array([np.random.default_rng(s).random() for s in seeds])
@@ -303,13 +302,8 @@ def erm_mechanism(problem: Problem, space: FiniteHypothesisSpace) -> Mechanism:
         probs[int(np.argmin(values))] = 1.0
         return MechanismDistribution.from_probabilities(space, probs)
 
-    def sample(dataset: Dataset, seed: int) -> int:
-        del seed
-        return int(np.argmin(objective_vector(problem, space, dataset)))
-
     return Mechanism(
         name=f"erm({problem.name})",
-        sample=sample,
         law=law,
         problem=problem,
         space=space,
@@ -706,10 +700,6 @@ class RandomWalkSampler:
     space is continuous.  Convergence is approximate, so this object is not a
     Mechanism and makes no privacy claim; compare its empirical law against a
     matched finite-grid mechanism to quantify the gap.
-
-    The problem's vectorized loss must read hypotheses from the payload array
-    alone (true of the box-shaped problems shipped here), because states are
-    evaluated through a single-row space whose payload is rewritten in place.
     """
 
     problem: Problem
@@ -746,14 +736,11 @@ class RandomWalkSampler:
     def run(self, dataset: Dataset, seed: int) -> ChainResult:
         rng = np.random.default_rng(seed)
         d = len(self.lower)
-        probe = FiniteHypothesisSpace(
-            payloads=np.zeros((1, d)), measure=np.ones(1), meta={}
-        )
 
         def objective_at(h: np.ndarray) -> float:
-            probe.payloads[0, :] = h
-            loss = float(self.problem.loss_matrix(probe, dataset)[0].mean())
-            return loss + float(self.problem.reg_vector(dataset.n, probe)[0])
+            row = h[None, :]
+            loss = float(self.problem.loss_matrix(row, dataset)[0].mean())
+            return loss + float(self.problem.reg_vector(dataset.n, row)[0])
 
         scale = em_scale(self.epsilon, dataset.n)
         sigma = float(self.step_size)
@@ -799,23 +786,6 @@ class RandomWalkSampler:
         return float(final[-1]) if final.ndim == 1 else final[-1]
 
 
-def logconcave_sampler(
-    problem: Problem,
-    lower,
-    upper,
-    epsilon: float,
-    steps: int,
-    step_size: Optional[float] = None,
-    burn_in: Optional[int] = None,
-) -> RandomWalkSampler:
-    """Build a Metropolis sampler for the continuous exponential-mechanism
-    density of a convex problem on a box domain."""
-    return RandomWalkSampler(
-        problem=problem,
-        lower=lower,
-        upper=upper,
-        epsilon=epsilon,
-        steps=steps,
-        step_size=step_size,
-        burn_in=burn_in,
-    )
+# Metropolis sampler for the continuous exponential-mechanism density of a
+# convex problem on a box domain.
+logconcave_sampler = RandomWalkSampler

@@ -1,9 +1,12 @@
 """Learning problems: bounded losses, datasets, and data distributions.
 
-Every shipped problem keeps its loss inside [0, 1] exactly (rescaling by a
-documented constant where the raw loss is wider), which is what the privacy
-calibration of the mechanisms assumes.  Constructors probe that range with
-seeded random draws and refuse to build a problem violating it.
+A problem is one vectorized loss: ``loss_matrix(payloads, dataset)`` maps
+the (k, d) payload rows of k hypotheses and a dataset of n points to the
+(k, n) array of losses.  Every shipped problem keeps that loss inside
+[0, 1] exactly (rescaling by a documented constant where the raw loss is
+wider), which is what the privacy calibration of the mechanisms assumes.
+Constructors probe that range on seeded random hypotheses and points and
+refuse to build a problem violating it.
 """
 
 from __future__ import annotations
@@ -23,9 +26,7 @@ __all__ = [
     "Problem",
     "DataDistribution",
     "PackedFamily",
-    "empirical_risk",
     "risk_vector",
-    "objective",
     "objective_vector",
     "erm",
     "population_risk_vector",
@@ -67,17 +68,6 @@ class Dataset:
     def n(self) -> int:
         return len(self.x)
 
-    @property
-    def labeled(self) -> bool:
-        return self.y is not None
-
-    def point(self, i: int):
-        """Point i in the scalar-loss convention: x, or (x, y) when labeled."""
-        xi = self.x[i] if self.x.ndim == 1 else self.x[i, :]
-        if self.y is None:
-            return xi
-        return (xi, self.y[i])
-
     def take(self, indices) -> "Dataset":
         """Sub-dataset at the given positions (copy)."""
         idx = np.asarray(indices)
@@ -95,12 +85,8 @@ class Dataset:
         return np.lexsort(keys[::-1])
 
 
-def _zero_reg(n: int, payload: np.ndarray) -> float:
-    return 0.0
-
-
-def _zero_reg_vector(n: int, space: FiniteHypothesisSpace) -> np.ndarray:
-    return np.zeros(space.size)
+def _zero_reg_vector(n: int, payloads: np.ndarray) -> np.ndarray:
+    return np.zeros(len(payloads))
 
 
 def _zero_zeta(n: int) -> float:
@@ -111,17 +97,16 @@ def _zero_zeta(n: int) -> float:
 class Problem:
     """A bounded-loss learning problem.
 
-    ``loss`` is the scalar reference implementation; ``loss_matrix`` is the
-    vectorized route returning an (|H|, n) array.  The two must agree, and the
-    test suite holds them to that.  ``zeta(n)`` is sup over hypotheses of the
-    regularizer magnitude at sample size n.
+    ``loss_matrix(payloads, dataset)`` returns the (k, n) losses of the k
+    hypotheses whose parameter vectors are the rows of the (k, dimension)
+    array ``payloads``; ``reg_vector(n, payloads)`` returns their k
+    regularizer values at sample size n.  ``zeta(n)`` is sup over hypotheses
+    of the regularizer magnitude at sample size n.
     """
 
     name: str
     dimension: int
-    loss: Callable
     loss_matrix: Callable
-    regularizer: Callable = _zero_reg
     reg_vector: Callable = _zero_reg_vector
     zeta: Callable = _zero_zeta
 
@@ -208,18 +193,9 @@ def labeled_threshold(theta: float, support_size: int = 0) -> DataDistribution:
 # risk evaluation
 
 
-def empirical_risk(problem: Problem, payload: np.ndarray, dataset: Dataset) -> float:
-    """Mean scalar loss of one hypothesis; reference (unvectorized) route."""
-    total = 0.0
-    for i in range(dataset.n):
-        v = float(problem.loss(payload, dataset.point(i)))
-        total += v
-    return total / dataset.n
-
-
 def risk_vector(problem: Problem, space: FiniteHypothesisSpace, dataset: Dataset) -> np.ndarray:
-    """Empirical risk of every hypothesis, via the vectorized loss."""
-    losses = problem.loss_matrix(space, dataset)
+    """Empirical risk of every hypothesis."""
+    losses = problem.loss_matrix(space.payloads, dataset)
     if losses.shape != (space.size, dataset.n):
         raise ValueError(
             f"loss matrix shape {losses.shape}, expected {(space.size, dataset.n)}"
@@ -229,15 +205,11 @@ def risk_vector(problem: Problem, space: FiniteHypothesisSpace, dataset: Dataset
     return losses.mean(axis=1)
 
 
-def objective(problem: Problem, payload: np.ndarray, dataset: Dataset) -> float:
-    return empirical_risk(problem, payload, dataset) + float(
-        problem.regularizer(dataset.n, payload)
-    )
-
-
 def objective_vector(problem: Problem, space: FiniteHypothesisSpace, dataset: Dataset) -> np.ndarray:
     """Regularized objective for every hypothesis."""
-    values = risk_vector(problem, space, dataset) + problem.reg_vector(dataset.n, space)
+    values = risk_vector(problem, space, dataset) + problem.reg_vector(
+        dataset.n, space.payloads
+    )
     if not np.isfinite(values).all():
         raise ValueError("objective contains non-finite values")
     return values
@@ -254,7 +226,7 @@ def population_risk_vector(
     """Exact population risk of every hypothesis (discrete distributions)."""
     if not distribution.discrete:
         raise ValueError("exact population risk needs an enumerable support")
-    return problem.loss_matrix(space, distribution.atoms()) @ distribution.probs
+    return problem.loss_matrix(space.payloads, distribution.atoms()) @ distribution.probs
 
 
 # ---------------------------------------------------------------------------
@@ -310,17 +282,23 @@ def packed_datasets(
 # shipped problems
 
 
-def _probe_unit_range(problem: Problem, space: FiniteHypothesisSpace, sampler, trials: int = 64) -> None:
-    # Constructor-time A1 check on seeded random (hypothesis, point) pairs.
+def _probe_unit_range(
+    problem: Problem, space: FiniteHypothesisSpace, draw_points, trials: int = 64
+) -> None:
+    # Constructor-time A1 check on every pair of seeded random hypotheses and
+    # seeded random points; draw_points(rng, m) returns a dataset of m points.
     rng = np.random.default_rng(12345)
     ids = rng.integers(0, space.size, size=trials)
-    for hid in ids:
-        z = sampler(rng)
-        v = float(problem.loss(space.payloads[hid], z))
-        if not (0.0 <= v <= 1.0 + 1e-12):
-            raise ValueError(
-                f"{problem.name}: loss {v} outside [0,1] for a probed pair"
-            )
+    losses = problem.loss_matrix(space.payloads[ids], draw_points(rng, trials))
+    outside = ~((losses >= 0.0) & (losses <= 1.0 + 1e-12))
+    if outside.any():
+        raise ValueError(
+            f"{problem.name}: loss {losses[outside][0]} outside [0,1] for a probed pair"
+        )
+
+
+def _unit_points(rng, m):
+    return Dataset(x=rng.uniform(0.0, 1.0, size=m))
 
 
 def threshold_classification(
@@ -329,26 +307,20 @@ def threshold_classification(
     """0-1 loss threshold classifiers h(x) = 1(x > h) on a 1-d grid."""
     space = discretize_box(GridSpec((domain[0],), (domain[1],), (resolution,)))
 
-    def loss(payload, z):
-        x, y = z
-        return float((float(x) > payload[0]) != bool(round(float(y))))
-
-    def loss_matrix(sp, dataset):
-        thr = sp.scalar_payloads()
-        pred = dataset.x[None, :] > thr[:, None]
+    def loss_matrix(payloads, dataset):
+        pred = dataset.x[None, :] > payloads[:, 0, None]
         return (pred != (dataset.y[None, :] > 0.5)).astype(float)
 
     problem = Problem(
-        name="threshold_classification",
-        dimension=1,
-        loss=loss,
-        loss_matrix=loss_matrix,
+        name="threshold_classification", dimension=1, loss_matrix=loss_matrix
     )
-
-    def sampler(rng):
-        return (rng.uniform(domain[0], domain[1]), float(rng.integers(0, 2)))
-
-    _probe_unit_range(problem, space, sampler)
+    _probe_unit_range(
+        problem,
+        space,
+        lambda rng, m: Dataset(
+            x=rng.uniform(*domain, size=m), y=rng.integers(0, 2, size=m)
+        ),
+    )
     return problem, space
 
 
@@ -367,37 +339,29 @@ def linear_logistic(
     space = discretize_box(GridSpec((-1.0,) * d, (1.0,) * d, (resolution,) * d))
     max_norm2 = float(np.max(np.sum(space.payloads**2, axis=1)))
 
-    def loss(payload, z):
-        x, y = z
-        margin = (2.0 * float(y) - 1.0) * float(np.dot(payload, np.atleast_1d(x)))
-        return float(np.logaddexp(0.0, -margin) / scale)
-
-    def loss_matrix(sp, dataset):
+    def loss_matrix(payloads, dataset):
         x = dataset.x if dataset.x.ndim == 2 else dataset.x[:, None]
-        scores = sp.payloads @ x.T
+        scores = payloads @ x.T
         sign = 2.0 * dataset.y[None, :] - 1.0
         return np.logaddexp(0.0, -sign * scores) / scale
 
-    def regularizer(n, payload):
-        return lam * float(np.dot(payload, payload)) / math.sqrt(n)
-
-    def reg_vector(n, sp):
-        return lam * np.sum(sp.payloads**2, axis=1) / math.sqrt(n)
+    def reg_vector(n, payloads):
+        return lam * np.sum(payloads**2, axis=1) / math.sqrt(n)
 
     problem = Problem(
         name="linear_logistic",
         dimension=d,
-        loss=loss,
         loss_matrix=loss_matrix,
-        regularizer=regularizer,
         reg_vector=reg_vector,
         zeta=lambda n: lam * max_norm2 / math.sqrt(n),
     )
-
-    def sampler(rng):
-        return (rng.uniform(0.0, 1.0, size=d), float(rng.integers(0, 2)))
-
-    _probe_unit_range(problem, space, sampler)
+    _probe_unit_range(
+        problem,
+        space,
+        lambda rng, m: Dataset(
+            x=rng.uniform(0.0, 1.0, size=(m, d)), y=rng.integers(0, 2, size=m)
+        ),
+    )
     return problem, space
 
 
@@ -405,20 +369,11 @@ def pth_power_mean(resolution: int = 64) -> tuple[Problem, FiniteHypothesisSpace
     """Location estimation on [0,1] with loss |x - h|^10 (no regularizer)."""
     space = discretize_box(GridSpec((0.0,), (1.0,), (resolution,)))
 
-    def loss(payload, z):
-        return float(abs(float(z) - payload[0]) ** 10)
+    def loss_matrix(payloads, dataset):
+        return np.abs(dataset.x[None, :] - payloads[:, 0, None]) ** 10
 
-    def loss_matrix(sp, dataset):
-        h = sp.scalar_payloads()
-        return np.abs(dataset.x[None, :] - h[:, None]) ** 10
-
-    problem = Problem(
-        name="pth_power_mean",
-        dimension=1,
-        loss=loss,
-        loss_matrix=loss_matrix,
-    )
-    _probe_unit_range(problem, space, lambda rng: rng.uniform(0.0, 1.0))
+    problem = Problem(name="pth_power_mean", dimension=1, loss_matrix=loss_matrix)
+    _probe_unit_range(problem, space, _unit_points)
     return problem, space
 
 
@@ -428,48 +383,32 @@ def finite_support_estimation(
     """Support estimation on [0,1]: h is a union of grid cells, loss 1(z not in h).
 
     Hypotheses are all cell subsets of size <= max_subset_size (a finite
-    stand-in for arbitrary finite supports); the payload stores the subset
-    as a bitmask and the space carries a per-hypothesis cell membership
-    table for vectorized evaluation.
+    stand-in for arbitrary finite supports), by size and then in
+    lexicographic order; a hypothesis's payload is its 0/1 membership row
+    over the cells.
     """
     if cells < 1 or cells > 50:
         raise ValueError(f"cells must be in 1..50, got {cells}")
     if not 0 <= max_subset_size <= cells:
         raise ValueError(f"max_subset_size must be in 0..{cells}")
-    masks = []
-    for size in range(max_subset_size + 1):
-        for combo in itertools.combinations(range(cells), size):
-            masks.append(sum(1 << c for c in combo))
-    membership = np.zeros((len(masks), cells), dtype=bool)
-    for row, mask in enumerate(masks):
-        for c in range(cells):
-            membership[row, c] = bool((mask >> c) & 1)
-    space = FiniteHypothesisSpace(
-        payloads=np.asarray(masks, dtype=float)[:, None],
-        measure=np.ones(len(masks)),
-        meta={"cells": cells, "cell_membership": membership},
-    )
+    subsets = [
+        subset
+        for size in range(max_subset_size + 1)
+        for subset in itertools.combinations(range(cells), size)
+    ]
+    payloads = np.zeros((len(subsets), cells))
+    rows = np.repeat(np.arange(len(subsets)), [len(subset) for subset in subsets])
+    payloads[rows, np.fromiter(itertools.chain(*subsets), dtype=np.intp)] = 1.0
+    space = FiniteHypothesisSpace(payloads=payloads, measure=np.ones(len(subsets)))
 
-    def cell_of(values):
-        idx = np.minimum((np.asarray(values) * cells).astype(int), cells - 1)
-        return idx
-
-    def loss(payload, z):
-        mask = int(payload[0])
-        cell = int(cell_of(float(z)))
-        return 0.0 if (mask >> cell) & 1 else 1.0
-
-    def loss_matrix(sp, dataset):
-        inside = sp.meta["cell_membership"][:, cell_of(dataset.x)]
-        return 1.0 - inside.astype(float)
+    def loss_matrix(payloads, dataset):
+        cell = np.minimum((dataset.x * cells).astype(int), cells - 1)
+        return 1.0 - payloads[:, cell]
 
     problem = Problem(
-        name="finite_support_estimation",
-        dimension=1,
-        loss=loss,
-        loss_matrix=loss_matrix,
+        name="finite_support_estimation", dimension=cells, loss_matrix=loss_matrix
     )
-    _probe_unit_range(problem, space, lambda rng: rng.uniform(0.0, 1.0))
+    _probe_unit_range(problem, space, _unit_points)
     return problem, space
 
 

@@ -9,7 +9,7 @@ function of the grid specification.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -79,13 +79,10 @@ class FiniteHypothesisSpace:
     """Finite set of hypotheses with positive measure weights.
 
     ``payloads`` holds one parameter vector per row; ids are the row indices.
-    ``meta`` carries optional structure used by specific problems (for
-    example the cell membership table of the finite-support problem).
     """
 
     payloads: np.ndarray
     measure: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.payloads = np.asarray(self.payloads)
@@ -112,15 +109,6 @@ class FiniteHypothesisSpace:
     @property
     def dimension(self) -> int:
         return self.payloads.shape[1]
-
-    def payload(self, hid: int) -> np.ndarray:
-        return self.payloads[hid]
-
-    def scalar_payloads(self) -> np.ndarray:
-        """1-d view of the payloads; only valid for 1-d spaces."""
-        if self.dimension != 1:
-            raise ValueError(f"space is {self.dimension}-dimensional, not scalar")
-        return self.payloads[:, 0]
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,7 @@ from dperm.problems import (
     PROBLEM_BUILDERS,
     Dataset,
     discrete_points,
+    erm,
     labeled_threshold,
     objective_vector,
 )
@@ -147,7 +148,7 @@ def test_stability_audit_matches_direct_computation():
     pairs = list(exhaustive_neighbor_pairs(universe, 2))
     got = stability_audit(mech, pairs, universe)
 
-    losses = problem.loss_matrix(space, universe)  # (|H|, probes)
+    losses = problem.loss_matrix(space.payloads, universe)  # (|H|, probes)
     worst = 0.0
     for left, right in pairs:
         p = mech.law(left).probabilities
@@ -432,14 +433,27 @@ class TestSampleCountsBatch:
         assert np.array_equal(sample_counts(mech, data, 4000, 5), expected)
         assert len(laws) == 1 and not draws
 
-    def test_own_samplers_keep_the_per_seed_loop(self):
+    @pytest.fixture
+    def support_case(self):
         problem, space = PROBLEM_BUILDERS["finite-support"](6, 2)
-        em = exponential_mechanism(problem, space, 1.0)
         weights = 0.7 ** np.arange(6)
         data = discrete_points((np.arange(6) + 0.5) / 6, probs=weights / weights.sum()).sample(
             60, trial_rng(3, 0))
+        return problem, space, data
+
+    def test_erm_batch_is_the_argmin(self, support_case):
+        problem, space, data = support_case
+        mech = erm_mechanism(problem, space)
+        best = erm(problem, space, data)
+        seeds = [spawn_seed(11, i) for i in range(150)]
+        assert mech.sample_many(data, seeds).tolist() == [best] * 150
+        assert mech.sample(data, seeds[0]) == best
+        assert sample_counts(mech, data, 150, 11)[best] == 150
+
+    def test_own_samplers_keep_the_per_seed_loop(self, support_case):
+        problem, space, data = support_case
+        em = exponential_mechanism(problem, space, 1.0)
         mechs = [
-            erm_mechanism(problem, space),
             subsample_wrapper(em, 10),
             boost_high_confidence(em, space, 0.2, 1.0),
         ]

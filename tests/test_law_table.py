@@ -89,7 +89,7 @@ def oracle_approx(mechanism, pairs, epsilon):
 
 def oracle_stability(mechanism, pairs, probe_points):
     law = OrderKeyedLaws(mechanism)
-    losses = mechanism.problem.loss_matrix(mechanism.space, probe_points)
+    losses = mechanism.problem.loss_matrix(mechanism.space.payloads, probe_points)
     worst = 0.0
     for left, right in pairs:
         diff = law(left).probabilities - law(right).probabilities

@@ -231,6 +231,21 @@ class TestExponentialMechanism:
         freq = np.bincount(draws, minlength=space.size) / len(draws)
         assert np.max(np.abs(freq - law)) < 0.03
 
+    def test_derived_sample_reads_law_at_call_time(self):
+        problem, space = PROBLEM_BUILDERS["threshold"](resolution=4)
+        data = labeled_threshold(0.5, support_size=8).sample(6, trial_rng(8, 0))
+        mech = exponential_mechanism(problem, space, 1.0)
+        expected = mech.sample(data, 7)
+        built, original = [], mech.law
+
+        def law(dataset):
+            built.append(dataset)
+            return original(dataset)
+
+        mech.law = law
+        assert mech.sample(data, 7) == expected
+        assert built == [data]
+
     def test_claimed_budget(self):
         problem, space = PROBLEM_BUILDERS["threshold"](resolution=4)
         mech = exponential_mechanism(problem, space, 0.7)

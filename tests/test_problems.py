@@ -1,4 +1,4 @@
-"""Shipped problems: scalar and vectorized losses must tell the same story."""
+"""Shipped problems: the vectorized loss of each must match a scalar oracle."""
 
 import math
 
@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from dperm.problems import (
     PROBLEM_BUILDERS,
     Dataset,
+    Problem,
+    _probe_unit_range,
     discrete_points,
-    empirical_risk,
     erm,
     labeled_threshold,
-    objective,
     objective_vector,
     packed_datasets,
     population_risk_vector,
@@ -22,6 +22,50 @@ from dperm.problems import (
     uniform_box,
 )
 from dperm.seeding import trial_rng
+from dperm.spaces import GridSpec, discretize_box
+
+# Scalar reference losses of the shipped problems, one (payload, point) pair
+# at a time.  A point is x, or (x, y) when labeled.
+
+
+def threshold_loss(payload, z):
+    x, y = z
+    return float((float(x) > payload[0]) != bool(round(float(y))))
+
+
+def logistic_loss(payload, z):
+    x, y = z
+    x = np.atleast_1d(x)
+    margin = (2.0 * float(y) - 1.0) * float(np.dot(payload, x))
+    return float(np.logaddexp(0.0, -margin) / math.log1p(math.exp(len(x))))
+
+
+def logistic_regularizer(n, payload, lam=0.1):
+    return lam * float(np.dot(payload, payload)) / math.sqrt(n)
+
+
+def pth_power_loss(payload, z):
+    return float(abs(float(z) - payload[0]) ** 10)
+
+
+def finite_support_loss(payload, z):
+    # The payload is the hypothesis's 0/1 membership row over the cells.
+    cells = len(payload)
+    cell = min(int(float(z) * cells), cells - 1)
+    return 0.0 if payload[cell] else 1.0
+
+
+SCALAR_LOSSES = {
+    "threshold": threshold_loss,
+    "logistic": logistic_loss,
+    "pth-power": pth_power_loss,
+    "finite-support": finite_support_loss,
+}
+
+
+def point(data, i):
+    return data.x[i] if data.y is None else (data.x[i], data.y[i])
+
 
 # Samplers able to feed each problem in its native shape.
 FEEDERS = {
@@ -36,12 +80,12 @@ FEEDERS = {
 def test_scalar_and_vectorized_losses_agree(kind):
     problem, space = PROBLEM_BUILDERS[kind]()
     data = FEEDERS[kind](13, trial_rng(17, 0))
-    matrix = problem.loss_matrix(space, data)
+    matrix = problem.loss_matrix(space.payloads, data)
     assert matrix.shape == (space.size, data.n)
     rng = np.random.default_rng(1)
     for hid in rng.choice(space.size, size=min(space.size, 12), replace=False):
         for j in range(data.n):
-            direct = problem.loss(space.payload(int(hid)), data.point(j))
+            direct = SCALAR_LOSSES[kind](space.payloads[hid], point(data, j))
             assert matrix[hid, j] == pytest.approx(direct, abs=1e-12)
 
 
@@ -50,7 +94,7 @@ def test_losses_live_in_unit_interval(kind):
     problem, space = PROBLEM_BUILDERS[kind]()
     for rep in range(3):
         data = FEEDERS[kind](20, trial_rng(23, rep))
-        matrix = problem.loss_matrix(space, data)
+        matrix = problem.loss_matrix(space.payloads, data)
         assert matrix.min() >= 0.0
         assert matrix.max() <= 1.0 + 1e-12
 
@@ -59,7 +103,7 @@ def test_threshold_loss_closed_form():
     problem, space = PROBLEM_BUILDERS["threshold"](resolution=4)
     data = Dataset(x=np.array([0.2, 0.9]), y=np.array([0.0, 1.0]))
     # Classifier 1(x > h) at h = 0.625: both points classified correctly.
-    matrix = problem.loss_matrix(space, data)
+    matrix = problem.loss_matrix(space.payloads, data)
     assert matrix[2].tolist() == [0.0, 0.0]
     # At h = 0.125 the first point is predicted positive but labeled 0.
     assert matrix[0].tolist() == [1.0, 0.0]
@@ -70,24 +114,55 @@ def test_objective_adds_regularizer():
     data = FEEDERS["logistic"](9, trial_rng(3, 0))
     risks = risk_vector(problem, space, data)
     objectives = objective_vector(problem, space, data)
-    reg = problem.reg_vector(data.n, space)
+    reg = problem.reg_vector(data.n, space.payloads)
     assert np.allclose(objectives, risks + reg)
-    hid = 5
-    assert objective(problem, space.payload(hid), data) == pytest.approx(
-        objectives[hid]
-    )
-    assert empirical_risk(problem, space.payload(hid), data) == pytest.approx(
-        risks[hid]
-    )
+    payload = space.payloads[5]
+    risk = np.mean([logistic_loss(payload, point(data, j)) for j in range(data.n)])
+    assert risk == pytest.approx(risks[5])
+    assert risk + logistic_regularizer(data.n, payload) == pytest.approx(objectives[5])
 
 
 def test_zeta_dominates_regularizer_on_grid():
     problem, space = PROBLEM_BUILDERS["logistic"](resolution=8)
     for n in (3, 50, 1000):
-        worst = max(
-            problem.regularizer(n, space.payload(h)) for h in range(space.size)
-        )
-        assert worst <= problem.zeta(n) + 1e-12
+        reg = problem.reg_vector(n, space.payloads)
+        assert np.allclose(reg, [logistic_regularizer(n, p) for p in space.payloads])
+        assert reg.max() <= problem.zeta(n) + 1e-12
+
+
+def test_finite_support_rows_list_subsets_by_size_then_lexicographically():
+    problem, space = PROBLEM_BUILDERS["finite-support"](cells=5, max_subset_size=2)
+    subsets = [()] + [(c,) for c in range(5)] + [
+        (a, b) for a in range(5) for b in range(a + 1, 5)
+    ]
+    expected = [[float(c in s) for c in range(5)] for s in subsets]
+    assert space.payloads.tolist() == expected
+    assert problem.dimension == 5
+
+
+def _planted(bad):
+    """|x - h| on the unit grid, but ``bad`` where both exceed 0.9."""
+
+    def loss_matrix(payloads, dataset):
+        h = payloads[:, 0, None]
+        losses = np.abs(dataset.x[None, :] - h)
+        if bad is not None:
+            losses[(h > 0.9) & (dataset.x[None, :] > 0.9)] = bad
+        return losses
+
+    return Problem(name=f"planted-{bad}", dimension=1, loss_matrix=loss_matrix)
+
+
+@pytest.mark.parametrize("bad", [1.5, -0.1])
+def test_probe_refuses_a_loss_outside_unit_range(bad):
+    space = discretize_box(GridSpec((0.0,), (1.0,), (20,)))
+
+    def draw_points(rng, m):
+        return Dataset(x=rng.uniform(0.0, 1.0, size=m))
+
+    _probe_unit_range(_planted(None), space, draw_points)
+    with pytest.raises(ValueError, match=f"planted-{bad}: loss {bad} outside"):
+        _probe_unit_range(_planted(bad), space, draw_points)
 
 
 def test_erm_returns_argmin():
@@ -100,11 +175,10 @@ def test_erm_returns_argmin():
 
 class TestDataset:
     def test_point_conventions(self):
-        data = Dataset(x=np.array([0.1, 0.2]), y=np.array([1.0, 0.0]))
-        assert data.labeled
-        assert data.point(0) == (0.1, 1.0)
+        data = Dataset(x=[0.1, 0.2], y=[1, 0])
+        assert data.y.dtype == float and data.y.tolist() == [1.0, 0.0]
         plain = Dataset(x=np.array([0.3, 0.4]))
-        assert plain.point(1) == 0.4
+        assert plain.y is None
 
     def test_take_copies(self):
         data = Dataset(x=np.array([0.1, 0.2, 0.3]), y=np.array([0.0, 1.0, 1.0]))
@@ -138,7 +212,7 @@ class TestDistributions:
         dist = uniform_box([0.25], [0.5])
         data = dist.sample(100, trial_rng(4, 0))
         assert data.x.min() >= 0.25 and data.x.max() <= 0.5
-        assert not data.labeled
+        assert data.y is None
 
     @given(st.integers(1, 6))
     @settings(max_examples=20)
@@ -150,7 +224,7 @@ class TestDistributions:
         # Oracle: the scalar loss summed over the atoms, not loss_matrix.
         atoms = dist.atoms()
         oracle = sum(
-            float(p) * float(problem.loss(space.payload(hid), atoms.point(i)))
+            float(p) * threshold_loss(space.payloads[hid], point(atoms, i))
             for i, p in enumerate(dist.probs)
         )
         assert risks[hid] == pytest.approx(oracle)
@@ -169,10 +243,9 @@ class TestPackedFamily:
         family = packed_datasets(1.0, 3)
         for h, data in zip(family.thresholds, family.datasets):
             losses = problem.loss_matrix(
-                space, data
+                space.payloads, data
             )  # any grid point inside the pocket gets zero risk
-            assert problem.loss(np.array([h]), data.point(0)) == 0.0
-            assert problem.loss(np.array([h]), data.point(data.n - 1)) == 0.0
+            assert not problem.loss_matrix(np.array([[h]]), data).any()
             assert losses.min() == 0.0
 
     def test_pockets_are_disjoint(self):
