@@ -320,14 +320,153 @@ def laplace_icdf(u: float, scale: float) -> float:
     return -scale * math.copysign(1.0, w) * math.log1p(-2.0 * abs(w))
 
 
+_UNIT_ROUNDOFF = 2.0**-53
+_SMALLEST_SUBNORMAL = 2.0**-1074
+ERM_BLOCK_CELLS = 2**17
+ERM_NEWTON_PASSES = 64
+
+
+def _bisection_gradient(x: np.ndarray, h: np.ndarray, p: int) -> np.ndarray:
+    """The bisection's float value of sum_i sign(h - x_i)|h - x_i|^(p-1)
+    per row; the sign of this exact expression decides each halving."""
+    diff = h[:, None] - x
+    return (np.sign(diff) * np.abs(diff) ** (p - 1)).sum(axis=1)
+
+
+def _power_sums(
+    x: np.ndarray, h: np.ndarray, p: int, d: np.ndarray, t: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row sums of d^(p-2), d^(p-1) and |d|^(p-1) for d = h - x.
+
+    The powers come from repeated squaring of d in the buffers d and t
+    (4 multiplies for p = 10), so no pow, sign or abs of d is taken.
+    """
+    np.subtract(h[:, None], x, out=d)
+    if p == 2:
+        t.fill(1.0)
+    else:
+        np.multiply(d, d, out=t)
+        half = (p - 2) // 2
+        for bit in bin(half)[3:]:
+            np.multiply(t, t, out=t)
+            if bit == "1":
+                np.multiply(t, d, out=t)
+                np.multiply(t, d, out=t)
+    slope = t.sum(axis=1)
+    np.multiply(t, d, out=t)
+    grad = t.sum(axis=1)
+    np.abs(t, out=t)
+    return slope, grad, t.sum(axis=1)
+
+
+def _certified_guards(
+    x: np.ndarray, lo: np.ndarray, hi: np.ndarray, p: int,
+    d: np.ndarray, t: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, points left <= right such that the bisection's gradient is
+    certified not positive at every mid <= left and positive at every
+    mid >= right; (-inf, inf) where nothing is certified.  See
+    pth_power_erm_batch."""
+    rows, n = x.shape
+    k = n + 2 * p + 8
+    gamma = k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
+    tau = 2.0 * n * (p + 4) * _SMALLEST_SUBNORMAL
+    left = np.full(rows, -np.inf)
+    right = np.full(rows, np.inf)
+    flat = lo == hi
+    # Every mid of a constant row is the point itself, where the gradient is 0.
+    left[flat] = lo[flat]
+
+    def threshold(s: np.ndarray) -> np.ndarray:
+        return 4.0 * (gamma * (s + tau) / (1.0 - gamma) + tau)
+
+    def sums_at(idx: np.ndarray, h: np.ndarray):
+        m = idx.size
+        return _power_sums(x if m == rows else x[idx], h, p, d[:m], t[:m])
+
+    below, above = lo.copy(), hi.copy()
+    h = 0.5 * (below + above)
+    active = np.flatnonzero(~flat)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(ERM_NEWTON_PASSES):
+            if active.size == 0:
+                break
+            here = h[active]
+            slope, grad, size = sums_at(active, here)
+            lower = np.where(grad <= 0, here, below[active])
+            upper = np.where(grad >= 0, here, above[active])
+            slope *= p - 1
+            step = grad / slope
+            nxt = here - step
+            inside = (nxt >= lower) & (nxt <= upper)
+            nxt = np.where(inside, nxt, 0.5 * (lower + upper))
+            ulps = 4.0 * np.spacing(np.abs(here))
+            guard = np.maximum(2.0 * threshold(size) / slope, ulps)
+            done = inside & (np.abs(step) <= 0.25 * guard)
+            below[active], above[active], h[active] = lower, upper, nxt
+            width = guard[done] + 2.0 * np.abs(step[done])
+            left[active[done]] = nxt[done] - width
+            right[active[done]] = nxt[done] + width
+            active = active[~done & np.isfinite(guard)]
+        for point, sign in ((left, -1.0), (right, 1.0)):
+            held = np.flatnonzero(np.isfinite(left) & np.isfinite(right))
+            if held.size == 0:
+                break
+            _, grad, size = sums_at(held, point[held])
+            failed = held[~(np.isfinite(size) & (sign * grad >= threshold(size)))]
+            left[failed] = -np.inf
+            right[failed] = np.inf
+    return left, right
+
+
 def pth_power_erm_batch(
     x: np.ndarray, p: int = 10, tol: float = 1e-10
 ) -> np.ndarray:
     """Row-wise exact minimizer of sum_i |x_i - h|^p over h, for even p >= 2,
     on a (trials, n) batch of samples.
 
-    The derivative p * sum_i sign(h - x_i)|h - x_i|^(p-1) is continuous and
-    nondecreasing, so bisection on [min x, max x] pins the root.
+    The derivative p * G(h), G(h) = sum_i sign(h - x_i)|h - x_i|^(p-1), is
+    continuous and increasing, so bisection on [min x, max x] pins the root.
+    The result is the float of a fixed bisection: ceil(log2(R / tol)) + 2
+    halvings (R the widest row range of the batch), each keeping the half
+    where the float expression ``_bisection_gradient`` changes sign.  The
+    bracket certifies the tolerance; this kernel returns that float bit for
+    bit, but decides most halvings without evaluating the expression:
+
+    1. Newton.  A safeguarded Newton iteration finds each row's root r of G
+       inside its bracket (a step that leaves it falls back to the bracket
+       midpoint), with powers formed by repeated squaring.
+    2. Guard.  Write S(h) = sum_i |h - x_i|^(p-1).  For h off the root,
+       |G(h)| / S(h) = |A - B| / (A + B), with A and B the sums over the
+       points below and above h; moving h away from the root grows one and
+       shrinks the other, so both |G| and |G| / S grow monotonically.  The
+       float error of the bisection's expression is at most
+       gamma * S(h) + tau, with gamma = k u / (1 - k u), k = n + 2p + 8,
+       u = 2^-53, tau = 2 n (p + 4) * 2^-1074: one rounding in h - x_i,
+       pow within 4 ulps, the sum within gamma_(n-1), and the subnormal
+       floor per term.  The repeated-squaring sums obey the same bound.  So
+       if G(right) >= 2 (gamma * S(right) + tau), then at every h >= right
+       the error is at most G(h) / 2 and the expression is positive; the
+       mirror case holds for left.  The kernel checks this at
+       left, right = r -/+ g from the repeated-squaring sums, asking for
+       4 (gamma * S + tau) with S bounded above by its own error: one unit
+       pays for the error of the checked sum itself and one for the few
+       roundings of the test.  The half-width is
+       g = max(2 * 4 (gamma * S + tau) / G'(r), 4 ulps of r) plus twice the
+       last Newton step, where the first term is twice the distance at
+       which the slope G' of the last Newton pass reaches the threshold;
+       Newton stops once its step is under a quarter of that max.  A row
+       the check cannot certify (Newton not converged, a zero slope, an
+       overflowed power) gets (-inf, inf); a constant row, where every mid
+       is the point and the expression is exactly 0, gets (point, inf).
+    3. Replay.  The halvings run again on (trials,)-sized arrays: a mid at
+       or right of ``right`` keeps the left half, one at or left of
+       ``left`` keeps the right half, and only for the rows whose mid falls
+       strictly between does the expression itself decide.  Uncertified
+       rows thus run the plain bisection.
+
+    Rows are processed in blocks of about ERM_BLOCK_CELLS cells, so scratch
+    memory stays bounded whatever the batch size.
     """
     if p < 2 or p % 2 != 0:
         raise ValueError(f"p must be an even integer >= 2, got {p}")
@@ -336,15 +475,28 @@ def pth_power_erm_batch(
         raise ValueError("expected a (trials, n) array with n >= 1")
     if not np.all(np.isfinite(x)):
         raise ValueError("samples must be finite")
-    lo = x.min(axis=1).copy()
-    hi = x.max(axis=1).copy()
+    trials, n = x.shape
+    lo = x.min(axis=1)
+    hi = x.max(axis=1)
     # 60 halvings shrink any unit-length bracket far below tol = 1e-10.
     iters = max(1, math.ceil(math.log2(max(float((hi - lo).max()), tol) / tol)) + 2)
+    block = max(1, ERM_BLOCK_CELLS // n)
+    d = np.empty((min(block, trials), n))
+    t = np.empty_like(d)
+    left = np.empty(trials)
+    right = np.empty(trials)
+    for s in range(0, trials, block):
+        rows = slice(s, s + block)
+        left[rows], right[rows] = _certified_guards(
+            x[rows], lo[rows], hi[rows], p, d, t
+        )
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        diff = mid[:, None] - x
-        grad = (np.sign(diff) * np.abs(diff) ** (p - 1)).sum(axis=1)
-        go_left = grad > 0
+        go_left = mid >= right
+        near = np.flatnonzero((mid > left) & (mid < right))
+        for s in range(0, near.size, block):
+            rows = near[s : s + block]
+            go_left[rows] = _bisection_gradient(x[rows], mid[rows], p) > 0
         hi = np.where(go_left, mid, hi)
         lo = np.where(go_left, lo, mid)
     return 0.5 * (lo + hi)

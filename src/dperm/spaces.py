@@ -106,10 +106,6 @@ class FiniteHypothesisSpace:
     def size(self) -> int:
         return len(self.payloads)
 
-    @property
-    def dimension(self) -> int:
-        return self.payloads.shape[1]
-
 
 @dataclass(frozen=True)
 class SublevelReport:

@@ -7,6 +7,8 @@ independently of the library code (notes kept with the frozen values).
 import itertools
 import math
 import re
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -433,7 +435,91 @@ class TestLaplace:
         assert ours == pytest.approx(ref, rel=1e-9, abs=1e-9)
 
 
+def bisection_oracle(x, p, tol=1e-10):
+    """The fixed bisection that pth_power_erm_batch must reproduce bit for
+    bit: one halving count for the whole batch, each halving decided by the
+    sign of the float gradient at the bracket midpoint."""
+    x = np.asarray(x, dtype=float)
+    lo = x.min(axis=1).copy()
+    hi = x.max(axis=1).copy()
+    iters = max(1, math.ceil(math.log2(max(float((hi - lo).max()), tol) / tol)) + 2)
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        diff = mid[:, None] - x
+        grad = (np.sign(diff) * np.abs(diff) ** (p - 1)).sum(axis=1)
+        go_left = grad > 0
+        hi = np.where(go_left, mid, hi)
+        lo = np.where(go_left, lo, mid)
+    return 0.5 * (lo + hi)
+
+
+@st.composite
+def erm_batches(draw):
+    """(rows, n) batches whose rows differ in kind, scale and offset, so the
+    batch-wide halving count exceeds what the narrow rows need alone."""
+    n = draw(st.sampled_from([1, 2, 3, 8, 33, 200]))
+    rows = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = np.empty((rows, n))
+    for r in range(rows):
+        kind = draw(
+            st.sampled_from(["uniform", "constant", "two-point", "duplicates", "skewed"])
+        )
+        scale = draw(st.sampled_from([1e-300, 1e-6, 1.0, 1e3, 1e6]))
+        offset = draw(st.sampled_from([0.0, -0.5, 7.0]))
+        if kind == "uniform":
+            row = rng.uniform(0.0, 1.0, n)
+        elif kind == "constant":
+            row = np.full(n, rng.uniform())
+        elif kind == "two-point":
+            row = rng.integers(0, 2, n).astype(float)
+        elif kind == "duplicates":
+            row = rng.integers(0, 5, n) / 4.0
+        else:
+            row = rng.beta(0.2, 5.0, n)
+        x[r] = offset + scale * row
+    return x
+
+
+def exact_gradient(x, h, p):
+    """sum_i (h - x_i)^(p-1) in exact rational arithmetic; p - 1 is odd."""
+    return sum((h - Fraction(float(v))) ** (p - 1) for v in x)
+
+
+def root_within(x, out, p, tol):
+    """Whether the exact root of the gradient lies in [out - tol, out + tol]."""
+    out, tol = Fraction(float(out)), Fraction(tol)
+    return exact_gradient(x, out - tol, p) <= 0 <= exact_gradient(x, out + tol, p)
+
+
 class TestPthPowerErm:
+    @given(erm_batches(), st.sampled_from([2, 4, 10]))
+    @settings(max_examples=150, deadline=None)
+    def test_bit_identical_to_bisection(self, x, p):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = pth_power_erm_batch(x, p)
+        assert np.array_equal(got, bisection_oracle(x, p))
+
+    def test_halving_count_is_batch_wide(self):
+        wide = np.array([[0.0, 1e6, 3e5], [0.2, 0.7, 0.3]])
+        batch = pth_power_erm_batch(wide, p=10)
+        assert np.array_equal(batch, bisection_oracle(wide, 10))
+        # alone, the narrow row stops after fewer halvings
+        assert batch[1] != pth_power_erm_batch(wide[1:], p=10)[0]
+
+    @given(
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+        st.sampled_from([2, 4, 10]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_root_within_tolerance_exactly(self, values, p):
+        x = np.array([values])
+        out = pth_power_erm_batch(x, p)[0]
+        assert root_within(values, out, p, 1e-10)
+        # planted: an output off by twice the tolerance fails the same check
+        assert not root_within(values, out + 2e-10, p, 1e-10)
+
     def brute_minimum(self, x, p):
         grid = np.linspace(x.min(), x.max(), 200_001)
         vals = np.abs(x[None, :] - grid[:, None]) ** p

@@ -63,7 +63,6 @@ class TestSpaceValidation:
 
     def test_payload_accessors(self):
         space = discretize_box(unit_grid(3))
-        assert space.dimension == 1
         assert space.payloads.shape == (3, 1)
         assert np.allclose(space.payloads[:, 0], [1 / 6, 0.5, 5 / 6])
 
