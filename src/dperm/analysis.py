@@ -842,17 +842,14 @@ def sample_counts(
 ) -> np.ndarray:
     """Histogram of ``draws`` independent outputs over the hypothesis ids.
 
-    Draw i uses seed ``spawn_seed(seed, i)``.  A mechanism whose draws come
-    from its law takes them all from one law through ``sample_many``; any
-    other is sampled seed by seed.
+    Draw i uses seed ``spawn_seed(seed, i)``; all draws go through one
+    ``sample_many`` call, so a mechanism whose draws come from its law takes
+    them all from one law, and a boost builds each part's base law once.
     """
     if mechanism.space is None:
         raise ValueError("sample_counts needs a finite-space mechanism")
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
     seeds = [spawn_seed(seed, i) for i in range(draws)]
-    if mechanism.sample_many is not None:
-        ids = mechanism.sample_many(dataset, seeds)
-    else:
-        ids = [int(mechanism.sample(dataset, s)) for s in seeds]
+    ids = mechanism.sample_many(dataset, seeds)
     return np.bincount(ids, minlength=mechanism.space.size)

@@ -31,21 +31,43 @@ GUIDE_MIN_DRAWS = 1000
 
 
 def categorical(p: np.ndarray, u):
-    """Indices drawn from ``p`` by ``u`` (a float, or a 1-d array of floats
-    in [0, 1)), exactly as ``Generator.choice`` draws them."""
+    """Indices drawn from ``p`` by ``u``, exactly as ``Generator.choice``
+    draws them.
+
+    A 1-d ``p`` is one law, and ``u`` is a float or a 1-d array of floats in
+    [0, 1).  A 2-d ``p`` holds one law per row, and ``u`` holds one float
+    per row; row i gives ``categorical(p[i], u[i])``.  Every row gets the
+    checks of the 1-d call, with the same messages.
+    """
     p = np.asarray(p, dtype=float)
-    if p.ndim != 1 or p.size == 0:
-        raise ValueError("probabilities must be a nonempty 1-d array")
-    total = p.sum()
-    if np.isnan(total):
-        raise ValueError("probabilities contain NaN")
-    if (p < 0).any():
-        raise ValueError("probabilities are not non-negative")
-    if abs(total - 1.0) > SUM_ATOL:
-        raise ValueError(f"probabilities sum to {total!r}, not 1 within {SUM_ATOL:.3g}")
-    cdf = p.cumsum()
-    cdf /= cdf[-1]
     u = np.asarray(u, dtype=float)
+    if p.ndim not in (1, 2) or p.size == 0:
+        raise ValueError("probabilities must be a nonempty 1-d or 2-d array")
+    if p.ndim == 2:
+        if u.shape != (len(p),):
+            raise ValueError(f"expected {len(p)} uniforms, one per row, got shape {u.shape}")
+        if len(p) == 1:
+            # One row is the 1-d call on a 1-element u, whose scalar checks
+            # cost less than the row-wise ones.
+            p = p[0]
+    total = p.sum(axis=-1)
+    miss = abs(total - 1.0)
+    # One test passes every valid law: it fails on NaN, on a negative entry
+    # and on a sum off 1; the checks below then name the first that holds.
+    if not (miss <= SUM_ATOL if p.ndim == 1 else miss.max() <= SUM_ATOL) or p.min() < 0:
+        if np.isnan(total).any():
+            raise ValueError("probabilities contain NaN")
+        if p.min() < 0:
+            raise ValueError("probabilities are not non-negative")
+        first = total[miss > SUM_ATOL][0] if p.ndim == 2 else total
+        raise ValueError(f"probabilities sum to {first!r}, not 1 within {SUM_ATOL:.3g}")
+    cdf = p.cumsum(axis=-1)
+    if p.ndim == 2:
+        cdf /= cdf[:, -1:]
+        # A CDF row is nondecreasing, so the count of its entries <= u is
+        # the row's searchsorted(u, side="right").
+        return (cdf <= u[:, None]).sum(axis=1)
+    cdf /= cdf[-1]
     k = cdf.size
     if u.size < max(GUIDE_MIN_DRAWS, k):
         return cdf.searchsorted(u, side="right")

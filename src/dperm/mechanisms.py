@@ -8,11 +8,13 @@ Every mechanism here exposes the same two call paths:
   :class:`dperm.spaces.SizeLimitError` instead of being estimated, so
   auditing code never sees a sampled law.
 * ``sample(dataset, seed)`` draws one output.  Unless a factory gives its
-  own, it is one draw from ``law(dataset)`` under ``default_rng(seed)``,
-  and ``sample_many(dataset, seeds)`` gives the same draws for many seeds
-  from one law.  The seed is consumed as-is (callers derive per-trial seeds
-  themselves); sub-draws inside composite mechanisms fork the seed through
-  :func:`dperm.seeding.spawn_seed` so the pieces stay independent.
+  own, it is one draw from ``law(dataset)`` under ``default_rng(seed)``.
+  ``sample_many(data, seeds)`` gives the draws of many seeds at once: on one
+  dataset, all from one law; on a sequence of datasets aligned with the
+  seeds, draw i from the law of dataset i, with those laws built as the
+  rows of one array.  The seed is consumed as-is (callers derive per-trial
+  seeds themselves); sub-draws inside composite mechanisms fork the seed
+  through :func:`dperm.seeding.spawn_seed` so the pieces stay independent.
 
 Every draw from a probability vector goes through
 :func:`dperm.draws.categorical` with the generator's own uniforms, so it
@@ -40,6 +42,7 @@ from .spaces import FiniteHypothesisSpace, SizeLimitError
 PROB_SUM_TOL = 1e-12
 LOG_CONSISTENCY_TOL = 1e-10
 LOG_UNDERFLOW = -740.0
+FLOAT_MIN = float(np.finfo(np.float64).min)
 SUBSAMPLE_EXACT_CAP = 10**5
 BOOST_LAW_CAP = 2 * 10**5
 
@@ -66,16 +69,24 @@ def logsumexp(a: np.ndarray) -> float:
 
 
 def logsumexp_rows(a: np.ndarray) -> np.ndarray:
-    """:func:`logsumexp` of each row of a 2-d array, by the same steps."""
+    """:func:`logsumexp` of each row of a 2-d array, by the same steps.
+
+    A single row takes :func:`logsumexp` itself, whose scalar steps cost
+    less than the row-wise ones.
+    """
     a = np.asarray(a, dtype=float)
-    a_max = a.max(axis=1, keepdims=True)
-    top = a == a_max
-    m = top.sum(axis=1, keepdims=True, dtype=float)
-    # An all -inf row would make a - a_max NaN; shift it by 0 instead.
-    shift = np.where(a_max == -np.inf, 0.0, a_max)
-    s = np.exp(np.where(top, -np.inf, a) - shift).sum(axis=1, keepdims=True)
-    s = np.where(s == 0, s, s / m)
-    return (np.log1p(s) + np.log(m) + a_max)[:, 0]
+    if a.shape[0] == 1:
+        return np.array([logsumexp(a[0])])
+    a_max = a.max(axis=1)
+    top = a == a_max[:, None]
+    m = top.sum(axis=1)
+    # An all -inf row would make a - a_max NaN; the lowest float as its
+    # shift keeps every entry at -inf.
+    e = np.where(top, -np.inf, a)
+    e -= np.maximum(a_max, FLOAT_MIN)[:, None]
+    # m >= 1, so a zero sum stays exactly 0 after the division.
+    s = np.exp(e, out=e).sum(axis=1) / m
+    return np.log1p(s) + np.log(m) + a_max
 
 
 @dataclass(frozen=True)
@@ -96,6 +107,68 @@ class PrivacyBudget:
         return self.delta == 0.0
 
 
+def normalized_logit_rows(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Probabilities and log-probabilities of each row of a 2-d array of
+    unnormalized log-weights; :meth:`MechanismDistribution.from_logits` is
+    its one-row case.
+
+    The exponentiated weights are renormalized once more in linear space:
+    at |H| in the tens of thousands the raw exp of (logits - logsumexp) can
+    miss a unit sum by more than PROB_SUM_TOL in accumulated rounding.  The
+    log view is shifted by each row's ``math.log`` of that sum, not by
+    ``np.log``, which may differ from it in the last bit.
+    """
+    if not (logits < np.inf).all():
+        raise ValueError("logits must be < inf and not NaN")
+    lse = logsumexp_rows(logits)
+    if not all(map(math.isfinite, lse.tolist())):
+        raise ValueError("logits carry no finite mass")
+    logp = logits - lse[:, None]
+    p = np.exp(logp)
+    total = p.sum(axis=1)
+    p /= total[:, None]
+    logp -= np.array([math.log(t) for t in total.tolist()])[:, None]
+    return p, logp
+
+
+def check_law_rows(p: np.ndarray, logp: np.ndarray) -> None:
+    """Check each row of 2-d arrays of probabilities and log-probabilities
+    as one exact law; :class:`MechanismDistribution` runs the one-row case.
+
+    Each linear row must be finite, nonnegative and sum to one within
+    PROB_SUM_TOL, and agree with its log row to within LOG_CONSISTENCY_TOL
+    on every entry of positive mass.
+    """
+    total = p.sum(axis=1)
+    off = np.abs(total - 1.0)
+    # One test passes every valid row: a NaN or inf entry puts its row sum
+    # off 1, and p.min() is NaN when any entry is.
+    if not (off.max() <= PROB_SUM_TOL and p.min() >= 0):
+        if not (p.min() >= 0 and np.isfinite(p).all()):
+            raise ValueError("probabilities must be finite and nonnegative")
+        row = int(np.argmax(off > PROB_SUM_TOL))
+        raise ValueError(
+            f"probabilities sum to {float(total[row])!r}, not 1 within {PROB_SUM_TOL}"
+        )
+    # Every row sums to one, so every row has an entry of positive mass.
+    pos = p > 0
+    logp_pos = logp[pos]
+    # The largest log-probability off the support; NaN if any is NaN.
+    off_support = np.where(pos, -np.inf, logp).max()
+    if not logp_pos.max() <= 1e-12 or np.isnan(off_support):
+        raise ValueError("log-probabilities must be <= 0 and not NaN")
+    if np.abs(np.log(p[pos]) - logp_pos).max() > LOG_CONSISTENCY_TOL:
+        raise ValueError("linear and log probabilities disagree beyond tolerance")
+    # exp underflows to 0.0 just below log of the smallest subnormal
+    # (about -744.4), so a zero linear entry is consistent with any
+    # log-probability under that floor, not only with -inf.
+    if off_support > LOG_UNDERFLOW:
+        raise ValueError(
+            "zero-mass hypotheses must carry log-probability -inf "
+            f"or below the underflow floor {LOG_UNDERFLOW}"
+        )
+
+
 @dataclass(eq=False)
 class MechanismDistribution:
     """Exact output law of a mechanism over a finite hypothesis space.
@@ -103,8 +176,8 @@ class MechanismDistribution:
     Probabilities are stored both linearly and in log form; the two views
     must agree to within LOG_CONSISTENCY_TOL on every hypothesis of positive
     mass, and the linear view must sum to one within PROB_SUM_TOL.  These are
-    enforced at construction because audit arithmetic downstream silently
-    degrades when they drift.
+    enforced at construction (:func:`check_law_rows`) because audit
+    arithmetic downstream silently degrades when they drift.
     """
 
     space: FiniteHypothesisSpace
@@ -119,25 +192,7 @@ class MechanismDistribution:
                 "probability vectors must have one entry per hypothesis, "
                 f"got shapes {p.shape} and {logp.shape} for |H|={self.space.size}"
             )
-        if (p < 0).any() or not np.isfinite(p).all():
-            raise ValueError("probabilities must be finite and nonnegative")
-        total = float(p.sum())
-        if abs(total - 1.0) > PROB_SUM_TOL:
-            raise ValueError(f"probabilities sum to {total!r}, not 1 within {PROB_SUM_TOL}")
-        pos = p > 0
-        if np.isnan(logp).any() or (logp[pos] > 1e-12).any():
-            raise ValueError("log-probabilities must be <= 0 and not NaN")
-        ref = np.log(p[pos])
-        if pos.any() and float(np.abs(ref - logp[pos]).max()) > LOG_CONSISTENCY_TOL:
-            raise ValueError("linear and log probabilities disagree beyond tolerance")
-        # exp underflows to 0.0 just below log of the smallest subnormal
-        # (about -744.4), so a zero linear entry is consistent with any
-        # log-probability under that floor, not only with -inf.
-        if (logp[~pos] > LOG_UNDERFLOW).any():
-            raise ValueError(
-                "zero-mass hypotheses must carry log-probability -inf "
-                f"or below the underflow floor {LOG_UNDERFLOW}"
-            )
+        check_law_rows(p[None], logp[None])
         self.probabilities = p
         self.log_probabilities = logp
 
@@ -145,28 +200,15 @@ class MechanismDistribution:
     def from_logits(
         cls, space: FiniteHypothesisSpace, logits: np.ndarray
     ) -> "MechanismDistribution":
-        """Normalize unnormalized log-weights into a distribution.
-
-        The exponentiated weights are renormalized once more in linear space:
-        at |H| in the tens of thousands the raw exp of (logits - logsumexp)
-        can miss a unit sum by more than PROB_SUM_TOL in accumulated rounding.
-        """
+        """Normalize unnormalized log-weights into a distribution (the
+        one-row case of :func:`normalized_logit_rows`)."""
         logits = np.asarray(logits, dtype=float)
         if logits.shape != (space.size,):
             raise ValueError(
                 f"expected {space.size} logits, got shape {logits.shape}"
             )
-        if np.isnan(logits).any() or (logits == np.inf).any():
-            raise ValueError("logits must be < inf and not NaN")
-        lse = float(logsumexp(logits))
-        if not math.isfinite(lse):
-            raise ValueError("logits carry no finite mass")
-        logp = logits - lse
-        p = np.exp(logp)
-        total = float(p.sum())
-        p = p / total
-        logp = logp - math.log(total)
-        return cls(space=space, probabilities=p, log_probabilities=logp)
+        p, logp = normalized_logit_rows(logits[None])
+        return cls(space=space, probabilities=p[0], log_probabilities=logp[0])
 
     @classmethod
     def from_probabilities(
@@ -193,8 +235,26 @@ class MechanismDistribution:
 
 
 LawFn = Callable[[Dataset], MechanismDistribution]
+LawRowsFn = Callable[[Sequence[Dataset]], tuple[np.ndarray, np.ndarray]]
 SampleFn = Callable[[Dataset, int], object]
+SampleManyFn = Callable[[Union[Dataset, Sequence[Dataset]], Sequence[int]], np.ndarray]
 BudgetFn = Callable[[int], PrivacyBudget]
+
+
+def _datasets_for(data, seeds: Sequence[int]) -> list:
+    """The sequence form of ``sample_many``'s data, checked against the seeds."""
+    datasets = list(data)
+    if len(datasets) != len(seeds):
+        raise ValueError(
+            f"got {len(datasets)} datasets for {len(seeds)} seeds; "
+            "pass one dataset or one per seed"
+        )
+    return datasets
+
+
+def _uniforms(seeds: Sequence[int]) -> np.ndarray:
+    """The first ``random()`` of ``default_rng(seed)`` for each seed."""
+    return np.array([np.random.default_rng(s).random() for s in seeds])
 
 
 @dataclass(eq=False)
@@ -204,13 +264,24 @@ class Mechanism:
     ``budget(n)`` is the claim at dataset size n, read through
     :meth:`claimed_budget`; None means the mechanism makes no claim.
     ``law`` is None when the mechanism gives no law (a boost whose candidate
-    tuples pass its cap, or a wrapper of such a base).  When ``sample`` is
-    omitted it is derived from the law: one draw from ``self.law(dataset)``
-    under ``default_rng(seed)``, reading ``self.law`` at call time.  Such a
-    mechanism also gets ``sample_many(dataset, seeds)``, the same draws for
-    many seeds: it builds ``self.law(dataset)`` once and looks up one
-    ``default_rng(seed).random()`` per seed in one kernel call.  A mechanism
-    with its own ``sample`` has no ``sample_many`` (it is None).
+    tuples pass its cap, or a wrapper of such a base).
+
+    ``sample_many(data, seeds)`` takes one dataset or a sequence of datasets
+    aligned with ``seeds`` and returns an array of ids: draw i under seed i,
+    on dataset i or on the one dataset.  A factory may give ``sample``,
+    ``sample_many`` or neither:
+
+    * ``sample`` only: ``sample_many`` calls it seed by seed.
+    * ``sample_many`` only: ``sample`` is its one-row case,
+      ``self.sample_many([dataset], [seed])[0]``.
+    * neither: draws come from the law.  ``sample`` is one draw from
+      ``self.law(dataset)`` under ``default_rng(seed)``, reading
+      ``self.law`` at call time.  ``sample_many`` builds ``self.law(dataset)``
+      once for one dataset, or ``self.law_rows(datasets)`` for a sequence,
+      and looks up one ``default_rng(seed).random()`` per seed in one
+      kernel call.  ``law_rows(datasets)`` gives the probabilities and
+      log-probabilities of those laws as the rows of two (T, |H|) arrays;
+      unless the factory gives it, it stacks ``self.law``.
 
     ``base`` is set on wrappers whose law mixes laws of another mechanism on
     sub-datasets.  Their ``law(dataset, base_law)`` takes those laws from
@@ -226,23 +297,46 @@ class Mechanism:
     space: Optional[FiniteHypothesisSpace] = None
     base: Optional["Mechanism"] = None
     info: dict = field(default_factory=dict)
-    sample_many: Optional[Callable[[Dataset, Sequence[int]], np.ndarray]] = field(
-        default=None, init=False, repr=False
-    )
+    sample_many: Optional[SampleManyFn] = None
+    law_rows: Optional[LawRowsFn] = None
 
     def __post_init__(self) -> None:
-        if self.sample is None:
-            if self.law is None:
-                raise ValueError(f"mechanism {self.name!r} has neither sample nor law")
+        if self.sample is None and self.sample_many is None and self.law is None:
+            raise ValueError(f"mechanism {self.name!r} has neither sample nor law")
+        if self.sample is None and self.sample_many is not None:
+
+            def sample(dataset: Dataset, seed: int) -> int:
+                return int(self.sample_many([dataset], [seed])[0])
+
+            self.sample = sample
+        elif self.sample is None:
+            if self.law_rows is None:
+
+                def law_rows(datasets: Sequence[Dataset]) -> tuple[np.ndarray, np.ndarray]:
+                    laws = [self.law(d) for d in datasets]
+                    return (np.stack([law.probabilities for law in laws]),
+                            np.stack([law.log_probabilities for law in laws]))
+
+                self.law_rows = law_rows
 
             def sample(dataset: Dataset, seed: int) -> int:
                 return self.law(dataset).sample(np.random.default_rng(seed))
 
-            def sample_many(dataset: Dataset, seeds: Sequence[int]) -> np.ndarray:
-                u = np.array([np.random.default_rng(s).random() for s in seeds])
-                return categorical(self.law(dataset).probabilities, u)
+            def sample_many(data, seeds: Sequence[int]) -> np.ndarray:
+                u = _uniforms(seeds)
+                if isinstance(data, Dataset):
+                    return categorical(self.law(data).probabilities, u)
+                return categorical(self.law_rows(_datasets_for(data, seeds))[0], u)
 
             self.sample = sample
+            self.sample_many = sample_many
+        elif self.sample_many is None:
+
+            def sample_many(data, seeds: Sequence[int]) -> np.ndarray:
+                datasets = ([data] * len(seeds) if isinstance(data, Dataset)
+                            else _datasets_for(data, seeds))
+                return np.array([self.sample(d, s) for d, s in zip(datasets, seeds)])
+
             self.sample_many = sample_many
 
     def claimed_budget(self, n: int) -> PrivacyBudget:
@@ -274,14 +368,22 @@ def exponential_mechanism(
 
     log_measure = np.log(space.measure)
 
-    def law(dataset: Dataset) -> MechanismDistribution:
+    def logits(dataset: Dataset) -> np.ndarray:
         values = objective_vector(problem, space, dataset)
-        logits = log_measure - em_scale(epsilon, dataset.n) * values
-        return MechanismDistribution.from_logits(space, logits)
+        return log_measure - em_scale(epsilon, dataset.n) * values
+
+    def law(dataset: Dataset) -> MechanismDistribution:
+        return MechanismDistribution.from_logits(space, logits(dataset))
+
+    def law_rows(datasets: Sequence[Dataset]) -> tuple[np.ndarray, np.ndarray]:
+        p, logp = normalized_logit_rows(np.stack([logits(d) for d in datasets]))
+        check_law_rows(p, logp)
+        return p, logp
 
     return Mechanism(
         name=f"em({problem.name},eps={epsilon:g})",
         law=law,
+        law_rows=law_rows,
         budget=lambda n: PrivacyBudget(epsilon),
         problem=problem,
         space=space,
@@ -466,7 +568,10 @@ def pth_power_erm_batch(
        rows thus run the plain bisection.
 
     Rows are processed in blocks of about ERM_BLOCK_CELLS cells, so scratch
-    memory stays bounded whatever the batch size.
+    memory stays bounded whatever the batch size.  A row whose range R is so
+    wide that n R^(p-1) nears the float64 maximum is refused with a
+    ValueError naming it: there the expression overflows to inf - inf and
+    the halvings would follow NaN.
     """
     if p < 2 or p % 2 != 0:
         raise ValueError(f"p must be an even integer >= 2, got {p}")
@@ -478,8 +583,21 @@ def pth_power_erm_batch(
     trials, n = x.shape
     lo = x.min(axis=1)
     hi = x.max(axis=1)
+    # Every |h - x_i| the search meets is at most the row's range R, so the
+    # sums of |h - x_i|^(p-1) stay finite while n R^(p-1) is well inside the
+    # float range (the factor 2 covers the roundings of d and its power).
+    with np.errstate(over="ignore"):
+        span = hi - lo
+        reach = n * span ** (p - 1)
+    wide = np.flatnonzero(~(reach < np.finfo(float).max / 2))
+    if wide.size:
+        row = int(wide[0])
+        raise ValueError(
+            f"row {row} spans {float(span[row])!r}: the sum of its "
+            f"{n} terms |x - h|^{p - 1} overflows float64"
+        )
     # 60 halvings shrink any unit-length bracket far below tol = 1e-10.
-    iters = max(1, math.ceil(math.log2(max(float((hi - lo).max()), tol) / tol)) + 2)
+    iters = max(1, math.ceil(math.log2(max(float(span.max()), tol) / tol)) + 2)
     block = max(1, ERM_BLOCK_CELLS // n)
     d = np.empty((min(block, trials), n))
     t = np.empty_like(d)
@@ -809,23 +927,35 @@ def boost_high_confidence(
         np.add.at(probs, combos.ravel(), (weight[:, None] * sel).ravel())
         return MechanismDistribution.from_probabilities(space, probs)
 
-    def sample(dataset: Dataset, seed: int) -> int:
-        train, validation = boost_parts(dataset.n, a)
-        candidates = [
-            int(base.sample(dataset.take(idx), spawn_seed(seed, j)))
-            for j, idx in enumerate(train)
-        ]
-        val_risks = risk_vector(problem, space, dataset.take(validation))
-        logits = -selection_scale(dataset.n) * val_risks[np.asarray(candidates)]
-        sel = np.exp(logits - logsumexp(logits))
-        sel = sel / sel.sum()
-        rng = np.random.default_rng(spawn_seed(seed, a))
-        return candidates[int(categorical(sel, rng.random()))]
+    def sample_many(data, seeds: Sequence[int]) -> np.ndarray:
+        # Draw i runs the base on part j under spawn_seed(seeds[i], j) and
+        # selects under spawn_seed(seeds[i], a).  On one dataset the parts
+        # are the same for every seed, so each base law is built once.
+        datasets = [data] if isinstance(data, Dataset) else _datasets_for(data, seeds)
+        one = len(datasets) == 1
+        splits = [boost_parts(d.n, a) for d in datasets]
+        candidates = np.empty((len(seeds), a), dtype=np.intp)
+        for j in range(a):
+            parts = [d.take(train[j]) for d, (train, _) in zip(datasets, splits)]
+            candidates[:, j] = base.sample_many(
+                parts[0] if one else parts, [spawn_seed(s, j) for s in seeds]
+            )
+        risks = [risk_vector(problem, space, d.take(validation))
+                 for d, (_, validation) in zip(datasets, splits)]
+        if one:
+            logits = -selection_scale(datasets[0].n) * risks[0][candidates]
+        else:
+            scales = np.array([selection_scale(d.n) for d in datasets])[:, None]
+            logits = -scales * np.take_along_axis(np.stack(risks), candidates, axis=1)
+        sel = np.exp(logits - logsumexp_rows(logits)[:, None])
+        sel /= sel.sum(axis=1, keepdims=True)
+        pick = categorical(sel, _uniforms([spawn_seed(s, a) for s in seeds]))
+        return candidates[np.arange(len(seeds)), pick]
 
     has_law = base.law is not None and space.size**a <= law_cap
     return Mechanism(
         name=f"boost({base.name},delta={delta_target:g},eps={epsilon:g})",
-        sample=sample,
+        sample_many=sample_many,
         law=law if has_law else None,
         budget=budget,
         problem=problem,

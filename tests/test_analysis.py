@@ -453,16 +453,23 @@ class TestSampleCountsBatch:
     def test_own_samplers_keep_the_per_seed_loop(self, support_case):
         problem, space, data = support_case
         em = exponential_mechanism(problem, space, 1.0)
-        mechs = [
-            subsample_wrapper(em, 10),
-            boost_high_confidence(em, space, 0.2, 1.0),
-        ]
-        for mech in mechs:
-            assert mech.sample_many is None
-            laws, draws = [], []
-            expected = _per_seed_counts(mech, data, 150, 11)
-            if mech.law is not None:
-                mech.law = _counting(mech.law, laws)
-            mech.sample = _counting(mech.sample, draws)
-            assert np.array_equal(sample_counts(mech, data, 150, 11), expected)
-            assert len(draws) == 150 and not laws
+        mech = subsample_wrapper(em, 10)
+        laws, draws = [], []
+        expected = _per_seed_counts(mech, data, 150, 11)
+        mech.law = _counting(mech.law, laws)
+        mech.sample = _counting(mech.sample, draws)
+        assert np.array_equal(sample_counts(mech, data, 150, 11), expected)
+        assert len(draws) == 150 and not laws
+
+    def test_boost_builds_each_part_law_once(self, support_case):
+        problem, space, data = support_case
+        em = exponential_mechanism(problem, space, 1.0)
+        mech = boost_high_confidence(em, space, 0.2, 1.0)
+        expected = _per_seed_counts(mech, data, 150, 11)
+        base_laws, laws, draws = [], [], []
+        em.law = _counting(em.law, base_laws)
+        mech.law = _counting(mech.law, laws)
+        mech.sample = _counting(mech.sample, draws)
+        assert np.array_equal(sample_counts(mech, data, 150, 11), expected)
+        assert len(base_laws) == mech.info["parts"]
+        assert not laws and not draws

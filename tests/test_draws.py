@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dperm.draws import GUIDE_MIN_DRAWS, categorical
 
@@ -98,3 +100,77 @@ def test_bad_probabilities_raise(p):
         categorical(np.array(p, dtype=float), 0.5)
     with pytest.raises(ValueError):
         np.random.default_rng(0).choice(max(len(p), 1), p=p)
+
+
+ROW_KINDS = ("uniform", "dirichlet", "zero-mass", "tiny-mass", "ties")
+
+
+@st.composite
+def law_rows(draw):
+    """A (rows, k) array of laws of mixed kinds, k up to past 1,024, and one
+    uniform per row: random, on a CDF value, one ulp either side of it, 0,
+    or the largest double below 1."""
+    k = draw(st.one_of(st.integers(1, 9), st.integers(120, 136), st.integers(1020, 1030)))
+    rows = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p, u = np.empty((rows, k)), np.empty(rows)
+    for r in range(rows):
+        kind = draw(st.sampled_from(ROW_KINDS))
+        if kind == "uniform":
+            w = np.ones(k)
+        elif kind == "dirichlet":
+            w = rng.dirichlet(np.full(k, 0.1))
+        elif kind == "zero-mass":
+            w = np.where(rng.random(k) < 0.5, 0.0, rng.random(k))
+        elif kind == "tiny-mass":
+            w = np.where(rng.random(k) < 0.5, 1e-20, rng.random(k))
+        else:  # a few distinct masses, each repeated
+            w = rng.integers(1, 4, k).astype(float)
+        if not w.any():
+            w[rng.integers(k)] = 1.0
+        p[r] = w / w.sum()
+        mark = _cdf(p[r])[rng.integers(k)]
+        where = draw(st.sampled_from(["random", "on", "below", "above", "zero", "top"]))
+        u[r] = {
+            "random": rng.random(),
+            "on": mark,
+            "below": np.nextafter(mark, 0.0),
+            "above": np.nextafter(mark, 2.0),
+            "zero": 0.0,
+            "top": np.nextafter(1.0, 0.0),
+        }[where]
+        if u[r] >= 1.0:
+            u[r] = np.nextafter(1.0, 0.0)
+    return p, u
+
+
+@given(law_rows())
+@settings(max_examples=300, deadline=None)
+def test_rows_equal_the_1d_call(case):
+    p, u = case
+    got = categorical(p, u)
+    assert got.tolist() == [int(categorical(row, v)) for row, v in zip(p, u)]
+    assert got.tolist() == [int(_cdf(row).searchsorted(v, side="right"))
+                            for row, v in zip(p, u)]
+
+
+@pytest.mark.parametrize("bad", [
+    [0.5, np.nan, 0.5],
+    [0.5, -0.1, 0.6],
+    [0.55, 0.55, 0.1],
+    [0.5, np.inf, 0.0],
+])
+@pytest.mark.parametrize("at", [0, 2])
+def test_bad_row_raises_like_the_1d_call(bad, at):
+    p = np.array([[0.2, 0.3, 0.5]] * 3)
+    p[at] = bad
+    with pytest.raises(ValueError) as one:
+        categorical(p[at], 0.5)
+    with pytest.raises(ValueError) as rows:
+        categorical(p, np.full(3, 0.5))
+    assert str(rows.value) == str(one.value)
+
+
+def test_rows_need_one_uniform_each():
+    with pytest.raises(ValueError, match="one per row"):
+        categorical(np.full((2, 2), 0.5), [0.1, 0.2, 0.3])

@@ -9,9 +9,6 @@ from dperm.config import parse_config_file
 from dperm.experiments import CSV_COLUMNS, Row, _cell, rows_to_csv, run_experiment
 
 REPO = Path(__file__).resolve().parent.parent
-# scripts/check_results.sh replays boost as well; it is the slow one (about
-# 3.5 s on a 2 vCPU Xeon, where rates takes about 2.3 s).
-REPLAYED_ELSEWHERE = {"boost"}
 
 
 class TestCell:
@@ -53,7 +50,7 @@ def test_rows_to_csv_quotes_commas():
 
 @pytest.mark.parametrize(
     "conf",
-    sorted(p for p in (REPO / "scripts").glob("*.conf") if p.stem not in REPLAYED_ELSEWHERE),
+    sorted((REPO / "scripts").glob("*.conf")),
     ids=lambda p: p.stem,
 )
 def test_shipped_config_reproduces_its_csv(conf):

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp as scipy_logsumexp
 from scipy.stats import laplace as scipy_laplace
 
+from dperm import mechanisms
 from dperm.mechanisms import (
     LOG_UNDERFLOW,
     Mechanism,
@@ -26,6 +27,7 @@ from dperm.mechanisms import (
     amplify_pure,
     boost_high_confidence,
     boost_parts,
+    check_law_rows,
     em_scale,
     erm_mechanism,
     exponential_mechanism,
@@ -46,7 +48,7 @@ from dperm.problems import (
     risk_vector,
     uniform_box,
 )
-from dperm.seeding import trial_rng
+from dperm.seeding import spawn_seed, trial_rng
 from dperm.spaces import FiniteHypothesisSpace, SizeLimitError
 
 
@@ -552,6 +554,22 @@ class TestPthPowerErm:
         with pytest.raises(ValueError):
             pth_power_erm_batch(np.array([[0.1, 0.2]]), p=3)
 
+    @pytest.mark.parametrize(
+        "rows, bad",
+        [
+            # The range itself overflows to inf.
+            ([[-1e308, 1e308]], 0),
+            # |x - h|^9 overflows, so the gradient would be inf - inf.
+            ([[0.0, 3e39, 1e40]], 0),
+            ([[0.2, 0.7, 0.3], [0.0, 3e39, 1e40]], 1),
+        ],
+    )
+    def test_overflowing_row_is_refused_by_name(self, rows, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^row {bad} spans .* overflows float64"):
+                pth_power_erm_batch(np.array(rows))
+
 
 class TestBoosting:
     def test_part_layout(self):
@@ -600,8 +618,9 @@ class TestBoosting:
             np.array([0.1, 0.5, 0.9]), probs=np.array([0.6, 0.3, 0.1])
         ).sample(12, trial_rng(0, 0))
         law = boosted.law(data).probabilities
-        draws = np.array([boosted.sample(data, seed=trial_rng(1, t).integers(2**63))
-                          for t in range(20_000)])
+        # The same draws as boosted.sample seed by seed, from 2 part laws.
+        draws = boosted.sample_many(
+            data, [trial_rng(1, t).integers(2**63) for t in range(20_000)])
         counts = np.bincount(draws, minlength=space.size)
         result = chi_square_gof(law, counts)
         assert result.pvalue > 1e-3
@@ -747,3 +766,162 @@ def test_no_mechanism_changes_during_a_computation(build):
         if mech.budget is not None:
             mech.claimed_budget(data.n)
     assert _state(mech) == before
+
+
+def _em_row_case(size, sizes, seed=0):
+    problem, space = PROBLEM_BUILDERS["pth-power"](resolution=size)
+    assert space.size == size
+    mech = exponential_mechanism(problem, space, 3.0)
+    datasets = [uniform_box([0.0], [1.0]).sample(n, trial_rng(seed, i))
+                for i, n in enumerate(sizes)]
+    return mech, datasets
+
+
+def boost_draw_oracle(base, space, a, epsilon, dataset, seed):
+    """One boost draw as a per-draw loop: the base sampled on each part, then
+    the selection law built with scipy and drawn by Generator.choice."""
+    train, validation = boost_parts(dataset.n, a)
+    candidates = [int(base.sample(dataset.take(idx), spawn_seed(seed, j)))
+                  for j, idx in enumerate(train)]
+    val_risks = risk_vector(base.problem, space, dataset.take(validation))
+    logits = -(epsilon * dataset.n / (4.0 * (a + 1))) * val_risks[candidates]
+    sel = np.exp(logits - scipy_logsumexp(logits))
+    sel = sel / sel.sum()
+    rng = np.random.default_rng(spawn_seed(seed, a))
+    return candidates[int(rng.choice(a, p=sel))]
+
+
+def law_oracle(logits):
+    """The exponential-mechanism law of one logit row, by scipy's logsumexp
+    and the log view shifted by math.log of the linear total."""
+    logp = logits - scipy_logsumexp(logits)
+    p = np.exp(logp)
+    total = float(p.sum())
+    return p / total, logp - math.log(total)
+
+
+class TestLawRows:
+    # 8 is numpy's unrolled pairwise-sum width and 128 its block, so these
+    # sizes put the row sums on both sides of each.
+    @pytest.mark.parametrize("size", [8, 128, 129, 1025])
+    def test_em_rows_equal_the_laws(self, size):
+        mech, datasets = _em_row_case(size, [1, 2, 7, 40, 300])
+        p, logp = mech.law_rows(datasets)
+        assert p.shape == logp.shape == (len(datasets), size)
+        for row, dataset in enumerate(datasets):
+            law = mech.law(dataset)
+            assert np.array_equal(p[row], law.probabilities)
+            assert np.array_equal(logp[row], law.log_probabilities)
+
+    def test_log_view_takes_math_log_of_each_total(self):
+        # The linear total of a normalized row lies within a few ulps of 1.
+        # At 1 - 2^-52 numpy's log can differ from math.log in the last bit,
+        # and then log-probabilities in [-4, -2), where subtracting 2^-52 is
+        # a rounding tie, come out one ulp apart; audits read this view.
+        mech, datasets = _em_row_case(8, [1 + i % 50 for i in range(120)], seed=8)
+        problem, space = mech.problem, mech.space
+        p, logp = mech.law_rows(datasets)
+        rows_np_log_would_change = 0
+        for row, dataset in enumerate(datasets):
+            logits = (np.log(space.measure)
+                      - em_scale(3.0, dataset.n) * objective_vector(problem, space, dataset))
+            want_p, want_logp = law_oracle(logits)
+            assert np.array_equal(p[row], want_p)
+            assert np.array_equal(logp[row], want_logp)
+            shifted = logits - scipy_logsumexp(logits)
+            total = np.exp(shifted).sum()
+            rows_np_log_would_change += not np.array_equal(
+                want_logp, shifted - np.log(np.array([total]))[0])
+        top = 1.0 - 2.0**-52
+        if np.log(np.array([top]))[0] != math.log(top):
+            assert rows_np_log_would_change > 0
+
+    def test_rows_are_checked_one_by_one(self, monkeypatch):
+        mech, datasets = _em_row_case(8, [3, 4, 5])
+        normalize = mechanisms.normalized_logit_rows
+
+        def off_sum(logits):
+            p, logp = normalize(logits)
+            p[1] *= 1.5
+            return p, logp
+
+        monkeypatch.setattr(mechanisms, "normalized_logit_rows", off_sum)
+        with pytest.raises(ValueError, match=r"sum to 1\.(5|49)"):
+            mech.law_rows(datasets)
+        with pytest.raises(ValueError, match=r"sum to 1\.(5|49)"):
+            mech.sample_many(datasets, [1, 2, 3])
+
+    @pytest.mark.parametrize("bad_p, bad_logp", [
+        ([0.5, -0.1, 0.6], [-1.0, -1.0, -1.0]),
+        ([0.5, 0.4, 0.0], [math.log(0.5), math.log(0.4), -np.inf]),
+        ([0.5, 0.5, 0.0], [math.log(0.5), -0.5, -np.inf]),
+        ([0.5, 0.5, 0.0], [math.log(0.5), math.log(0.5), -700.0]),
+        ([0.5, 0.5, 0.0], [np.nan, math.log(0.5), -np.inf]),
+    ])
+    def test_row_check_message_is_the_law_check(self, bad_p, bad_logp):
+        space = FiniteHypothesisSpace(payloads=np.zeros((3, 1)), measure=np.ones(3))
+        good_p = np.array([0.25, 0.25, 0.5])
+        p, logp = np.stack([good_p] * 3), np.log(np.stack([good_p] * 3))
+        p[2], logp[2] = bad_p, bad_logp
+        with pytest.raises(ValueError) as one:
+            MechanismDistribution(space, p[2], logp[2])
+        with pytest.raises(ValueError) as rows:
+            check_law_rows(p, logp)
+        assert str(rows.value) == str(one.value)
+
+    def test_default_rows_stack_the_laws(self):
+        problem, space = PROBLEM_BUILDERS["threshold"](resolution=8)
+        mech = erm_mechanism(problem, space)
+        datasets = [labeled_threshold(0.5, support_size=8).sample(n, trial_rng(2, n))
+                    for n in (3, 9)]
+        p, logp = mech.law_rows(datasets)
+        for row, dataset in enumerate(datasets):
+            assert np.array_equal(p[row], mech.law(dataset).probabilities)
+            assert np.array_equal(logp[row], mech.law(dataset).log_probabilities)
+
+    @pytest.mark.parametrize("size", [8, 129])
+    def test_em_sample_many_over_datasets_equals_sample(self, size):
+        mech, datasets = _em_row_case(size, [1, 5, 12, 40, 5, 300] * 5, seed=4)
+        seeds = [trial_rng(5, i).integers(2**63) for i in range(len(datasets))]
+        ids = mech.sample_many(datasets, seeds)
+        assert ids.tolist() == [mech.sample(d, s) for d, s in zip(datasets, seeds)]
+        assert ids.tolist() == [
+            np.random.default_rng(s).choice(size, p=mech.law(d).probabilities)
+            for d, s in zip(datasets, seeds)]
+        # The one-dataset form draws every seed from that dataset's law.
+        assert mech.sample_many(datasets[0], seeds).tolist() == [
+            mech.sample(datasets[0], s) for s in seeds]
+
+    def test_sample_many_needs_one_dataset_per_seed(self):
+        mech, datasets = _em_row_case(8, [3, 4])
+        with pytest.raises(ValueError, match="2 datasets for 3 seeds"):
+            mech.sample_many(datasets, [1, 2, 3])
+
+    def test_own_sampler_gets_a_per_seed_sample_many(self):
+        mech, datasets = _em_row_case(8, [9, 12, 9])
+        sub = subsample_wrapper(mech, 3)
+        ids = sub.sample_many(datasets, [5, 6, 7])
+        assert ids.tolist() == [sub.sample(d, s) for d, s in zip(datasets, [5, 6, 7])]
+
+    @pytest.mark.parametrize(
+        "max_subset_size, delta_target, parts", [(1, 0.5, 2), (2, 0.2, 3)]
+    )
+    def test_boost_sample_many_equals_sample(self, max_subset_size, delta_target, parts):
+        problem, space = PROBLEM_BUILDERS["finite-support"](
+            cells=3, max_subset_size=max_subset_size)
+        base = exponential_mechanism(problem, space, 1.0)
+        boosted = boost_high_confidence(base, space, delta_target, 1.0)
+        assert boosted.info["parts"] == parts
+        atoms = discrete_points(np.array([0.1, 0.5, 0.9]), probs=np.array([0.6, 0.3, 0.1]))
+        seeds = [int(trial_rng(6, i).integers(2**63)) for i in range(300)]
+        data = atoms.sample(16, trial_rng(0, 0))
+        # One dataset: each part's base law is built once for all seeds.
+        ids = boosted.sample_many(data, seeds).tolist()
+        assert ids == [boosted.sample(data, s) for s in seeds]
+        assert ids == [boost_draw_oracle(base, space, parts, 1.0, data, s) for s in seeds]
+        # One dataset per seed, of different sizes.
+        datasets = [atoms.sample(8 + i % 13, trial_rng(7, i)) for i in range(len(seeds))]
+        ids = boosted.sample_many(datasets, seeds).tolist()
+        assert ids == [boosted.sample(d, s) for d, s in zip(datasets, seeds)]
+        assert ids == [boost_draw_oracle(base, space, parts, 1.0, d, s)
+                       for d, s in zip(datasets, seeds)]
