@@ -37,6 +37,7 @@ from .problems import (
     objective_vector,
     packed_datasets,
     population_risk_vector,
+    risk_rows,
     risk_vector,
     threshold_classification,
 )
@@ -48,6 +49,9 @@ NEIGHBOR_PAIR_CAP = 2 * 10**5
 ENUMERATION_CAP = 10**6
 # Pairs per audit block times |H|: bounds the audits' working arrays.
 AUDIT_BLOCK_CELLS = 2**16
+# Monte Carlo trials whose laws and risks are built as the rows of one
+# array: bounds that array whatever the trial count.
+TRIAL_BLOCK = 128
 
 
 # ---------------------------------------------------------------------------
@@ -514,12 +518,10 @@ def consistency_suite(
     probs = np.asarray(distribution.probs, dtype=float)
     pop = population_risk_vector(problem, space, distribution)
     best_pop = float(pop.min())
-    def dataset_gaps(
-        law: MechanismDistribution, dataset: Dataset
-    ) -> tuple[float, float, float]:
-        emp = risk_vector(problem, space, dataset)
-        mean_pop = law.expectation(pop)
-        mean_emp = law.expectation(emp)
+    def dataset_gaps(p: np.ndarray, emp: np.ndarray) -> tuple[float, float, float]:
+        # The dot products of MechanismDistribution.expectation.
+        mean_pop = float(p @ pop)
+        mean_emp = float(p @ emp)
         return (
             mean_pop - best_pop,
             mean_pop - mean_emp,
@@ -536,7 +538,9 @@ def consistency_suite(
         mass = 0.0
         for ms, weight in _multiset_weights(probs, n):
             dataset = _dataset_from_atom_ids(universe, ms)
-            e, g, a = dataset_gaps(table.law(dataset), dataset)
+            e, g, a = dataset_gaps(
+                table.law(dataset).probabilities, risk_vector(problem, space, dataset)
+            )
             excess += weight * e
             gen += weight * g
             aerm += weight * a
@@ -550,9 +554,13 @@ def consistency_suite(
         if trials < 2:
             raise ValueError(f"mc mode needs trials >= 2, got {trials}")
         samples = np.empty((trials, 3))
-        for t in range(trials):
-            dataset = distribution.sample(n, trial_rng(seed, t))
-            samples[t] = dataset_gaps(mechanism.law(dataset), dataset)
+        for start in range(0, trials, TRIAL_BLOCK):
+            block = range(start, min(start + TRIAL_BLOCK, trials))
+            datasets = [distribution.sample(n, trial_rng(seed, t)) for t in block]
+            p = mechanism.law_rows(datasets)[0]
+            emp = risk_rows(problem, space, datasets)
+            for row, t in enumerate(block):
+                samples[t] = dataset_gaps(p[row], emp[row])
         means = samples.mean(axis=0)
         ses = samples.std(axis=0, ddof=1) / math.sqrt(trials)
         excess, gen, aerm = (float(v) for v in means)
@@ -729,13 +737,17 @@ def phase_transition_experiment(
             m = max(m, 1)
             cell_seed = spawn_seed(seed, ri * (len(n_grid) + 1) + ni)
             excesses = np.empty(trials)
-            for t in range(trials):
-                rng = trial_rng(cell_seed, t)
-                dataset = distribution.sample(n, rng)
-                idx = rng.choice(n, size=m, replace=False)
-                sub = dataset.take(idx)
-                emp = risk_vector(problem, space, sub)
-                excesses[t] = pop[int(np.argmin(emp))] - best
+            for start in range(0, trials, TRIAL_BLOCK):
+                subsamples = []
+                for t in range(start, min(start + TRIAL_BLOCK, trials)):
+                    # The subsample of distribution.sample(n, rng), with
+                    # only the m kept uniforms mapped to points.
+                    rng = trial_rng(cell_seed, t)
+                    u = rng.random(n)
+                    idx = rng.choice(n, size=m, replace=False)
+                    subsamples.append(distribution.dataset_at(u[idx]))
+                emp = risk_rows(problem, space, subsamples)
+                excesses[start : start + len(subsamples)] = pop[np.argmin(emp, axis=1)] - best
             rows.append(
                 PhaseRow(
                     rate=float(rate),

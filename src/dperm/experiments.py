@@ -24,6 +24,7 @@ import numpy as np
 
 from .analysis import (
     AUDIT_TOL,
+    TRIAL_BLOCK,
     aerm_bound,
     aerm_bound_stated,
     aerm_gap,
@@ -61,10 +62,6 @@ from .problems import (
 )
 from .seeding import spawn_seed, trial_rng
 from .spaces import estimate_sublevel_condition
-
-# Trials per sample_many call in run_boost: one (block, |H|) law array each,
-# so memory stays bounded whatever the trial count.
-BOOST_TRIAL_BLOCK = 128
 
 CSV_COLUMNS = (
     "experiment",
@@ -530,9 +527,9 @@ def run_boost(config: RunConfig) -> ExperimentOutcome:
             # mechanism under spawn_seed(local, 1), local = spawn_seed(root, t);
             # the mechanism takes the trials in blocks.
             ids = []
-            for start in range(0, count, BOOST_TRIAL_BLOCK):
+            for start in range(0, count, TRIAL_BLOCK):
                 local = [spawn_seed(root, t)
-                         for t in range(start, min(start + BOOST_TRIAL_BLOCK, count))]
+                         for t in range(start, min(start + TRIAL_BLOCK, count))]
                 datasets = [distribution.sample(n, np.random.default_rng(spawn_seed(s, 0)))
                             for s in local]
                 ids.append(mech.sample_many(datasets, [spawn_seed(s, 1) for s in local]))

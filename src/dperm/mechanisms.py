@@ -35,7 +35,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .draws import categorical
-from .problems import Dataset, Problem, objective_vector, risk_vector
+from .problems import Dataset, Problem, objective_rows, objective_vector, risk_rows, risk_vector
 from .seeding import spawn_seed
 from .spaces import FiniteHypothesisSpace, SizeLimitError
 
@@ -279,9 +279,11 @@ class Mechanism:
       ``self.law`` at call time.  ``sample_many`` builds ``self.law(dataset)``
       once for one dataset, or ``self.law_rows(datasets)`` for a sequence,
       and looks up one ``default_rng(seed).random()`` per seed in one
-      kernel call.  ``law_rows(datasets)`` gives the probabilities and
-      log-probabilities of those laws as the rows of two (T, |H|) arrays;
-      unless the factory gives it, it stacks ``self.law``.
+      kernel call.
+
+    ``law_rows(datasets)`` gives the probabilities and log-probabilities of
+    the laws of the datasets as the rows of two (T, |H|) arrays; unless the
+    factory gives it, it stacks ``self.law``.
 
     ``base`` is set on wrappers whose law mixes laws of another mechanism on
     sub-datasets.  Their ``law(dataset, base_law)`` takes those laws from
@@ -303,6 +305,14 @@ class Mechanism:
     def __post_init__(self) -> None:
         if self.sample is None and self.sample_many is None and self.law is None:
             raise ValueError(f"mechanism {self.name!r} has neither sample nor law")
+        if self.law_rows is None:
+
+            def law_rows(datasets: Sequence[Dataset]) -> tuple[np.ndarray, np.ndarray]:
+                laws = [self.law(d) for d in datasets]
+                return (np.stack([law.probabilities for law in laws]),
+                        np.stack([law.log_probabilities for law in laws]))
+
+            self.law_rows = law_rows
         if self.sample is None and self.sample_many is not None:
 
             def sample(dataset: Dataset, seed: int) -> int:
@@ -310,14 +320,6 @@ class Mechanism:
 
             self.sample = sample
         elif self.sample is None:
-            if self.law_rows is None:
-
-                def law_rows(datasets: Sequence[Dataset]) -> tuple[np.ndarray, np.ndarray]:
-                    laws = [self.law(d) for d in datasets]
-                    return (np.stack([law.probabilities for law in laws]),
-                            np.stack([law.log_probabilities for law in laws]))
-
-                self.law_rows = law_rows
 
             def sample(dataset: Dataset, seed: int) -> int:
                 return self.law(dataset).sample(np.random.default_rng(seed))
@@ -368,15 +370,16 @@ def exponential_mechanism(
 
     log_measure = np.log(space.measure)
 
-    def logits(dataset: Dataset) -> np.ndarray:
-        values = objective_vector(problem, space, dataset)
-        return log_measure - em_scale(epsilon, dataset.n) * values
-
     def law(dataset: Dataset) -> MechanismDistribution:
-        return MechanismDistribution.from_logits(space, logits(dataset))
+        values = objective_vector(problem, space, dataset)
+        return MechanismDistribution.from_logits(
+            space, log_measure - em_scale(epsilon, dataset.n) * values
+        )
 
     def law_rows(datasets: Sequence[Dataset]) -> tuple[np.ndarray, np.ndarray]:
-        p, logp = normalized_logit_rows(np.stack([logits(d) for d in datasets]))
+        scales = np.array([em_scale(epsilon, d.n) for d in datasets])
+        values = objective_rows(problem, space, datasets)
+        p, logp = normalized_logit_rows(log_measure - scales[:, None] * values)
         check_law_rows(p, logp)
         return p, logp
 
@@ -930,23 +933,24 @@ def boost_high_confidence(
     def sample_many(data, seeds: Sequence[int]) -> np.ndarray:
         # Draw i runs the base on part j under spawn_seed(seeds[i], j) and
         # selects under spawn_seed(seeds[i], a).  On one dataset the parts
-        # are the same for every seed, so each base law is built once.
-        datasets = [data] if isinstance(data, Dataset) else _datasets_for(data, seeds)
-        one = len(datasets) == 1
+        # are the same for every seed, so each base law is built once; on
+        # one dataset per seed, one base call draws every part's candidate.
+        one = isinstance(data, Dataset)
+        datasets = [data] if one else _datasets_for(data, seeds)
         splits = [boost_parts(d.n, a) for d in datasets]
-        candidates = np.empty((len(seeds), a), dtype=np.intp)
-        for j in range(a):
-            parts = [d.take(train[j]) for d, (train, _) in zip(datasets, splits)]
-            candidates[:, j] = base.sample_many(
-                parts[0] if one else parts, [spawn_seed(s, j) for s in seeds]
-            )
-        risks = [risk_vector(problem, space, d.take(validation))
-                 for d, (_, validation) in zip(datasets, splits)]
+        parts = [d.take(idx) for d, (train, _) in zip(datasets, splits) for idx in train]
         if one:
-            logits = -selection_scale(datasets[0].n) * risks[0][candidates]
+            candidates = np.column_stack([
+                base.sample_many(part, [spawn_seed(s, j) for s in seeds])
+                for j, part in enumerate(parts)
+            ])
         else:
-            scales = np.array([selection_scale(d.n) for d in datasets])[:, None]
-            logits = -scales * np.take_along_axis(np.stack(risks), candidates, axis=1)
+            part_seeds = [spawn_seed(s, j) for s in seeds for j in range(a)]
+            candidates = base.sample_many(parts, part_seeds).reshape(len(seeds), a)
+        risks = risk_rows(problem, space, [d.take(validation)
+                                           for d, (_, validation) in zip(datasets, splits)])
+        scales = np.array([selection_scale(d.n) for d in datasets])[:, None]
+        logits = -scales * np.take_along_axis(risks, candidates, axis=1)
         sel = np.exp(logits - logsumexp_rows(logits)[:, None])
         sel /= sel.sum(axis=1, keepdims=True)
         pick = categorical(sel, _uniforms([spawn_seed(s, a) for s in seeds]))

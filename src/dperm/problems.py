@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -26,7 +26,9 @@ __all__ = [
     "Problem",
     "DataDistribution",
     "PackedFamily",
+    "risk_rows",
     "risk_vector",
+    "objective_rows",
     "objective_vector",
     "erm",
     "population_risk_vector",
@@ -48,10 +50,18 @@ class Dataset:
     """Sample of points, optionally labeled.
 
     ``x`` has shape (n,) or (n, d); ``y`` is None or an (n,) array of labels.
+
+    A dataset drawn from a discrete law (:meth:`of_atoms`) also carries its
+    atom ids: point i is atom ``atom_ids[i]`` of the law's ``support``.  Its
+    ``x``, ``y`` and ``atom_ids`` are read-only, so the points cannot drift
+    from the ids that :func:`risk_rows` counts.  Other datasets carry None
+    in both fields.
     """
 
     x: np.ndarray
     y: np.ndarray | None = None
+    atom_ids: np.ndarray | None = field(default=None, init=False, repr=False)
+    support: "Dataset | None" = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.x = np.asarray(self.x, dtype=float)
@@ -64,13 +74,28 @@ class Dataset:
                     f"labels shape {self.y.shape} does not match {len(self.x)} points"
                 )
 
+    @classmethod
+    def of_atoms(cls, support: "Dataset", ids) -> "Dataset":
+        """The points ``support.take(ids)``, carrying ``ids`` as their atom
+        ids; x, y and the ids are read-only."""
+        ids = np.array(ids, dtype=np.intp)
+        data = cls(x=support.x[ids], y=None if support.y is None else support.y[ids])
+        for a in (data.x, data.y, ids):
+            if a is not None:
+                a.flags.writeable = False
+        data.atom_ids, data.support = ids, support
+        return data
+
     @property
     def n(self) -> int:
         return len(self.x)
 
     def take(self, indices) -> "Dataset":
-        """Sub-dataset at the given positions (copy)."""
+        """Sub-dataset at the given positions (copy); a dataset with atom
+        ids keeps the ids at those positions and the same support."""
         idx = np.asarray(indices)
+        if self.atom_ids is not None:
+            return Dataset.of_atoms(self.support, self.atom_ids[idx])
         return Dataset(
             x=self.x[idx].copy(), y=None if self.y is None else self.y[idx].copy()
         )
@@ -113,7 +138,12 @@ class Problem:
 
 @dataclass(eq=False)
 class DataDistribution:
-    """Distribution over points, discrete (enumerable atoms) or continuous."""
+    """Distribution over points, discrete (enumerable atoms) or continuous.
+
+    A discrete law builds its ``support``, the atoms as one read-only
+    :class:`Dataset`, once at construction; the datasets it draws carry
+    their atom ids into it.
+    """
 
     kind: str
     x_atoms: np.ndarray | None = None
@@ -122,6 +152,14 @@ class DataDistribution:
     lower: np.ndarray | None = None
     upper: np.ndarray | None = None
     theta: float | None = None
+    support: Dataset | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.discrete:
+            self.support = self.atoms()
+            for a in (self.support.x, self.support.y):
+                if a is not None:
+                    a.flags.writeable = False
 
     @property
     def discrete(self) -> bool:
@@ -132,13 +170,19 @@ class DataDistribution:
             raise ValueError(f"{self.kind} distribution has no finite support")
         return Dataset(x=self.x_atoms.copy(), y=None if self.y_atoms is None else self.y_atoms.copy())
 
+    def dataset_at(self, u: np.ndarray) -> Dataset:
+        """The dataset of a discrete law whose point i is drawn by the uniform
+        ``u[i]``.  ``categorical`` maps each uniform on its own, so the
+        dataset at ``u[idx]`` is the one at ``u`` taken at ``idx``."""
+        if not self.discrete:
+            raise ValueError(f"{self.kind} distribution has no finite support")
+        return Dataset.of_atoms(self.support, categorical(self.probs, u))
+
     def sample(self, n: int, rng: np.random.Generator) -> Dataset:
         if n < 1:
             raise ValueError(f"sample size must be >= 1, got {n}")
         if self.discrete:
-            idx = categorical(self.probs, rng.random(n))
-            y = None if self.y_atoms is None else self.y_atoms[idx]
-            return Dataset(x=self.x_atoms[idx], y=y)
+            return self.dataset_at(rng.random(n))
         x = rng.uniform(self.lower, self.upper, size=(n, len(self.lower)))
         if x.shape[1] == 1:
             x = x[:, 0]
@@ -193,8 +237,7 @@ def labeled_threshold(theta: float, support_size: int = 0) -> DataDistribution:
 # risk evaluation
 
 
-def risk_vector(problem: Problem, space: FiniteHypothesisSpace, dataset: Dataset) -> np.ndarray:
-    """Empirical risk of every hypothesis."""
+def _loss_table(problem: Problem, space: FiniteHypothesisSpace, dataset: Dataset) -> np.ndarray:
     losses = problem.loss_matrix(space.payloads, dataset)
     if losses.shape != (space.size, dataset.n):
         raise ValueError(
@@ -202,7 +245,60 @@ def risk_vector(problem: Problem, space: FiniteHypothesisSpace, dataset: Dataset
         )
     if not np.isfinite(losses).all():
         raise ValueError("loss matrix contains non-finite entries")
-    return losses.mean(axis=1)
+    return losses
+
+
+def risk_rows(
+    problem: Problem, space: FiniteHypothesisSpace, datasets: Sequence[Dataset]
+) -> np.ndarray:
+    """Empirical risk of every hypothesis on each dataset, as the rows of a
+    (T, |H|) array; :func:`risk_vector` is its one-row case.
+
+    When every dataset carries atom ids into one shared support, the losses
+    are evaluated once, on the atoms present in the block.  If that table is
+    all 0/1 (+0.0 or 1.0), row i is counts_i @ table.T / n_i: its sums are
+    exact integers, so it equals ``loss_matrix(...).mean(1)`` bit for bit.
+    This assumes, as every shipped loss does, that a point's loss does not
+    depend on the other points.  Any other loss is averaged dataset by
+    dataset over ``loss_matrix``, because its sums depend on the order of
+    the points.
+    """
+    support = datasets[0].support
+    if support is not None and all(d.support is support for d in datasets):
+        sizes = np.array([d.n for d in datasets])
+        keys = np.concatenate([d.atom_ids for d in datasets])
+        keys += np.repeat(np.arange(len(datasets)) * support.n, sizes)
+        counts = np.bincount(keys, minlength=len(datasets) * support.n)
+        counts = counts.reshape(len(datasets), support.n)
+        present = np.flatnonzero(counts.any(axis=0))
+        atoms = Dataset(
+            x=support.x[present],
+            y=None if support.y is None else support.y[present],
+        )
+        table = _loss_table(problem, space, atoms)
+        # A -0.0 entry is left to the loss path, where a sum of -0.0s keeps
+        # its sign.
+        if ((table == 1.0) | ((table == 0.0) & ~np.signbit(table))).all():
+            return (counts[:, present].astype(float) @ table.T) / sizes[:, None]
+    return np.array([_loss_table(problem, space, d).mean(axis=1) for d in datasets])
+
+
+def risk_vector(problem: Problem, space: FiniteHypothesisSpace, dataset: Dataset) -> np.ndarray:
+    """Empirical risk of every hypothesis."""
+    return risk_rows(problem, space, [dataset])[0]
+
+
+def objective_rows(
+    problem: Problem, space: FiniteHypothesisSpace, datasets: Sequence[Dataset]
+) -> np.ndarray:
+    """:func:`objective_vector` of each dataset, as the rows of a (T, |H|)
+    array."""
+    values = risk_rows(problem, space, datasets) + np.stack(
+        [problem.reg_vector(d.n, space.payloads) for d in datasets]
+    )
+    if not np.isfinite(values).all():
+        raise ValueError("objective contains non-finite values")
+    return values
 
 
 def objective_vector(problem: Problem, space: FiniteHypothesisSpace, dataset: Dataset) -> np.ndarray:

@@ -869,6 +869,19 @@ class TestLawRows:
             check_law_rows(p, logp)
         assert str(rows.value) == str(one.value)
 
+    def test_em_rows_from_atom_counts_equal_the_loss_path(self):
+        # The laws of datasets drawn from a discrete law, whose risks come
+        # from atom counts, equal the laws of the same points without ids.
+        problem, space = PROBLEM_BUILDERS["threshold"](resolution=257)
+        mech = exponential_mechanism(problem, space, 1.0)
+        dist = labeled_threshold(0.5, support_size=512)
+        datasets = [dist.sample(n, trial_rng(12, n)) for n in (1, 3, 100, 2000)]
+        p, logp = mech.law_rows(datasets)
+        for row, dataset in enumerate(datasets):
+            law = mech.law(Dataset(x=dataset.x, y=dataset.y))
+            assert np.array_equal(p[row], law.probabilities)
+            assert np.array_equal(logp[row], law.log_probabilities)
+
     def test_default_rows_stack_the_laws(self):
         problem, space = PROBLEM_BUILDERS["threshold"](resolution=8)
         mech = erm_mechanism(problem, space)
@@ -919,9 +932,19 @@ class TestLawRows:
         ids = boosted.sample_many(data, seeds).tolist()
         assert ids == [boosted.sample(data, s) for s in seeds]
         assert ids == [boost_draw_oracle(base, space, parts, 1.0, data, s) for s in seeds]
-        # One dataset per seed, of different sizes.
+        # One dataset per seed, of different sizes: one base call draws the
+        # candidates of every part of every dataset.
         datasets = [atoms.sample(8 + i % 13, trial_rng(7, i)) for i in range(len(seeds))]
+        base_calls = []
+        base_sample_many = base.sample_many
+        base.sample_many = lambda data, s: base_calls.append(len(s)) or base_sample_many(data, s)
         ids = boosted.sample_many(datasets, seeds).tolist()
+        assert base_calls == [parts * len(seeds)]
+        base.sample_many = base_sample_many
         assert ids == [boosted.sample(d, s) for d, s in zip(datasets, seeds)]
         assert ids == [boost_draw_oracle(base, space, parts, 1.0, d, s)
                        for d, s in zip(datasets, seeds)]
+        # Datasets without atom ids, whose risks take the loss path, give
+        # the same draws.
+        plain = [Dataset(x=d.x) for d in datasets]
+        assert boosted.sample_many(plain, seeds).tolist() == ids

@@ -18,6 +18,7 @@ from dperm.problems import (
     objective_vector,
     packed_datasets,
     population_risk_vector,
+    risk_rows,
     risk_vector,
     uniform_box,
 )
@@ -188,6 +189,39 @@ class TestDataset:
         sub.x[0] = 99.0
         assert data.x[2] == 0.3
 
+    def test_take_keeps_atom_ids_and_support(self):
+        dist = labeled_threshold(0.5, support_size=16)
+        data = dist.sample(30, trial_rng(3, 0))
+        idx = trial_rng(3, 1).permutation(30)[:11]
+        sub = data.take(idx)
+        assert sub.support is dist.support
+        assert np.array_equal(sub.atom_ids, data.atom_ids[idx])
+        assert np.array_equal(sub.x, data.x[idx])
+        assert np.array_equal(sub.y, data.y[idx])
+
+    def test_points_with_atom_ids_are_read_only(self):
+        dist = discrete_points(np.array([0.2, 0.8]), y=np.array([0.0, 1.0]))
+        data = dist.sample(5, trial_rng(4, 0))
+        for a in (data.x, data.y, data.atom_ids, data.take([1, 3]).x,
+                  dist.support.x, dist.support.y):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.5
+        # The atoms handed out by atoms() stay the caller's to edit.
+        dist.atoms().x[0] = 0.5
+        assert dist.support.x[0] == 0.2
+
+    def test_only_draws_from_a_discrete_law_carry_atom_ids(self):
+        dist = labeled_threshold(0.5, support_size=8)
+        data = dist.sample(6, trial_rng(5, 0))
+        assert data.support is dist.support
+        assert np.array_equal(data.x, dist.support.x[data.atom_ids])
+        plain = [dist.atoms(), labeled_threshold(0.5).sample(6, trial_rng(5, 1)),
+                 uniform_box([0.0], [1.0]).sample(6, trial_rng(5, 2)),
+                 packed_datasets(1.0, 3).datasets[0], Dataset(x=data.x, y=data.y)]
+        for d in plain:
+            assert d.atom_ids is None and d.support is None
+        assert uniform_box([0.0], [1.0]).support is None
+
 
 class TestDistributions:
     def test_discrete_sampling_hits_atoms_only(self):
@@ -228,6 +262,146 @@ class TestDistributions:
             for i, p in enumerate(dist.probs)
         )
         assert risks[hid] == pytest.approx(oracle)
+
+
+class FixedUniforms:
+    """A stand-in generator whose random(n) returns given uniforms."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, n):
+        assert n == len(self.u)
+        return self.u
+
+
+class TestDatasetAtUniforms:
+    def test_subsample_maps_only_the_kept_uniforms(self):
+        # The phase study's draw: the points at u[idx] are the points at u
+        # taken at idx, for u on, and one ulp either side of, every CDF value.
+        dist = labeled_threshold(0.5, support_size=512)
+        cdf = np.cumsum(dist.probs)
+        edges = cdf[cdf < 1.0]
+        u = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
+                            [0.0, np.nextafter(1.0, 0.0)]])
+        u = u[trial_rng(8, 0).permutation(len(u))]
+        for m in (1, 7, 200, len(u)):
+            idx = trial_rng(8, m).choice(len(u), size=m, replace=False)
+            sub = dist.dataset_at(u[idx])
+            full = dist.sample(len(u), FixedUniforms(u)).take(idx)
+            assert np.array_equal(sub.atom_ids, full.atom_ids)
+            assert np.array_equal(sub.x, full.x)
+            assert np.array_equal(sub.y, full.y)
+        assert dist.dataset_at(np.array([np.nextafter(1.0, 0.0)])).atom_ids[0] == 511
+
+    def test_continuous_law_has_no_uniform_step(self):
+        with pytest.raises(ValueError, match="no finite support"):
+            uniform_box([0.0], [1.0]).dataset_at(np.array([0.5]))
+
+
+def _loss_rows(problem, space, datasets):
+    return np.stack([problem.loss_matrix(space.payloads, d).mean(axis=1)
+                     for d in datasets])
+
+
+def _recording(problem):
+    """The problem with a loss_matrix that records the size of each dataset
+    it is called on."""
+    sizes = []
+
+    def loss_matrix(payloads, dataset):
+        sizes.append(dataset.n)
+        return problem.loss_matrix(payloads, dataset)
+
+    return Problem(name=problem.name, dimension=problem.dimension,
+                   loss_matrix=loss_matrix), sizes
+
+
+def _skewed(dist, skew):
+    k = len(dist.probs)
+    weights = skew ** np.arange(k)
+    return discrete_points(dist.x_atoms, y=dist.y_atoms, probs=weights / weights.sum())
+
+
+ZERO_ONE_CASES = {
+    # threshold, |H| = 257, on the 512-atom law of the phase study
+    "threshold-512": lambda: (PROBLEM_BUILDERS["threshold"](resolution=257),
+                              labeled_threshold(0.5, support_size=512)),
+    # finite support, 8 cells, |H| = 93, one atom per cell center
+    "finite-support-8": lambda: (PROBLEM_BUILDERS["finite-support"](cells=8),
+                                 discrete_points((np.arange(8) + 0.5) / 8)),
+    # the two-atom law of the consistency study
+    "consistency-2": lambda: (PROBLEM_BUILDERS["threshold"](resolution=16),
+                              discrete_points(np.array([0.3, 0.7]), y=np.array([0.0, 1.0]))),
+}
+
+
+@st.composite
+def blocks(draw):
+    """Block sizes 1..300 and dataset sizes 1..10,000, at most 20,000
+    points in all, and a law skew (1.0 is the uniform law)."""
+    count = draw(st.integers(1, 300))
+    cap = min(10_000, 20_000 // count)
+    sizes = draw(st.lists(st.integers(1, cap), min_size=count, max_size=count))
+    skew = draw(st.sampled_from([1.0, 0.97, 0.7, 0.2]))
+    return sizes, skew, draw(st.integers(0, 2**32))
+
+
+class TestRiskRows:
+    @pytest.mark.parametrize("case", sorted(ZERO_ONE_CASES))
+    @given(block=blocks())
+    @settings(max_examples=25, deadline=None)
+    def test_counts_equal_the_loss_path_bit_for_bit(self, case, block):
+        (problem, space), dist = ZERO_ONE_CASES[case]()
+        sizes, skew, seed = block
+        dist = _skewed(dist, skew)
+        datasets = [dist.sample(n, trial_rng(seed, i)) for i, n in enumerate(sizes)]
+        risks = risk_rows(problem, space, datasets)
+        assert risks.shape == (len(sizes), space.size)
+        assert np.array_equal(risks, _loss_rows(problem, space, datasets))
+        assert np.array_equal(risk_vector(problem, space, datasets[0]), risks[0])
+        # One loss table, over the atoms present in the block.
+        recorded, calls = _recording(problem)
+        risk_rows(recorded, space, datasets)
+        present = np.unique(np.concatenate([d.atom_ids for d in datasets]))
+        assert calls == [len(present)]
+
+    @pytest.mark.parametrize("kind", ["pth-power", "logistic"])
+    def test_other_losses_take_the_loss_path(self, kind):
+        # |x - h|^10 and the logistic loss are not 0/1: their sums depend
+        # on the order of the points, so every dataset goes through
+        # loss_matrix in full.
+        problem, space = PROBLEM_BUILDERS[kind]()
+        dist = labeled_threshold(0.5, support_size=16)
+        sizes = [1, 9, 40, 300, 2]
+        datasets = [dist.sample(n, trial_rng(9, i)) for i, n in enumerate(sizes)]
+        recorded, calls = _recording(problem)
+        risks = risk_rows(recorded, space, datasets)
+        # The table over the 16 atoms, found not 0/1, then every dataset.
+        assert calls == [16] + sizes
+        assert np.array_equal(risks, _loss_rows(problem, space, datasets))
+
+    def test_datasets_from_two_laws_take_the_loss_path(self):
+        problem, space = PROBLEM_BUILDERS["threshold"](resolution=16)
+        first = labeled_threshold(0.5, support_size=8)
+        second = labeled_threshold(0.5, support_size=8)
+        datasets = [first.sample(5, trial_rng(10, 0)), second.sample(7, trial_rng(10, 1)),
+                    first.sample(3, trial_rng(10, 2))]
+        recorded, calls = _recording(problem)
+        risks = risk_rows(recorded, space, datasets)
+        assert calls == [5, 7, 3]
+        assert np.array_equal(risks, _loss_rows(problem, space, datasets))
+
+    def test_negative_zero_losses_take_the_loss_path(self):
+        problem, space = PROBLEM_BUILDERS["threshold"](resolution=4)
+        negated = Problem(name="negated-zero", dimension=1,
+                          loss_matrix=lambda h, d: np.where(
+                              problem.loss_matrix(h, d) == 0.0, -0.0, 1.0))
+        data = labeled_threshold(0.5, support_size=4).sample(6, trial_rng(11, 0))
+        recorded, calls = _recording(negated)
+        risks = risk_rows(recorded, space, [data])
+        assert calls[1:] == [6]
+        assert np.array_equal(np.signbit(risks), np.signbit(_loss_rows(negated, space, [data])))
 
 
 class TestPackedFamily:
