@@ -514,7 +514,7 @@ def consistency_suite(
     if mode not in ("exact", "mc"):
         raise ValueError(f"mode must be 'exact' or 'mc', got {mode!r}")
     problem, space = mechanism.problem, mechanism.space
-    universe = distribution.atoms()
+    universe = distribution.support
     probs = np.asarray(distribution.probs, dtype=float)
     pop = population_risk_vector(problem, space, distribution)
     best_pop = float(pop.min())

@@ -284,31 +284,30 @@ def risk_rows(
 
 
 def risk_vector(problem: Problem, space: FiniteHypothesisSpace, dataset: Dataset) -> np.ndarray:
-    """Empirical risk of every hypothesis."""
+    """Empirical risk of every hypothesis: the one-row case of
+    :func:`risk_rows`, whose loss path a dataset without atom ids takes
+    directly."""
+    if dataset.support is None:
+        return _loss_table(problem, space, dataset).mean(axis=1)
     return risk_rows(problem, space, [dataset])[0]
 
 
 def objective_rows(
     problem: Problem, space: FiniteHypothesisSpace, datasets: Sequence[Dataset]
 ) -> np.ndarray:
-    """:func:`objective_vector` of each dataset, as the rows of a (T, |H|)
-    array."""
-    values = risk_rows(problem, space, datasets) + np.stack(
-        [problem.reg_vector(d.n, space.payloads) for d in datasets]
-    )
+    """Regularized objective of every hypothesis on each dataset, as the
+    rows of a (T, |H|) array; :func:`objective_vector` is its one-row case."""
+    values = risk_rows(problem, space, datasets)
+    values += [problem.reg_vector(d.n, space.payloads) for d in datasets]
     if not np.isfinite(values).all():
         raise ValueError("objective contains non-finite values")
     return values
 
 
 def objective_vector(problem: Problem, space: FiniteHypothesisSpace, dataset: Dataset) -> np.ndarray:
-    """Regularized objective for every hypothesis."""
-    values = risk_vector(problem, space, dataset) + problem.reg_vector(
-        dataset.n, space.payloads
-    )
-    if not np.isfinite(values).all():
-        raise ValueError("objective contains non-finite values")
-    return values
+    """Regularized objective for every hypothesis: the one-row case of
+    :func:`objective_rows`."""
+    return objective_rows(problem, space, [dataset])[0]
 
 
 def erm(problem: Problem, space: FiniteHypothesisSpace, dataset: Dataset) -> int:
@@ -322,7 +321,7 @@ def population_risk_vector(
     """Exact population risk of every hypothesis (discrete distributions)."""
     if not distribution.discrete:
         raise ValueError("exact population risk needs an enumerable support")
-    return problem.loss_matrix(space.payloads, distribution.atoms()) @ distribution.probs
+    return problem.loss_matrix(space.payloads, distribution.support) @ distribution.probs
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from dperm.problems import (
     discrete_points,
     erm,
     labeled_threshold,
+    objective_rows,
     objective_vector,
     packed_datasets,
     population_risk_vector,
@@ -402,6 +403,19 @@ class TestRiskRows:
         risks = risk_rows(recorded, space, [data])
         assert calls[1:] == [6]
         assert np.array_equal(np.signbit(risks), np.signbit(_loss_rows(negated, space, [data])))
+
+    def test_objective_rows_add_each_datasets_regularizer(self):
+        # The regularizer depends on n, so a block of mixed sizes, with and
+        # without atom ids, gets one regularizer row per dataset.
+        problem, space = PROBLEM_BUILDERS["logistic"]()
+        dist = labeled_threshold(0.5, support_size=16)
+        datasets = [dist.sample(n, trial_rng(12, i)) for i, n in enumerate([3, 40, 7])]
+        datasets.append(Dataset(x=[0.1, 0.7], y=[0.0, 1.0]))
+        expected = _loss_rows(problem, space, datasets) + np.stack(
+            [problem.reg_vector(d.n, space.payloads) for d in datasets])
+        assert np.array_equal(objective_rows(problem, space, datasets), expected)
+        for d, row in zip(datasets, expected):
+            assert np.array_equal(objective_vector(problem, space, d), row)
 
 
 class TestPackedFamily:
