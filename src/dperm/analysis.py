@@ -556,7 +556,9 @@ def consistency_suite(
         samples = np.empty((trials, 3))
         for start in range(0, trials, TRIAL_BLOCK):
             block = range(start, min(start + TRIAL_BLOCK, trials))
-            datasets = [distribution.sample(n, trial_rng(seed, t)) for t in block]
+            # distribution.sample(n, trial_rng(seed, t)) for each trial t.
+            datasets = distribution.datasets_at(
+                np.stack([trial_rng(seed, t).random(n) for t in block]))
             p = mechanism.law_rows(datasets)[0]
             emp = risk_rows(problem, space, datasets)
             for row, t in enumerate(block):
@@ -738,16 +740,16 @@ def phase_transition_experiment(
             cell_seed = spawn_seed(seed, ri * (len(n_grid) + 1) + ni)
             excesses = np.empty(trials)
             for start in range(0, trials, TRIAL_BLOCK):
-                subsamples = []
-                for t in range(start, min(start + TRIAL_BLOCK, trials)):
-                    # The subsample of distribution.sample(n, rng), with
-                    # only the m kept uniforms mapped to points.
+                block = range(start, min(start + TRIAL_BLOCK, trials))
+                # Row t is the subsample of distribution.sample(n, rng), with
+                # only the m kept uniforms mapped to points.
+                kept = np.empty((len(block), m))
+                for row, t in enumerate(block):
                     rng = trial_rng(cell_seed, t)
                     u = rng.random(n)
-                    idx = rng.choice(n, size=m, replace=False)
-                    subsamples.append(distribution.dataset_at(u[idx]))
-                emp = risk_rows(problem, space, subsamples)
-                excesses[start : start + len(subsamples)] = pop[np.argmin(emp, axis=1)] - best
+                    kept[row] = u[rng.choice(n, size=m, replace=False)]
+                emp = risk_rows(problem, space, distribution.datasets_at(kept))
+                excesses[start : start + len(block)] = pop[np.argmin(emp, axis=1)] - best
             rows.append(
                 PhaseRow(
                     rate=float(rate),

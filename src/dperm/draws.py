@@ -1,4 +1,24 @@
-"""The one categorical draw kernel.
+"""The draw kernels: seeds to uniforms, and uniforms to categorical indices.
+
+``first_uniforms(seeds)`` returns ``np.random.default_rng(s).random()`` for
+every seed, bit for bit, without building a generator.  ``default_rng``
+seeds PCG64 through ``SeedSequence``, and both are fixed integer
+arithmetic (O'Neill, "PCG: A Family of Simple Fast Space-Efficient
+Statistically Good Algorithms", 2014; numpy's ``bit_generator.pyx`` and
+``pcg64.h``), so a block of seeds is hashed and stepped as uint32 and uint64
+array operations:
+
+* the seed's two 32-bit words fill a pool of four (a seed below 2^32 has
+  one word, and the pool pads it with a zero, which hashes the same);
+  ``mix_entropy`` and ``generate_state(4, uint64)`` run on the pool with
+  multipliers that advance the same way for every seed;
+* PCG64 takes ``inc = initseq << 1 | 1``, steps from 0, adds ``initstate``
+  and steps again; ``random()`` steps once more, takes the XSL-RR output x
+  and returns ``(x >> 11) * 2**-53``.
+
+Below ``KERNEL_MIN_SEEDS`` seeds, and for any seed that is not an integer in
+[0, 2^64), the seeds go through ``default_rng`` one by one, which keeps its
+result or its error.
 
 ``categorical(p, u)`` returns the index that ``Generator.choice(len(p),
 size, p=p)`` returns when it draws the uniforms ``u``: it runs the same
@@ -21,6 +41,8 @@ only on the batch size and the CDF length.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 # The sum check of Generator.choice: sqrt of the float64 machine epsilon.
@@ -28,6 +50,35 @@ SUM_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
 # Below this many uniforms, or below one per atom, building and reading the
 # table costs more than binary search (microbenchmark in BENCH_draws.json).
 GUIDE_MIN_DRAWS = 1000
+# Below this many seeds, building one generator per seed costs less than the
+# fixed cost of the array kernel (microbenchmark in BENCH_seeds.json).
+KERNEL_MIN_SEEDS = 12
+
+_M32 = 0xFFFFFFFF
+# SeedSequence's pool holds four 32-bit words.
+_POOL = 4
+
+
+def _powers(init: int, mult: int, count: int) -> np.ndarray:
+    out = [init]
+    for _ in range(count):
+        out.append(out[-1] * mult & _M32)
+    return np.array(out, dtype=np.uint32)[:, None]
+
+
+# SeedSequence's hash constants.  The multiplier of hashmix call k is the
+# same for every seed: _HASH_A[k] before the call and _HASH_A[k + 1] after
+# it, for the 4 pool words and 12 mixing calls of mix_entropy; _HASH_B
+# likewise for the 8 words of generate_state.
+_HASH_A = _powers(0x43B0D7E5, 0x931E8875, _POOL * _POOL)
+_HASH_B = _powers(0x8B51F9DD, 0x58F38DED, 2 * _POOL)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+# PCG64's 128-bit multiplier as its high and low 64-bit words, and the low
+# word's two 32-bit halves.
+_PCG_HI, _PCG_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
+_PCG_LO_0, _PCG_LO_1 = np.uint64(0x9FCCF645), np.uint64(0x4385DF64)
+_U32 = np.uint64(_M32)
+_S32 = np.uint64(32)
 
 
 def categorical(p: np.ndarray, u):
@@ -78,3 +129,86 @@ def categorical(p: np.ndarray, u):
     off = np.flatnonzero((cdf[i] <= u) | (below[i] > u))
     i[off] = cdf.searchsorted(u[off], side="right")
     return i
+
+
+def first_uniforms(seeds: Sequence[int]) -> np.ndarray:
+    """``np.random.default_rng(s).random()`` for each seed, bit for bit.
+
+    From ``KERNEL_MIN_SEEDS`` seeds up, when every seed is an int or numpy
+    integer in [0, 2^64), the block is hashed and stepped as arrays;
+    otherwise each seed gets its own ``default_rng``, which keeps its result
+    or its error."""
+    if len(seeds) >= KERNEL_MIN_SEEDS and all(
+        issubclass(t, (int, np.integer)) for t in set(map(type, seeds))
+    ):
+        try:
+            words = np.fromiter(map(int, seeds), dtype=np.uint64, count=len(seeds))
+        except OverflowError:  # a seed outside [0, 2^64)
+            pass
+        else:
+            return _pcg64_first_doubles(_seed_sequence_state(words))
+    return np.array([np.random.default_rng(s).random() for s in seeds])
+
+
+def _hashmix(value: np.ndarray, k: slice) -> np.ndarray:
+    """SeedSequence's hashmix under the multipliers of calls ``k``."""
+    value = (value ^ _HASH_A[k]) * _HASH_A[k.start + 1 : k.stop + 1]
+    return value ^ (value >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = _MIX_L * x - _MIX_R * y
+    return r ^ (r >> 16)
+
+
+def _seed_sequence_state(seeds: np.ndarray) -> np.ndarray:
+    """``SeedSequence(s).generate_state(4, np.uint64)`` as a (4, T) array."""
+    pool = np.zeros((_POOL, len(seeds)), dtype=np.uint32)
+    pool[0] = seeds & _U32
+    pool[1] = seeds >> _S32
+    pool = _hashmix(pool, slice(0, _POOL))
+    # Call k mixes word src into each other word in turn; for one src the
+    # hashed word is the same, under the next three multipliers.
+    k = _POOL
+    for src in range(_POOL):
+        dst = [d for d in range(_POOL) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], slice(k, k + len(dst))))
+        k += len(dst)
+    words = np.tile(pool, (2, 1)) ^ _HASH_B[:-1]
+    words *= _HASH_B[1:]
+    words ^= words >> 16
+    # uint64 word j is uint32 words 2j (low half) and 2j + 1.
+    words = words.astype(np.uint64)
+    return words[0::2] | (words[1::2] << _S32)
+
+
+def _mulhi_lo(a: np.ndarray) -> np.ndarray:
+    """High 64 bits of the 128-bit product ``a * _PCG_LO``, from the four
+    products of 32-bit halves."""
+    a0, a1 = a & _U32, a >> _S32
+    p01, p10 = a0 * _PCG_LO_1, a1 * _PCG_LO_0
+    mid = ((a0 * _PCG_LO_0) >> _S32) + (p01 & _U32) + (p10 & _U32)
+    return a1 * _PCG_LO_1 + (p01 >> _S32) + (p10 >> _S32) + (mid >> _S32)
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """state * multiplier + inc mod 2^128, on (hi, lo) uint64 lanes."""
+    new_hi = _mulhi_lo(lo) + hi * _PCG_LO + lo * _PCG_HI
+    new_lo = lo * _PCG_LO + inc_lo
+    return new_hi + inc_hi + (new_lo < inc_lo), new_lo
+
+
+def _pcg64_first_doubles(state: np.ndarray) -> np.ndarray:
+    """The first ``random()`` of PCG64 seeded with ``generate_state`` words
+    (initstate high, low, initseq high, low)."""
+    inc_hi = (state[2] << np.uint64(1)) | (state[3] >> np.uint64(63))
+    inc_lo = (state[3] << np.uint64(1)) | np.uint64(1)
+    # The first step from state 0 gives inc; then add initstate.
+    lo = inc_lo + state[1]
+    hi = inc_hi + state[0] + (lo < inc_lo)
+    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+    # XSL-RR: rotate hi ^ lo right by the top 6 bits of the state.
+    x, rot = hi ^ lo, hi >> np.uint64(58)
+    x = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
+    return (x >> np.uint64(11)) * 2.0**-53

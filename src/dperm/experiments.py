@@ -523,16 +523,19 @@ def run_boost(config: RunConfig) -> ExperimentOutcome:
         margin = math.sqrt(math.log(3.0 / delta_target) / n)
 
         def excesses(root: int, count: int) -> np.ndarray:
-            # Trial t draws its dataset under spawn_seed(local, 0) and the
-            # mechanism under spawn_seed(local, 1), local = spawn_seed(root, t);
-            # the mechanism takes the trials in blocks.
+            # Trial t draws the uniforms of its dataset under
+            # spawn_seed(local, 0) and the mechanism under spawn_seed(local, 1),
+            # local = spawn_seed(root, t); a block of trials maps its
+            # uniforms to datasets in one call, and the mechanism takes the
+            # block in one call.
             ids = []
             for start in range(0, count, TRIAL_BLOCK):
                 local = [spawn_seed(root, t)
                          for t in range(start, min(start + TRIAL_BLOCK, count))]
-                datasets = [distribution.sample(n, np.random.default_rng(spawn_seed(s, 0)))
-                            for s in local]
-                ids.append(mech.sample_many(datasets, [spawn_seed(s, 1) for s in local]))
+                u = np.stack([np.random.default_rng(spawn_seed(s, 0)).random(n)
+                              for s in local])
+                ids.append(mech.sample_many(distribution.datasets_at(u),
+                                            [spawn_seed(s, 1) for s in local]))
             return pop[np.concatenate(ids)] - best
 
         scores = excesses(spawn_seed(config.seed, 1000 + index), calibration_trials)

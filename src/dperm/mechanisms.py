@@ -12,7 +12,10 @@ Every mechanism here exposes the same two call paths:
   ``sample_many(data, seeds)`` gives the draws of many seeds at once: on one
   dataset, all from one law; on a sequence of datasets aligned with the
   seeds, draw i from the law of dataset i, with those laws built as the
-  rows of one array.  The seed is consumed as-is (callers derive per-trial
+  rows of one array.  Its uniforms come from
+  :func:`dperm.draws.first_uniforms`, which gives each seed's
+  ``default_rng(seed).random()`` bit for bit, for a block of seeds in one
+  array kernel.  The seed is consumed as-is (callers derive per-trial
   seeds themselves); sub-draws inside composite mechanisms fork the seed
   through :func:`dperm.seeding.spawn_seed` so the pieces stay independent.
 
@@ -34,7 +37,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .draws import categorical
+from .draws import categorical, first_uniforms
 from .problems import Dataset, Problem, objective_rows, objective_vector, risk_rows, risk_vector
 from .seeding import spawn_seed
 from .spaces import FiniteHypothesisSpace, SizeLimitError
@@ -252,11 +255,6 @@ def _datasets_for(data, seeds: Sequence[int]) -> list:
     return datasets
 
 
-def _uniforms(seeds: Sequence[int]) -> np.ndarray:
-    """The first ``random()`` of ``default_rng(seed)`` for each seed."""
-    return np.array([np.random.default_rng(s).random() for s in seeds])
-
-
 @dataclass(eq=False)
 class Mechanism:
     """A randomized learner bundled with its claimed privacy budget.
@@ -278,8 +276,8 @@ class Mechanism:
       ``self.law(dataset)`` under ``default_rng(seed)``, reading
       ``self.law`` at call time.  ``sample_many`` builds ``self.law(dataset)``
       once for one dataset, or ``self.law_rows(datasets)`` for a sequence,
-      and looks up one ``default_rng(seed).random()`` per seed in one
-      kernel call.
+      and looks up the uniforms ``first_uniforms(seeds)``, each seed's
+      ``default_rng(seed).random()`` bit for bit, in one kernel call.
 
     ``law_rows(datasets)`` gives the probabilities and log-probabilities of
     the laws of the datasets as the rows of two (T, |H|) arrays; unless the
@@ -325,7 +323,7 @@ class Mechanism:
                 return self.law(dataset).sample(np.random.default_rng(seed))
 
             def sample_many(data, seeds: Sequence[int]) -> np.ndarray:
-                u = _uniforms(seeds)
+                u = first_uniforms(seeds)
                 if isinstance(data, Dataset):
                     return categorical(self.law(data).probabilities, u)
                 return categorical(self.law_rows(_datasets_for(data, seeds))[0], u)
@@ -953,7 +951,7 @@ def boost_high_confidence(
         logits = -scales * np.take_along_axis(risks, candidates, axis=1)
         sel = np.exp(logits - logsumexp_rows(logits)[:, None])
         sel /= sel.sum(axis=1, keepdims=True)
-        pick = categorical(sel, _uniforms([spawn_seed(s, a) for s in seeds]))
+        pick = categorical(sel, first_uniforms([spawn_seed(s, a) for s in seeds]))
         return candidates[np.arange(len(seeds)), pick]
 
     has_law = base.law is not None and space.size**a <= law_cap

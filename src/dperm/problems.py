@@ -170,13 +170,25 @@ class DataDistribution:
             raise ValueError(f"{self.kind} distribution has no finite support")
         return Dataset(x=self.x_atoms.copy(), y=None if self.y_atoms is None else self.y_atoms.copy())
 
-    def dataset_at(self, u: np.ndarray) -> Dataset:
-        """The dataset of a discrete law whose point i is drawn by the uniform
-        ``u[i]``.  ``categorical`` maps each uniform on its own, so the
-        dataset at ``u[idx]`` is the one at ``u`` taken at ``idx``."""
+    def datasets_at(self, u: np.ndarray) -> list[Dataset]:
+        """The datasets of a discrete law, one per row of the 2-d ``u``,
+        whose point j of dataset i is drawn by the uniform ``u[i, j]``.
+        Every uniform of the block is mapped in one ``categorical`` call,
+        which maps each uniform on its own: row i is ``dataset_at(u[i])``,
+        and the dataset at ``u[i, idx]`` is the one at ``u[i]`` taken at
+        ``idx``."""
         if not self.discrete:
             raise ValueError(f"{self.kind} distribution has no finite support")
-        return Dataset.of_atoms(self.support, categorical(self.probs, u))
+        u = np.asarray(u, dtype=float)
+        if u.ndim != 2:
+            raise ValueError(f"expected one row of uniforms per dataset, got shape {u.shape}")
+        ids = categorical(self.probs, u.ravel()).reshape(u.shape)
+        return [Dataset.of_atoms(self.support, row) for row in ids]
+
+    def dataset_at(self, u: np.ndarray) -> Dataset:
+        """The dataset of a discrete law whose point i is drawn by the uniform
+        ``u[i]``: the one-row case of :meth:`datasets_at`."""
+        return self.datasets_at(np.asarray(u)[None])[0]
 
     def sample(self, n: int, rng: np.random.Generator) -> Dataset:
         if n < 1:

@@ -1,11 +1,15 @@
-"""The categorical draw kernel gives exactly the index Generator.choice gives."""
+"""The draw kernels give exactly what numpy gives: first_uniforms the first
+random() of default_rng(seed), and categorical the index of Generator.choice."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dperm.draws import GUIDE_MIN_DRAWS, categorical
+from dperm.draws import GUIDE_MIN_DRAWS, KERNEL_MIN_SEEDS, categorical, first_uniforms
+from dperm.seeding import spawn_seed
 
 SEEDS = 200
 DRAWS = 5000
@@ -174,3 +178,97 @@ def test_bad_row_raises_like_the_1d_call(bad, at):
 def test_rows_need_one_uniform_each():
     with pytest.raises(ValueError, match="one per row"):
         categorical(np.full((2, 2), 0.5), [0.1, 0.2, 0.3])
+
+
+# ---------------------------------------------------------------------------
+# first_uniforms: default_rng(seed).random() without a generator per seed
+
+REFERENCE_RNG = np.random.default_rng
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+
+
+def _reference(seeds):
+    return np.array([REFERENCE_RNG(s).random() for s in seeds])
+
+
+def _same_bits(got, want):
+    return got.dtype == np.float64 and np.array_equal(got.view(np.uint64),
+                                                      want.view(np.uint64))
+
+
+def _refuse(seed):
+    raise AssertionError(f"default_rng({seed!r}) called on the kernel path")
+
+
+def kernel(seeds):
+    """first_uniforms with default_rng unavailable, so a batch that passes
+    went through the array kernel and not through one generator per seed."""
+    with mock.patch.object(np.random, "default_rng", _refuse):
+        return first_uniforms(seeds)
+
+
+def test_spawned_seeds():
+    seeds = [spawn_seed(20150226, i) for i in range(10**5)]
+    assert _same_bits(kernel(seeds), _reference(seeds))
+
+
+def test_edge_seeds():
+    # Seeds of one and of two 32-bit words, and the top bit of each word.
+    batch = EDGE_SEEDS * -(-KERNEL_MIN_SEEDS // len(EDGE_SEEDS))
+    assert _same_bits(kernel(batch), _reference(batch))
+    for s in EDGE_SEEDS:
+        assert _same_bits(first_uniforms([s]), _reference([s]))
+
+
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=KERNEL_MIN_SEEDS, max_size=300))
+@settings(max_examples=200, deadline=None)
+def test_any_seed_below_2_to_the_64(seeds):
+    assert _same_bits(kernel(seeds), _reference(seeds))
+
+
+@pytest.mark.parametrize("dtype", [np.uint64, np.int64, np.uint32, np.int32, np.uint8])
+def test_numpy_integer_seeds(dtype):
+    top = int(np.iinfo(dtype).max)
+    seeds = np.array([0, top] + [spawn_seed(11, i) & top for i in range(KERNEL_MIN_SEEDS)],
+                     dtype=dtype)
+    want = _reference(seeds)
+    assert _same_bits(kernel(seeds), want)
+    assert _same_bits(kernel(list(seeds)), want)
+    mixed = [int(s) if i % 2 else s for i, s in enumerate(seeds)]
+    assert _same_bits(kernel(mixed), want)
+
+
+@pytest.mark.parametrize("size", [1, KERNEL_MIN_SEEDS - 1, KERNEL_MIN_SEEDS,
+                                  KERNEL_MIN_SEEDS + 1])
+def test_both_sides_of_the_crossover(size):
+    seeds = [spawn_seed(7, i) for i in range(size)]
+    assert _same_bits(first_uniforms(seeds), _reference(seeds))
+
+
+def test_crossover_picks_the_path():
+    seeds = [spawn_seed(8, i) for i in range(KERNEL_MIN_SEEDS)]
+    kernel(seeds)
+    with pytest.raises(AssertionError, match="kernel path"):
+        kernel(seeds[:-1])
+
+
+@pytest.mark.parametrize("size", [1, KERNEL_MIN_SEEDS])
+def test_negative_seed_raises_like_default_rng(size):
+    seeds = [spawn_seed(9, i) for i in range(size - 1)] + [-1]
+    with pytest.raises(ValueError) as want:
+        REFERENCE_RNG(-1)
+    with pytest.raises(ValueError) as got:
+        first_uniforms(seeds)
+    assert str(got.value) == str(want.value)
+    with pytest.raises(ValueError):
+        first_uniforms(np.arange(-1, size - 1, dtype=np.int64))
+
+
+def test_seeds_past_64_bits_and_non_integers_take_the_loop():
+    wide = [spawn_seed(10, i) for i in range(KERNEL_MIN_SEEDS)] + [2**64, 2**70 + 3]
+    assert _same_bits(first_uniforms(wide), _reference(wide))
+    floats = [float(i) for i in range(KERNEL_MIN_SEEDS)]
+    with pytest.raises(TypeError):
+        REFERENCE_RNG(floats[0])
+    with pytest.raises(TypeError):
+        first_uniforms(floats)

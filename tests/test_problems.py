@@ -298,6 +298,8 @@ class TestDatasetAtUniforms:
     def test_continuous_law_has_no_uniform_step(self):
         with pytest.raises(ValueError, match="no finite support"):
             uniform_box([0.0], [1.0]).dataset_at(np.array([0.5]))
+        with pytest.raises(ValueError, match="no finite support"):
+            labeled_threshold(0.5).datasets_at(np.full((2, 3), 0.5))
 
 
 def _loss_rows(problem, space, datasets):
@@ -346,6 +348,45 @@ def blocks(draw):
     sizes = draw(st.lists(st.integers(1, cap), min_size=count, max_size=count))
     skew = draw(st.sampled_from([1.0, 0.97, 0.7, 0.2]))
     return sizes, skew, draw(st.integers(0, 2**32))
+
+
+class TestDatasetsAt:
+    @pytest.mark.parametrize("shape", [(), (4,), (2, 3, 4)])
+    def test_block_needs_one_row_per_dataset(self, shape):
+        dist = labeled_threshold(0.5, support_size=8)
+        with pytest.raises(ValueError, match="one row of uniforms per dataset"):
+            dist.datasets_at(np.full(shape, 0.5))
+
+    @pytest.mark.parametrize("case", sorted(ZERO_ONE_CASES))
+    @given(block=st.tuples(st.integers(1, 130), st.integers(1, 60),
+                           st.sampled_from([1.0, 0.7, 0.2]), st.integers(0, 2**32)))
+    @settings(max_examples=20, deadline=None)
+    def test_block_rows_are_the_one_row_datasets(self, case, block):
+        # Blocks past GUIDE_MIN_DRAWS uniforms take the guide table while
+        # their rows alone are binary searched; the uniforms include CDF
+        # values, one ulp either side of them, and the largest double below 1.
+        (problem, space), dist = ZERO_ONE_CASES[case]()
+        trials, n, skew, seed = block
+        dist = _skewed(dist, skew)
+        rng = trial_rng(seed, 0)
+        cdf = np.cumsum(dist.probs)
+        marks = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0),
+                                [0.0, np.nextafter(1.0, 0.0)]])
+        u = rng.random((trials, n))
+        u = np.where(rng.random(u.shape) < 0.3, rng.choice(marks[marks < 1.0], u.shape), u)
+        rows = dist.datasets_at(u)
+        singles = [dist.dataset_at(r) for r in u]
+        assert len(rows) == trials
+        for got, one in zip(rows, singles):
+            assert got.support is dist.support and one.support is dist.support
+            for a, b in ((got.x, one.x), (got.y, one.y), (got.atom_ids, one.atom_ids)):
+                if b is None:
+                    assert a is None
+                    continue
+                assert np.array_equal(a, b)
+                assert not a.flags.writeable
+        assert np.array_equal(risk_rows(problem, space, rows),
+                              risk_rows(problem, space, singles))
 
 
 class TestRiskRows:
