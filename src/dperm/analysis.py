@@ -41,7 +41,8 @@ from .problems import (
     risk_vector,
     threshold_classification,
 )
-from .seeding import spawn_seed, trial_rng
+from .draws import reseeded_generators, uniform_rows
+from .seeding import spawn_seed, spawn_seeds
 from .spaces import SizeLimitError, sublevel_set
 
 AUDIT_TOL = 1e-9
@@ -558,7 +559,7 @@ def consistency_suite(
             block = range(start, min(start + TRIAL_BLOCK, trials))
             # distribution.sample(n, trial_rng(seed, t)) for each trial t.
             datasets = distribution.datasets_at(
-                np.stack([trial_rng(seed, t).random(n) for t in block]))
+                uniform_rows(spawn_seeds(seed, np.arange(block.start, block.stop)), n))
             p = mechanism.law_rows(datasets)[0]
             emp = risk_rows(problem, space, datasets)
             for row, t in enumerate(block):
@@ -741,13 +742,14 @@ def phase_transition_experiment(
             excesses = np.empty(trials)
             for start in range(0, trials, TRIAL_BLOCK):
                 block = range(start, min(start + TRIAL_BLOCK, trials))
-                # Row t is the subsample of distribution.sample(n, rng), with
-                # only the m kept uniforms mapped to points.
+                # Row t is the subsample of distribution.sample(n, rng),
+                # rng = trial_rng(cell_seed, t), with only the m kept uniforms
+                # mapped to points.
                 kept = np.empty((len(block), m))
-                for row, t in enumerate(block):
-                    rng = trial_rng(cell_seed, t)
+                seeds = spawn_seeds(cell_seed, np.arange(block.start, block.stop))
+                for row, rng in zip(kept, reseeded_generators(seeds)):
                     u = rng.random(n)
-                    kept[row] = u[rng.choice(n, size=m, replace=False)]
+                    row[:] = u[rng.choice(n, size=m, replace=False)]
                 emp = risk_rows(problem, space, distribution.datasets_at(kept))
                 excesses[start : start + len(block)] = pop[np.argmin(emp, axis=1)] - best
             rows.append(
@@ -864,6 +866,5 @@ def sample_counts(
         raise ValueError("sample_counts needs a finite-space mechanism")
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
-    seeds = [spawn_seed(seed, i) for i in range(draws)]
-    ids = mechanism.sample_many(dataset, seeds)
+    ids = mechanism.sample_many(dataset, spawn_seeds(seed, np.arange(draws)))
     return np.bincount(ids, minlength=mechanism.space.size)

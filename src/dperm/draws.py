@@ -20,6 +20,14 @@ Below ``KERNEL_MIN_SEEDS`` seeds, and for any seed that is not an integer in
 [0, 2^64), the seeds go through ``default_rng`` one by one, which keeps its
 result or its error.
 
+The same seeding gives each seed's PCG64 (state, inc) right after
+``default_rng(seed)`` builds it.  ``reseeded_generators(seeds)`` sets one
+local generator to each of those states in turn (clearing its buffered
+32-bit half), which makes it a fresh ``default_rng(seed)`` at about a
+seventh of the cost, and ``uniform_rows(seeds, n)`` fills row i of a
+(T, n) array with that generator's ``random(n)``: a Monte Carlo block draws
+every trial's data uniforms without building a generator per trial.
+
 ``categorical(p, u)`` returns the index that ``Generator.choice(len(p),
 size, p=p)`` returns when it draws the uniforms ``u``: it runs the same
 checks on ``p``, builds the same normalized CDF and gives
@@ -41,7 +49,7 @@ only on the batch size and the CDF length.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -131,23 +139,73 @@ def categorical(p: np.ndarray, u):
     return i
 
 
+def _kernel_words(seeds) -> np.ndarray | None:
+    """The seeds as uint64 words when the array kernel takes them: from
+    ``KERNEL_MIN_SEEDS`` seeds up, a uint64 array as it is, or ints and
+    numpy integers that all lie in [0, 2^64).  Otherwise None."""
+    if len(seeds) < KERNEL_MIN_SEEDS:
+        return None
+    if isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64:
+        return seeds
+    if all(issubclass(t, (int, np.integer)) for t in set(map(type, seeds))):
+        try:
+            return np.fromiter(map(int, seeds), dtype=np.uint64, count=len(seeds))
+        except OverflowError:  # a seed outside [0, 2^64)
+            pass
+    return None
+
+
 def first_uniforms(seeds: Sequence[int]) -> np.ndarray:
     """``np.random.default_rng(s).random()`` for each seed, bit for bit.
 
-    From ``KERNEL_MIN_SEEDS`` seeds up, when every seed is an int or numpy
-    integer in [0, 2^64), the block is hashed and stepped as arrays;
-    otherwise each seed gets its own ``default_rng``, which keeps its result
-    or its error."""
-    if len(seeds) >= KERNEL_MIN_SEEDS and all(
-        issubclass(t, (int, np.integer)) for t in set(map(type, seeds))
-    ):
-        try:
-            words = np.fromiter(map(int, seeds), dtype=np.uint64, count=len(seeds))
-        except OverflowError:  # a seed outside [0, 2^64)
-            pass
-        else:
-            return _pcg64_first_doubles(_seed_sequence_state(words))
-    return np.array([np.random.default_rng(s).random() for s in seeds])
+    From ``KERNEL_MIN_SEEDS`` seeds up, when the seeds are a uint64 array or
+    all ints or numpy integers in [0, 2^64), the block is hashed and stepped
+    as arrays; otherwise each seed gets its own ``default_rng``, which keeps
+    its result or its error."""
+    words = _kernel_words(seeds)
+    if words is None:
+        return np.array([np.random.default_rng(s).random() for s in seeds])
+    hi, lo, inc_hi, inc_lo = _pcg64_seeded(words)
+    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+    # XSL-RR: rotate hi ^ lo right by the top 6 bits of the state.
+    x, rot = hi ^ lo, hi >> np.uint64(58)
+    x = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
+    return (x >> np.uint64(11)) * 2.0**-53
+
+
+def reseeded_generators(seeds: Sequence[int]) -> Iterator[np.random.Generator]:
+    """For each seed, a generator in the state of a fresh
+    ``np.random.default_rng(seed)``.
+
+    On the kernel's seeds (see :func:`first_uniforms`) every item is the
+    same local generator, re-seeded by setting its PCG64 ``state`` and
+    ``inc`` to the seed's and clearing the buffered 32-bit half
+    (``has_uint32``, ``uinteger``), which bounded draws such as ``choice``
+    read; an item is valid only until the next one is taken.  Otherwise
+    each item is ``default_rng(seed)``."""
+    words = _kernel_words(seeds)
+    if words is None:
+        yield from map(np.random.default_rng, seeds)
+        return
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    for hi, lo, inc_hi, inc_lo in zip(*(a.tolist() for a in _pcg64_seeded(words))):
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield rng
+
+
+def uniform_rows(seeds: Sequence[int], n: int) -> np.ndarray:
+    """The (T, n) array whose row i is ``np.random.default_rng(seeds[i]).random(n)``,
+    bit for bit, filled from :func:`reseeded_generators`."""
+    out = np.empty((len(seeds), n))
+    for row, rng in zip(out, reseeded_generators(seeds)):
+        rng.random(out=row)
+    return out
 
 
 def _hashmix(value: np.ndarray, k: slice) -> np.ndarray:
@@ -198,17 +256,16 @@ def _pcg_step(hi, lo, inc_hi, inc_lo):
     return new_hi + inc_hi + (new_lo < inc_lo), new_lo
 
 
-def _pcg64_first_doubles(state: np.ndarray) -> np.ndarray:
-    """The first ``random()`` of PCG64 seeded with ``generate_state`` words
-    (initstate high, low, initseq high, low)."""
+def _pcg64_seeded(words: np.ndarray) -> tuple[np.ndarray, ...]:
+    """PCG64's (state high, state low, inc high, inc low) right after
+    ``default_rng`` seeds it from each word, before any draw."""
+    state = _seed_sequence_state(words)
+    # inc = initseq << 1 | 1 from generate_state's (initstate high, low,
+    # initseq high, low).
     inc_hi = (state[2] << np.uint64(1)) | (state[3] >> np.uint64(63))
     inc_lo = (state[3] << np.uint64(1)) | np.uint64(1)
-    # The first step from state 0 gives inc; then add initstate.
+    # The first step from state 0 gives inc; then add initstate and step.
     lo = inc_lo + state[1]
     hi = inc_hi + state[0] + (lo < inc_lo)
     hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
-    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
-    # XSL-RR: rotate hi ^ lo right by the top 6 bits of the state.
-    x, rot = hi ^ lo, hi >> np.uint64(58)
-    x = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
-    return (x >> np.uint64(11)) * 2.0**-53
+    return hi, lo, inc_hi, inc_lo

@@ -27,7 +27,6 @@ from .analysis import (
     TRIAL_BLOCK,
     aerm_bound,
     aerm_bound_stated,
-    aerm_gap,
     audit_approx_dp,
     audit_pure_dp,
     consistency_suite,
@@ -38,6 +37,7 @@ from .analysis import (
     utility_tail_check,
 )
 from .config import ConfigError, RunConfig
+from .draws import uniform_rows
 from .mechanisms import (
     amplify_approx,
     amplify_pure,
@@ -58,9 +58,10 @@ from .problems import (
     linear_logistic,
     population_risk_vector,
     pth_power_mean,
+    risk_rows,
     threshold_classification,
 )
-from .seeding import spawn_seed, trial_rng
+from .seeding import spawn_seed, spawn_seeds, trial_rng
 from .spaces import estimate_sublevel_condition
 
 CSV_COLUMNS = (
@@ -315,10 +316,17 @@ def run_aerm(config: RunConfig) -> ExperimentOutcome:
             mech = exponential_mechanism(problem, space, eps)
             cell_seed = spawn_seed(config.seed, cell)
             cell += 1
-            gaps = np.array([
-                aerm_gap(mech, distribution.sample(n, trial_rng(cell_seed, t)))
-                for t in range(trials)
-            ])
+            gaps = np.empty(trials)
+            for start in range(0, trials, TRIAL_BLOCK):
+                # Trial t is aerm_gap(mech, distribution.sample(n,
+                # trial_rng(cell_seed, t))), with the dot product of
+                # MechanismDistribution.expectation.
+                seeds = spawn_seeds(cell_seed, np.arange(start, min(start + TRIAL_BLOCK, trials)))
+                block = distribution.datasets_at(uniform_rows(seeds, n))
+                p = mech.law_rows(block)[0]
+                emp = risk_rows(problem, space, block)
+                for i in range(len(block)):
+                    gaps[start + i] = float(p[i] @ emp[i]) - float(emp[i].min())
             mean = float(gaps.mean())
             se = float(gaps.std(ddof=1) / math.sqrt(trials))
             bound = aerm_bound(n, eps, space.size, 0.0, problem.zeta(n))
@@ -525,17 +533,15 @@ def run_boost(config: RunConfig) -> ExperimentOutcome:
         def excesses(root: int, count: int) -> np.ndarray:
             # Trial t draws the uniforms of its dataset under
             # spawn_seed(local, 0) and the mechanism under spawn_seed(local, 1),
-            # local = spawn_seed(root, t); a block of trials maps its
-            # uniforms to datasets in one call, and the mechanism takes the
-            # block in one call.
+            # local = spawn_seed(root, t).  A block of trials takes its seeds
+            # as arrays, its uniforms as the rows of one array, and its
+            # datasets as one DatasetBlock, which the mechanism takes in one
+            # call.
             ids = []
             for start in range(0, count, TRIAL_BLOCK):
-                local = [spawn_seed(root, t)
-                         for t in range(start, min(start + TRIAL_BLOCK, count))]
-                u = np.stack([np.random.default_rng(spawn_seed(s, 0)).random(n)
-                              for s in local])
-                ids.append(mech.sample_many(distribution.datasets_at(u),
-                                            [spawn_seed(s, 1) for s in local]))
+                local = spawn_seeds(root, np.arange(start, min(start + TRIAL_BLOCK, count)))
+                block = distribution.datasets_at(uniform_rows(spawn_seeds(local, 0), n))
+                ids.append(mech.sample_many(block, spawn_seeds(local, 1)))
             return pop[np.concatenate(ids)] - best
 
         scores = excesses(spawn_seed(config.seed, 1000 + index), calibration_trials)

@@ -17,7 +17,7 @@ Every mechanism here exposes the same two call paths:
   ``default_rng(seed).random()`` bit for bit, for a block of seeds in one
   array kernel.  The seed is consumed as-is (callers derive per-trial
   seeds themselves); sub-draws inside composite mechanisms fork the seed
-  through :func:`dperm.seeding.spawn_seed` so the pieces stay independent.
+  through :func:`dperm.seeding.spawn_seeds` so the pieces stay independent.
 
 Every draw from a probability vector goes through
 :func:`dperm.draws.categorical` with the generator's own uniforms, so it
@@ -38,8 +38,9 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .draws import categorical, first_uniforms
-from .problems import Dataset, Problem, objective_rows, objective_vector, risk_rows, risk_vector
-from .seeding import spawn_seed
+from .problems import (Dataset, DatasetBlock, Problem, objective_rows, objective_vector,
+                       risk_rows, risk_vector)
+from .seeding import spawn_seed, spawn_seeds
 from .spaces import FiniteHypothesisSpace, SizeLimitError
 
 PROB_SUM_TOL = 1e-12
@@ -244,9 +245,10 @@ SampleManyFn = Callable[[Union[Dataset, Sequence[Dataset]], Sequence[int]], np.n
 BudgetFn = Callable[[int], PrivacyBudget]
 
 
-def _datasets_for(data, seeds: Sequence[int]) -> list:
-    """The sequence form of ``sample_many``'s data, checked against the seeds."""
-    datasets = list(data)
+def _datasets_for(data, seeds: Sequence[int]) -> Sequence[Dataset]:
+    """The sequence form of ``sample_many``'s data, checked against the
+    seeds; a :class:`DatasetBlock` passes through as it is."""
+    datasets = data if isinstance(data, DatasetBlock) else list(data)
     if len(datasets) != len(seeds):
         raise ValueError(
             f"got {len(datasets)} datasets for {len(seeds)} seeds; "
@@ -266,7 +268,11 @@ class Mechanism:
 
     ``sample_many(data, seeds)`` takes one dataset or a sequence of datasets
     aligned with ``seeds`` and returns an array of ids: draw i under seed i,
-    on dataset i or on the one dataset.  A factory may give ``sample``,
+    on dataset i or on the one dataset.  The sequence may be a
+    :class:`dperm.problems.DatasetBlock`, which reaches ``law_rows`` as it
+    is, so the exponential mechanism and boost read its id array and build
+    no dataset per row.  ``seeds`` may be a uint64 array
+    (:func:`dperm.seeding.spawn_seeds`).  A factory may give ``sample``,
     ``sample_many`` or neither:
 
     * ``sample`` only: ``sample_many`` calls it seed by seed.
@@ -375,9 +381,12 @@ def exponential_mechanism(
         )
 
     def law_rows(datasets: Sequence[Dataset]) -> tuple[np.ndarray, np.ndarray]:
-        scales = np.array([em_scale(epsilon, d.n) for d in datasets])
+        if isinstance(datasets, DatasetBlock):
+            scales = em_scale(epsilon, datasets.n)
+        else:
+            scales = np.array([em_scale(epsilon, d.n) for d in datasets])[:, None]
         values = objective_rows(problem, space, datasets)
-        p, logp = normalized_logit_rows(log_measure - scales[:, None] * values)
+        p, logp = normalized_logit_rows(log_measure - scales * values)
         check_law_rows(p, logp)
         return p, logp
 
@@ -928,30 +937,41 @@ def boost_high_confidence(
         np.add.at(probs, combos.ravel(), (weight[:, None] * sel).ravel())
         return MechanismDistribution.from_probabilities(space, probs)
 
+    streams = np.arange(a + 1, dtype=np.uint64)[:, None]
+
     def sample_many(data, seeds: Sequence[int]) -> np.ndarray:
         # Draw i runs the base on part j under spawn_seed(seeds[i], j) and
         # selects under spawn_seed(seeds[i], a).  On one dataset the parts
         # are the same for every seed, so each base law is built once; on
-        # one dataset per seed, one base call draws every part's candidate.
+        # one dataset per seed, one base call draws every part's candidate,
+        # with the parts trial-major.  A block splits its id array.
         one = isinstance(data, Dataset)
         datasets = [data] if one else _datasets_for(data, seeds)
-        splits = [boost_parts(d.n, a) for d in datasets]
-        parts = [d.take(idx) for d, (train, _) in zip(datasets, splits) for idx in train]
-        if one:
-            candidates = np.column_stack([
-                base.sample_many(part, [spawn_seed(s, j) for s in seeds])
-                for j, part in enumerate(parts)
-            ])
+        # Row i: the seeds of draw i's parts, then of its selection.
+        sub = spawn_seeds(seeds, streams).T
+        if isinstance(datasets, DatasetBlock):
+            train, validation = boost_parts(datasets.n, a)
+            part = len(train[0])
+            parts = DatasetBlock(datasets.support,
+                                 datasets.atom_ids[:, :a * part].reshape(-1, part))
+            candidates = base.sample_many(parts, sub[:, :a].ravel()).reshape(-1, a)
+            risks = risk_rows(problem, space, datasets.columns(validation))
+            scales = selection_scale(datasets.n)
         else:
-            part_seeds = [spawn_seed(s, j) for s in seeds for j in range(a)]
-            candidates = base.sample_many(parts, part_seeds).reshape(len(seeds), a)
-        risks = risk_rows(problem, space, [d.take(validation)
-                                           for d, (_, validation) in zip(datasets, splits)])
-        scales = np.array([selection_scale(d.n) for d in datasets])[:, None]
+            splits = [boost_parts(d.n, a) for d in datasets]
+            parts = [d.take(idx) for d, (train, _) in zip(datasets, splits) for idx in train]
+            if one:
+                candidates = np.column_stack([base.sample_many(part, sub[:, j])
+                                              for j, part in enumerate(parts)])
+            else:
+                candidates = base.sample_many(parts, sub[:, :a].ravel()).reshape(-1, a)
+            risks = risk_rows(problem, space, [d.take(validation)
+                                               for d, (_, validation) in zip(datasets, splits)])
+            scales = np.array([selection_scale(d.n) for d in datasets])[:, None]
         logits = -scales * np.take_along_axis(risks, candidates, axis=1)
         sel = np.exp(logits - logsumexp_rows(logits)[:, None])
         sel /= sel.sum(axis=1, keepdims=True)
-        pick = categorical(sel, first_uniforms([spawn_seed(s, a) for s in seeds]))
+        pick = categorical(sel, first_uniforms(sub[:, a]))
         return candidates[np.arange(len(seeds)), pick]
 
     has_law = base.law is not None and space.size**a <= law_cap

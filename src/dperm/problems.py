@@ -7,14 +7,22 @@ the (k, d) payload rows of k hypotheses and a dataset of n points to the
 wider), which is what the privacy calibration of the mechanisms assumes.
 Constructors probe that range on seeded random hypotheses and points and
 refuse to build a problem violating it.
+
+A dataset drawn from a discrete law carries its atom ids into the law's
+``support``; a block of T such datasets of n points is a
+:class:`DatasetBlock`, one read-only (T, n) id array, which
+:func:`risk_rows` counts in one ``bincount`` without building a dataset
+per row.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -23,6 +31,7 @@ from .spaces import FiniteHypothesisSpace, GridSpec, SizeLimitError, discretize_
 
 __all__ = [
     "Dataset",
+    "DatasetBlock",
     "Problem",
     "DataDistribution",
     "PackedFamily",
@@ -110,6 +119,41 @@ class Dataset:
         return np.lexsort(keys[::-1])
 
 
+class DatasetBlock:
+    """T datasets of n points each, drawn from the discrete law whose
+    ``support`` they share, stored as one read-only (T, n) array of atom ids.
+    It is a sequence of T datasets (``len``, indexing, iteration).
+
+    Item i is ``Dataset.of_atoms(support, atom_ids[i])``, built only when it
+    is asked for; :func:`risk_rows`, :func:`objective_rows` and the
+    exponential mechanism's ``law_rows`` read the ids directly and build no
+    dataset.
+    """
+
+    def __init__(self, support: Dataset, atom_ids) -> None:
+        ids = np.array(atom_ids, dtype=np.intp)
+        if ids.ndim != 2:
+            raise ValueError(f"expected one row of atom ids per dataset, got shape {ids.shape}")
+        ids.flags.writeable = False
+        self.support, self.atom_ids = support, ids
+
+    @property
+    def n(self) -> int:
+        """Points per dataset."""
+        return self.atom_ids.shape[1]
+
+    def __len__(self) -> int:
+        return len(self.atom_ids)
+
+    def __getitem__(self, i) -> Dataset:
+        return Dataset.of_atoms(self.support, self.atom_ids[operator.index(i)])
+
+    def columns(self, indices) -> "DatasetBlock":
+        """Every dataset taken at the same positions: item i is
+        ``self[i].take(indices)``."""
+        return DatasetBlock(self.support, self.atom_ids[:, indices])
+
+
 def _zero_reg_vector(n: int, payloads: np.ndarray) -> np.ndarray:
     return np.zeros(len(payloads))
 
@@ -170,11 +214,11 @@ class DataDistribution:
             raise ValueError(f"{self.kind} distribution has no finite support")
         return Dataset(x=self.x_atoms.copy(), y=None if self.y_atoms is None else self.y_atoms.copy())
 
-    def datasets_at(self, u: np.ndarray) -> list[Dataset]:
-        """The datasets of a discrete law, one per row of the 2-d ``u``,
-        whose point j of dataset i is drawn by the uniform ``u[i, j]``.
+    def datasets_at(self, u: np.ndarray) -> DatasetBlock:
+        """The block of datasets of a discrete law, one per row of the 2-d
+        ``u``, whose point j of dataset i is drawn by the uniform ``u[i, j]``.
         Every uniform of the block is mapped in one ``categorical`` call,
-        which maps each uniform on its own: row i is ``dataset_at(u[i])``,
+        which maps each uniform on its own: item i is ``dataset_at(u[i])``,
         and the dataset at ``u[i, idx]`` is the one at ``u[i]`` taken at
         ``idx``."""
         if not self.discrete:
@@ -183,11 +227,11 @@ class DataDistribution:
         if u.ndim != 2:
             raise ValueError(f"expected one row of uniforms per dataset, got shape {u.shape}")
         ids = categorical(self.probs, u.ravel()).reshape(u.shape)
-        return [Dataset.of_atoms(self.support, row) for row in ids]
+        return DatasetBlock(self.support, ids)
 
     def dataset_at(self, u: np.ndarray) -> Dataset:
         """The dataset of a discrete law whose point i is drawn by the uniform
-        ``u[i]``: the one-row case of :meth:`datasets_at`."""
+        ``u[i]``: item 0 of the one-row :meth:`datasets_at`."""
         return self.datasets_at(np.asarray(u)[None])[0]
 
     def sample(self, n: int, rng: np.random.Generator) -> Dataset:
@@ -260,28 +304,43 @@ def _loss_table(problem: Problem, space: FiniteHypothesisSpace, dataset: Dataset
     return losses
 
 
+def _atom_counts(datasets: Sequence[Dataset]):
+    """(support, (T, k) atom counts, sizes) when every dataset carries atom
+    ids into one shared support of k atoms, else None.  One ``bincount``
+    counts the block: dataset i's ids are offset by i * k."""
+    if isinstance(datasets, DatasetBlock):
+        support, ids = datasets.support, datasets.atom_ids
+        sizes = np.full(len(ids), datasets.n)
+        keys = (ids + (np.arange(len(ids)) * support.n)[:, None]).ravel()
+    else:
+        support = datasets[0].support
+        if support is None or any(d.support is not support for d in datasets):
+            return None
+        sizes = np.array([d.n for d in datasets])
+        keys = np.concatenate([d.atom_ids for d in datasets])
+        keys += np.repeat(np.arange(len(datasets)) * support.n, sizes)
+    counts = np.bincount(keys, minlength=len(sizes) * support.n)
+    return support, counts.reshape(len(sizes), support.n), sizes
+
+
 def risk_rows(
     problem: Problem, space: FiniteHypothesisSpace, datasets: Sequence[Dataset]
 ) -> np.ndarray:
     """Empirical risk of every hypothesis on each dataset, as the rows of a
     (T, |H|) array; :func:`risk_vector` is its one-row case.
 
-    When every dataset carries atom ids into one shared support, the losses
-    are evaluated once, on the atoms present in the block.  If that table is
-    all 0/1 (+0.0 or 1.0), row i is counts_i @ table.T / n_i: its sums are
-    exact integers, so it equals ``loss_matrix(...).mean(1)`` bit for bit.
-    This assumes, as every shipped loss does, that a point's loss does not
-    depend on the other points.  Any other loss is averaged dataset by
-    dataset over ``loss_matrix``, because its sums depend on the order of
-    the points.
+    When every dataset carries atom ids into one shared support (always, for
+    a :class:`DatasetBlock`), the losses are evaluated once, on the atoms
+    present in the block.  If that table is all 0/1 (+0.0 or 1.0), row i is
+    counts_i @ table.T / n_i: its sums are exact integers, so it equals
+    ``loss_matrix(...).mean(1)`` bit for bit.  This assumes, as every shipped
+    loss does, that a point's loss does not depend on the other points.  Any
+    other loss is averaged dataset by dataset over ``loss_matrix``, because
+    its sums depend on the order of the points.
     """
-    support = datasets[0].support
-    if support is not None and all(d.support is support for d in datasets):
-        sizes = np.array([d.n for d in datasets])
-        keys = np.concatenate([d.atom_ids for d in datasets])
-        keys += np.repeat(np.arange(len(datasets)) * support.n, sizes)
-        counts = np.bincount(keys, minlength=len(datasets) * support.n)
-        counts = counts.reshape(len(datasets), support.n)
+    counted = _atom_counts(datasets)
+    if counted is not None:
+        support, counts, sizes = counted
         present = np.flatnonzero(counts.any(axis=0))
         atoms = Dataset(
             x=support.x[present],
@@ -308,9 +367,13 @@ def objective_rows(
     problem: Problem, space: FiniteHypothesisSpace, datasets: Sequence[Dataset]
 ) -> np.ndarray:
     """Regularized objective of every hypothesis on each dataset, as the
-    rows of a (T, |H|) array; :func:`objective_vector` is its one-row case."""
+    rows of a (T, |H|) array; :func:`objective_vector` is its one-row case.
+    A :class:`DatasetBlock` adds one regularizer row, at its one size."""
     values = risk_rows(problem, space, datasets)
-    values += [problem.reg_vector(d.n, space.payloads) for d in datasets]
+    if isinstance(datasets, DatasetBlock):
+        values += problem.reg_vector(datasets.n, space.payloads)
+    else:
+        values += [problem.reg_vector(d.n, space.payloads) for d in datasets]
     if not np.isfinite(values).all():
         raise ValueError("objective contains non-finite values")
     return values

@@ -1,6 +1,8 @@
 """The draw kernels give exactly what numpy gives: first_uniforms the first
-random() of default_rng(seed), and categorical the index of Generator.choice."""
+random() of default_rng(seed), uniform_rows its first n, reseeded_generators
+its generator, and categorical the index of Generator.choice."""
 
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -8,8 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dperm.draws import GUIDE_MIN_DRAWS, KERNEL_MIN_SEEDS, categorical, first_uniforms
-from dperm.seeding import spawn_seed
+from dperm.draws import (
+    GUIDE_MIN_DRAWS,
+    KERNEL_MIN_SEEDS,
+    categorical,
+    first_uniforms,
+    reseeded_generators,
+    uniform_rows,
+)
+from dperm.seeding import spawn_seed, spawn_seeds
 
 SEEDS = 200
 DRAWS = 5000
@@ -272,3 +281,39 @@ def test_seeds_past_64_bits_and_non_integers_take_the_loop():
         REFERENCE_RNG(floats[0])
     with pytest.raises(TypeError):
         first_uniforms(floats)
+
+
+# ---------------------------------------------------------------------------
+# uniform_rows and reseeded_generators: default_rng(seed) by setting state
+
+
+@pytest.mark.parametrize("n", [1, 600, 10_000])
+def test_uniform_rows_are_default_rng_rows(n):
+    seeds = np.concatenate([spawn_seeds(12, np.arange(40)),
+                            np.array(EDGE_SEEDS, dtype=np.uint64)])
+    want = np.stack([REFERENCE_RNG(s).random(n) for s in seeds.tolist()])
+    with mock.patch.object(np.random, "default_rng", _refuse):
+        got = uniform_rows(seeds, n)
+    assert got.shape == (len(seeds), n) and _same_bits(got, want)
+    # Below the crossover each row comes from its own generator.
+    assert _same_bits(uniform_rows(seeds[:2], n), want[:2])
+
+
+def test_reseeded_generator_is_a_fresh_default_rng():
+    # choice(n, m, replace=False) draws bounded 32-bit values and can leave
+    # half a 64-bit word buffered (has_uint32 = 1); re-seeding must clear it,
+    # or the next trial's state differs from a fresh generator's.
+    n, seeds = 600, spawn_seeds(13, np.arange(64))
+    buffered = 0
+    with mock.patch.object(np.random, "default_rng", _refuse):
+        generators = reseeded_generators(seeds)
+        for s, m in zip(seeds.tolist(), itertools.cycle([1, 7, 25, 600])):
+            rng, fresh = next(generators), REFERENCE_RNG(s)
+            assert rng.bit_generator.state == fresh.bit_generator.state
+            assert _same_bits(rng.random(n), fresh.random(n))
+            assert rng.bit_generator.state == fresh.bit_generator.state
+            assert np.array_equal(rng.choice(n, m, replace=False),
+                                  fresh.choice(n, m, replace=False))
+            assert rng.bit_generator.state == fresh.bit_generator.state
+            buffered += rng.bit_generator.state["has_uint32"]
+    assert buffered > 0

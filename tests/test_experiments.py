@@ -1,5 +1,6 @@
 """Row formatting, and the replay of the shipped results."""
 
+import collections
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from dperm.config import parse_config_file
 from dperm.experiments import CSV_COLUMNS, Row, _cell, rows_to_csv, run_experiment
+from dperm.problems import Dataset
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -48,12 +50,27 @@ def test_rows_to_csv_quotes_commas():
     assert lines[1].endswith("true")
 
 
+# Drivers that take each block of Monte Carlo trials as arrays: seeds,
+# uniforms and datasets, with no generator and no dataset built per trial.
+TRIAL_BLOCK_DRIVERS = {"aerm", "boost", "consistency_mc", "phase"}
+
+
 @pytest.mark.parametrize(
     "conf",
     sorted((REPO / "scripts").glob("*.conf")),
     ids=lambda p: p.stem,
 )
-def test_shipped_config_reproduces_its_csv(conf):
+def test_shipped_config_reproduces_its_csv(conf, monkeypatch):
+    built = collections.Counter()
+    default_rng, of_atoms = np.random.default_rng, Dataset.of_atoms.__func__
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda *a: built.update(["generator"]) or default_rng(*a))
+    monkeypatch.setattr(Dataset, "of_atoms",
+                        classmethod(lambda cls, *a: built.update(["dataset"]) or of_atoms(cls, *a)))
     config = parse_config_file(str(conf))
     text = rows_to_csv(run_experiment(config).rows)
     assert text.encode("utf-8") == (REPO / config.output).read_bytes()
+    if conf.stem in TRIAL_BLOCK_DRIVERS:
+        # The one generator is the loss-range probe of the problem's
+        # constructor.
+        assert built == {"generator": 1}

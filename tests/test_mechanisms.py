@@ -48,7 +48,8 @@ from dperm.problems import (
     risk_vector,
     uniform_box,
 )
-from dperm.seeding import spawn_seed, trial_rng
+from dperm.draws import uniform_rows
+from dperm.seeding import spawn_seed, spawn_seeds, trial_rng
 from dperm.spaces import FiniteHypothesisSpace, SizeLimitError
 
 
@@ -915,6 +916,38 @@ class TestLawRows:
         sub = subsample_wrapper(mech, 3)
         ids = sub.sample_many(datasets, [5, 6, 7])
         assert ids.tolist() == [sub.sample(d, s) for d, s in zip(datasets, [5, 6, 7])]
+
+    def test_em_rows_of_a_block_equal_its_items(self):
+        problem, space = PROBLEM_BUILDERS["finite-support"](cells=8, max_subset_size=3)
+        mech = exponential_mechanism(problem, space, 2.0)
+        block = discrete_points((np.arange(8) + 0.5) / 8).datasets_at(
+            uniform_rows(spawn_seeds(15, np.arange(130)), 50))
+        for got, want in zip(mech.law_rows(block), mech.law_rows(list(block))):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("trials", [1, 129])
+    @pytest.mark.parametrize("max_subset_size, delta_target", [(1, 0.5), (2, 0.2)])
+    def test_boost_sample_many_on_a_block(self, monkeypatch, max_subset_size, delta_target,
+                                          trials):
+        problem, space = PROBLEM_BUILDERS["finite-support"](
+            cells=3, max_subset_size=max_subset_size)
+        base = exponential_mechanism(problem, space, 1.0)
+        boosted = boost_high_confidence(base, space, delta_target, 1.0)
+        atoms = discrete_points(np.array([0.1, 0.5, 0.9]), probs=np.array([0.6, 0.3, 0.1]))
+        block = atoms.datasets_at(uniform_rows(spawn_seeds(16, np.arange(trials)), 17))
+        seeds = spawn_seeds(17, np.arange(trials))
+        datasets = list(block)
+        # The block is split as an id array: no dataset is built per trial.
+        built = []
+        of_atoms = Dataset.of_atoms.__func__
+        monkeypatch.setattr(Dataset, "of_atoms",
+                            classmethod(lambda cls, *a: built.append(1) or of_atoms(cls, *a)))
+        ids = boosted.sample_many(block, seeds).tolist()
+        assert built == []
+        assert ids == boosted.sample_many(datasets, seeds).tolist()
+        assert ids == [boosted.sample(d, s) for d, s in zip(datasets, seeds.tolist())]
+        assert ids == [boost_draw_oracle(base, space, boosted.info["parts"], 1.0, d, s)
+                       for d, s in zip(datasets, seeds.tolist())]
 
     @pytest.mark.parametrize(
         "max_subset_size, delta_target, parts", [(1, 0.5, 2), (2, 0.2, 3)]

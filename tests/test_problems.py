@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from dperm.problems import (
     PROBLEM_BUILDERS,
     Dataset,
+    DatasetBlock,
     Problem,
     _probe_unit_range,
     discrete_points,
@@ -385,8 +386,38 @@ class TestDatasetsAt:
                     continue
                 assert np.array_equal(a, b)
                 assert not a.flags.writeable
+        assert isinstance(rows, DatasetBlock) and not rows.atom_ids.flags.writeable
         assert np.array_equal(risk_rows(problem, space, rows),
                               risk_rows(problem, space, singles))
+        assert np.array_equal(risk_rows(problem, space, rows),
+                              risk_rows(problem, space, list(rows)))
+        idx = rng.permutation(n)[: max(1, n // 3)]
+        cols = rows.columns(idx)
+        assert cols.support is dist.support and not cols.atom_ids.flags.writeable
+        assert np.array_equal(cols.atom_ids, np.stack([d.take(idx).atom_ids for d in singles]))
+
+    def test_block_is_a_sequence_of_datasets(self):
+        dist = labeled_threshold(0.5, support_size=8)
+        u = trial_rng(3, 0).random((4, 6))
+        block = dist.datasets_at(u)
+        assert len(block) == 4 and block.n == 6
+        assert [d.atom_ids.tolist() for d in block] == block.atom_ids.tolist()
+        assert np.array_equal(block[-1].x, dist.dataset_at(u[3]).x)
+        with pytest.raises(IndexError):
+            block[4]
+        with pytest.raises(TypeError):
+            block[1:3]
+        with pytest.raises(ValueError, match="one row of atom ids per dataset"):
+            DatasetBlock(dist.support, [1, 2])
+
+    def test_block_objective_rows_add_one_regularizer_row(self):
+        # Logistic losses take the loss path, item by item, and the block
+        # adds its one regularizer row.
+        problem, space = PROBLEM_BUILDERS["logistic"]()
+        block = labeled_threshold(0.5, support_size=16).datasets_at(
+            trial_rng(14, 0).random((5, 9)))
+        assert np.array_equal(objective_rows(problem, space, block),
+                              objective_rows(problem, space, list(block)))
 
 
 class TestRiskRows:
