@@ -247,8 +247,16 @@ BudgetFn = Callable[[int], PrivacyBudget]
 
 def _datasets_for(data, seeds: Sequence[int]) -> Sequence[Dataset]:
     """The sequence form of ``sample_many``'s data, checked against the
-    seeds; a :class:`DatasetBlock` passes through as it is."""
-    datasets = data if isinstance(data, DatasetBlock) else list(data)
+    seeds.  A :class:`DatasetBlock` passes through as it is, and datasets of
+    one size that carry atom ids into one support become the block of their
+    ids; any other sequence becomes a list."""
+    datasets = data
+    if not isinstance(datasets, DatasetBlock):
+        datasets = list(data)
+        support = datasets[0].support if datasets else None
+        if support is not None and all(d.support is support and d.n == datasets[0].n
+                                       for d in datasets):
+            datasets = DatasetBlock(support, [d.atom_ids for d in datasets])
     if len(datasets) != len(seeds):
         raise ValueError(
             f"got {len(datasets)} datasets for {len(seeds)} seeds; "
@@ -271,7 +279,8 @@ class Mechanism:
     on dataset i or on the one dataset.  The sequence may be a
     :class:`dperm.problems.DatasetBlock`, which reaches ``law_rows`` as it
     is, so the exponential mechanism and boost read its id array and build
-    no dataset per row.  ``seeds`` may be a uint64 array
+    no dataset per row; datasets of one size with atom ids into one support
+    are stacked into a block first.  ``seeds`` may be a uint64 array
     (:func:`dperm.seeding.spawn_seeds`).  A factory may give ``sample``,
     ``sample_many`` or neither:
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dperm.seeding import mix64, spawn_seed, spawn_seeds, trial_rng
+from dperm.seeding import ARRAY_MIN_SEEDS, mix64, spawn_seed, spawn_seeds, trial_rng
 
 # Reference outputs of the splitmix64 finalizer.  mix64(0) must equal the
 # first output of the standard generator seeded with 0.
@@ -84,6 +84,12 @@ def test_spawn_seeds_edge_and_numpy_roots(root):
     want = [spawn_seed(root, i) for i in indices]
     assert spawn_seeds(root, indices).tolist() == want
     assert spawn_seeds(np.array([root] * 3)[:, None], indices).tolist() == [want] * 3
+
+
+@pytest.mark.parametrize("size", [1, ARRAY_MIN_SEEDS - 1, ARRAY_MIN_SEEDS, ARRAY_MIN_SEEDS + 1])
+def test_spawn_seeds_on_both_sides_of_the_crossover(size):
+    roots = [2**64 - 1 - 3 * i for i in range(size)]
+    assert spawn_seeds(roots, 9).tolist() == [spawn_seed(r, 9) for r in roots]
 
 
 def test_spawn_seeds_broadcasts():
