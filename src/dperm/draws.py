@@ -23,10 +23,12 @@ result or its error.
 The same seeding gives each seed's PCG64 (state, inc) right after
 ``default_rng(seed)`` builds it.  ``reseeded_generators(seeds)`` sets one
 local generator to each of those states in turn (clearing its buffered
-32-bit half), which makes it a fresh ``default_rng(seed)`` at about a
-seventh of the cost, and ``uniform_rows(seeds, n)`` fills row i of a
-(T, n) array with that generator's ``random(n)``: a Monte Carlo block draws
-every trial's data uniforms without building a generator per trial.
+32-bit half), which makes it a fresh ``default_rng(seed)`` for a
+fraction of the cost (setting the state took 2.1 us against 9.2 us for
+``default_rng`` on a 2 vCPU Xeon, BENCH_blocks.json), and
+``uniform_rows(seeds, n)`` fills row i of a (T, n) array with that
+generator's ``random(n)``: a Monte Carlo block draws every trial's data
+uniforms without building a generator per trial.
 
 ``categorical(p, u)`` returns the index that ``Generator.choice(len(p),
 size, p=p)`` returns when it draws the uniforms ``u``: it runs the same

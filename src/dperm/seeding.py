@@ -19,8 +19,8 @@ _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MUL_1, _MUL_2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
 _SHIFT_1, _SHIFT_2, _SHIFT_3 = np.uint64(30), np.uint64(27), np.uint64(31)
 # Below this many seeds, mix64 on Python ints (about 1 us a seed) costs less
-# than the fixed cost of the array operations (about 14 us a call), both
-# measured on a 2 vCPU Xeon.
+# than the fixed cost of the array operations (8-14 us a call), both
+# measured on a 2 vCPU Xeon (BENCH_blocks.json).
 ARRAY_MIN_SEEDS = 10
 
 
