@@ -722,18 +722,6 @@ def amplify_approx(epsilon: float, delta: float, gamma: float) -> PrivacyBudget:
     return PrivacyBudget(eps_out, min(delta_out, 1.0))
 
 
-def _multiplicities(dataset: Dataset, order: np.ndarray) -> list[int]:
-    """Multiplicity of each distinct point, in the order ``order`` lists
-    them (see :meth:`Dataset.multiset_order`)."""
-    x = dataset.x[order].reshape(dataset.n, -1)
-    new = np.any(x[1:] != x[:-1], axis=1)
-    if dataset.y is not None:
-        y = dataset.y[order]
-        new |= y[1:] != y[:-1]
-    starts = np.flatnonzero(np.concatenate(([True], new)))
-    return np.diff(np.append(starts, dataset.n)).tolist()
-
-
 def _sub_multisets_fit(counts: list[int], m: int, cap: int) -> bool:
     """Whether a multiset with these multiplicities has at most ``cap``
     distinct size-m sub-multisets.
@@ -796,12 +784,14 @@ def subsample_wrapper(
     the tight pure bound; a base with delta > 0 goes through amplify_approx.
 
     The exact law is a mixture over the distinct size-m sub-multisets of the
-    dataset, not over all C(n, m) index subsets: the sub-multiset that keeps
-    s_i of the c_i copies of each distinct point has the multivariate
-    hypergeometric weight prod_i C(c_i, s_i) / C(n, m) and contributes the
-    base law on that sub-multiset.  Past ``exact_cap`` distinct
-    sub-multisets (reached only by datasets of mostly distinct points) the
-    law raises SizeLimitError naming the mechanism.
+    dataset, not over all C(n, m) index subsets.  It needs a dataset with
+    atom ids (:meth:`Dataset.of_atoms`), whose multiset is its vector of
+    atom counts c over the support: the sub-multiset that keeps s_i of the
+    c_i copies of each present atom has the multivariate hypergeometric
+    weight prod_i C(c_i, s_i) / C(n, m) and contributes the base law on
+    ``Dataset.of_atoms(support, ids)``, its ids in ascending order.  Past
+    ``exact_cap`` distinct sub-multisets (reached only by datasets of mostly
+    distinct points) the law raises SizeLimitError naming the mechanism.
     """
     sqrt_rule = m == "sqrt"
     if not sqrt_rule:
@@ -835,25 +825,28 @@ def subsample_wrapper(
     def law(
         dataset: Dataset, base_law: Optional[LawFn] = None
     ) -> MechanismDistribution:
+        if dataset.atom_ids is None:
+            raise ValueError(
+                f"mechanism {name!r}: the exact subsample law reads atom counts "
+                "and needs a dataset with atom ids (Dataset.of_atoms)"
+            )
         base_law = base.law if base_law is None else base_law
         n = dataset.n
         size = subsample_size(n)
-        order = dataset.multiset_order()
-        counts = _multiplicities(dataset, order)
+        counts = np.bincount(dataset.atom_ids)
+        present = np.flatnonzero(counts)
+        counts = counts[present].tolist()
         if not _sub_multisets_fit(counts, size, exact_cap):
             raise SizeLimitError(
                 f"mechanism {name!r}: {n} points hold more than {exact_cap} "
                 f"distinct size-{size} sub-multisets"
             )
         acc = np.zeros(base.space.size)
-        starts = np.cumsum(counts) - counts
         total = math.comb(n, size)
         for kept in _sub_multisets(counts, size):
             weight = math.prod(map(math.comb, counts, kept)) / total
-            idx = np.concatenate(
-                [order[a : a + t] for a, t in zip(starts, kept) if t]
-            )
-            acc += weight * base_law(dataset.take(idx)).probabilities
+            sub = Dataset.of_atoms(dataset.support, np.repeat(present, kept))
+            acc += weight * base_law(sub).probabilities
         return MechanismDistribution.from_probabilities(base.space, acc)
 
     def sample(dataset: Dataset, seed: int):

@@ -109,15 +109,6 @@ class Dataset:
             x=self.x[idx].copy(), y=None if self.y is None else self.y[idx].copy()
         )
 
-    def multiset_order(self) -> np.ndarray:
-        """Positions that list the points in lexicographic order of their
-        coordinates, then label.  Two datasets hold the same multiset of
-        points exactly when their points agree in this order."""
-        keys = [self.x] if self.x.ndim == 1 else list(self.x.T)
-        if self.y is not None:
-            keys.append(self.y)
-        return np.lexsort(keys[::-1])
-
 
 class DatasetBlock:
     """T datasets of n points each, drawn from the discrete law whose

@@ -27,6 +27,7 @@ from dperm.analysis import (
     utility_tail_check,
 )
 from dperm.mechanisms import (
+    Mechanism,
     boost_high_confidence,
     erm_mechanism,
     exponential_mechanism,
@@ -297,6 +298,16 @@ class TestConsistencySuite:
         )
         with pytest.raises(SizeLimitError):
             consistency_suite(mech, dist, n=40, mode="exact", enumeration_cap=10)
+
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    def test_mechanism_without_law_rejected(self, mode):
+        problem, space = PROBLEM_BUILDERS["threshold"](resolution=4)
+        em = exponential_mechanism(problem, space, 1.0)
+        sample_only = Mechanism(name="sample-only", sample=em.sample, budget=em.budget,
+                                problem=problem, space=space)
+        dist = discrete_points(np.array([0.3, 0.7]), y=np.array([0.0, 1.0]))
+        with pytest.raises(ValueError, match="with a law"):
+            consistency_suite(sample_only, dist, n=3, mode=mode)
 
     def test_continuous_distribution_rejected(self):
         problem, space = PROBLEM_BUILDERS["threshold"](resolution=4)

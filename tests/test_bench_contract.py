@@ -8,11 +8,16 @@ benchmark run.
 
 import ast
 import importlib
+import math
 from pathlib import Path
 
 import pytest
 
 import dperm
+from dperm.analysis import _LawTable, exhaustive_neighbor_pairs
+from dperm.config import parse_config_text
+from dperm.experiments import _audit_problem
+from dperm.mechanisms import exponential_mechanism
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -30,6 +35,22 @@ def test_workload_builds_under_instrumentation(perfbench, name, tmp_path):
         workload = workloads.build(name, 0, str(tmp_path))
     assert workload.ops
     assert list(tmp_path.glob("*.conf"))
+
+
+@pytest.mark.parametrize("op", ["audit", "stability"])
+def test_multiset_key_splits_datasets_as_the_law_table(perfbench, op, tmp_path):
+    # analysis.laws_per_multiset divides the laws an audit builds by the
+    # distinct multiset_key values it sees: one law per multiset only while
+    # that key splits the audit's datasets exactly as the table's count key.
+    tracing, workloads = perfbench
+    config = parse_config_text(workloads._config(
+        workloads.EXACT_AUDIT[op], workloads.REFERENCE_SEED, str(tmp_path / "out.csv")))
+    problem, space, universe = _audit_problem(config)
+    table = _LawTable(exponential_mechanism(problem, space, 1.0))
+    keys = {(tracing.multiset_key(d), table.row(d))
+            for pair in exhaustive_neighbor_pairs(universe, config["n"]) for d in pair}
+    assert len({k for k, _ in keys}) == len({row for _, row in keys}) == len(keys)
+    assert len(keys) == math.comb(universe.n + config["n"] - 1, config["n"])
 
 
 def _dotted(node):

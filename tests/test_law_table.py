@@ -210,6 +210,52 @@ def test_subsample_base_laws_shared_across_datasets():
     assert base_calls == [2] * math.comb(6 + 2 - 1, 2) == [2] * 21
 
 
+def test_one_law_per_count_vector_on_unsorted_ids():
+    problem, space = threshold_classification(resolution=16)
+    calls = []
+    mech = counted(exponential_mechanism(problem, space, 1.0), calls)
+    pairs = list(sampled_neighbor_pairs(threshold_universe(6), 5, 200, seed=3))
+    datasets = [d for pair in pairs for d in pair]
+    assert any((np.diff(d.atom_ids) < 0).any() for d in datasets)
+    vectors = {np.bincount(d.atom_ids, minlength=6).tobytes() for d in datasets}
+    audit_pure_dp(mech, pairs)
+    assert len(calls) == len(vectors) < len(datasets)
+
+
+# ---------------------------------------------------------------------------
+# Multiset keys
+
+
+def test_law_table_refuses_datasets_without_ids():
+    problem, space = threshold_classification(resolution=4)
+    mech = exponential_mechanism(problem, space, 1.0)
+    universe = threshold_universe(4)
+    plain = [(universe.take([0, 1]), universe.take([0, 2]))]
+    for audit in (lambda pairs: audit_pure_dp(mech, pairs),
+                  lambda pairs: audit_approx_dp(mech, pairs, 1.0),
+                  lambda pairs: stability_audit(mech, pairs, universe)):
+        with pytest.raises(ValueError, match=r"atom ids \(Dataset.of_atoms\)"):
+            audit(plain)
+
+
+def test_law_table_refuses_ids_into_a_second_support():
+    problem, space = threshold_classification(resolution=4)
+    mech = exponential_mechanism(problem, space, 1.0)
+    first, second = threshold_universe(4), threshold_universe(4)
+    pairs = [(Dataset.of_atoms(first, [0, 1]), Dataset.of_atoms(second, [0, 2]))]
+    with pytest.raises(ValueError, match="into one support"):
+        audit_pure_dp(mech, pairs)
+
+
+def test_subsample_law_refuses_datasets_without_ids():
+    problem, space = threshold_classification(resolution=4)
+    wrapped = subsample_wrapper(exponential_mechanism(problem, space, 1.0), 2)
+    with pytest.raises(ValueError, match=re.escape(repr(wrapped.name)) + ".*atom ids"):
+        wrapped.law(threshold_universe(4))
+    law = wrapped.law(Dataset.of_atoms(threshold_universe(4), [0, 1, 2, 3]))
+    assert law.probabilities.sum() == pytest.approx(1.0)
+
+
 # ---------------------------------------------------------------------------
 # Exactness
 
@@ -220,10 +266,11 @@ def test_sampled_law_is_marked_inexact():
     # Repeated points hold one sub-multiset, and the default cap admits all 4.
     problem, space = threshold_classification(resolution=4)
     base = exponential_mechanism(problem, space, 1.0)
-    distinct = Dataset(
+    support = Dataset(
         x=np.array([0.1, 0.3, 0.6, 0.9]), y=np.array([0.0, 0.0, 1.0, 1.0])
     )
-    repeated = Dataset(x=np.full(4, 0.3), y=np.zeros(4))
+    distinct = Dataset.of_atoms(support, [0, 1, 2, 3])
+    repeated = Dataset.of_atoms(support, [1, 1, 1, 1])
     wrapped = subsample_wrapper(base, 3, exact_cap=2)
     with pytest.raises(SizeLimitError, match=re.escape(repr(wrapped.name))):
         wrapped.law(distinct)
@@ -260,7 +307,7 @@ def test_boost_over_a_capped_subsample_is_refused():
     sub = subsample_wrapper(em, 3, exact_cap=2)
     boost = boost_high_confidence(sub, space, 2.0, 1.0)
     assert boost.info["parts"] == 1
-    distinct = threshold_universe(4).take([0, 1, 2, 3, 3, 3, 3, 3])
+    distinct = Dataset.of_atoms(threshold_universe(4), [0, 1, 2, 3, 3, 3, 3, 3])
     with pytest.raises(SizeLimitError, match=re.escape(repr(sub.name))):
         boost.law(distinct)
     pairs = exhaustive_neighbor_pairs(threshold_universe(4), 8)

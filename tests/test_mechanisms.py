@@ -337,14 +337,10 @@ class TestSubsampling:
     def test_mixture_matches_hypergeometric_oracle(self):
         problem, space = PROBLEM_BUILDERS["threshold"](resolution=8)
         base = exponential_mechanism(problem, space, 1.0)
-        two_points = Dataset(
-            x=np.array([0.2, 0.2, 0.7, 0.7, 0.7]),
-            y=np.array([0.0, 0.0, 1.0, 1.0, 1.0]),
-        )
-        three_points = Dataset(
-            x=np.array([0.7, 0.2, 0.45, 0.7, 0.2, 0.7]),
-            y=np.array([1.0, 0.0, 0.0, 1.0, 0.0, 1.0]),
-        )
+        support = Dataset(x=np.array([0.2, 0.45, 0.7]), y=np.array([0.0, 0.0, 1.0]))
+        # x = [0.2, 0.2, 0.7, 0.7, 0.7] and [0.7, 0.2, 0.45, 0.7, 0.2, 0.7].
+        two_points = Dataset.of_atoms(support, [0, 0, 2, 2, 2])
+        three_points = Dataset.of_atoms(support, [2, 0, 1, 2, 0, 2])
         for data in (two_points, three_points):
             for m in (1, 2, 3):
                 law = subsample_wrapper(base, m=m).law(data).probabilities
