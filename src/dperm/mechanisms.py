@@ -10,9 +10,10 @@ Every mechanism here exposes the same two call paths:
 * ``sample(dataset, seed)`` draws one output.  Unless a factory gives its
   own, it is one draw from ``law(dataset)`` under ``default_rng(seed)``.
   ``sample_many(data, seeds)`` gives the draws of many seeds at once: on one
-  dataset, all from one law; on a sequence of datasets aligned with the
-  seeds, draw i from the law of dataset i, with those laws built as the
-  rows of one array.  Its uniforms come from
+  :class:`~dperm.problems.Dataset`, all from one law; on a
+  :class:`~dperm.problems.DatasetBlock` with one row per seed, draw i from
+  the law of item i, with those laws built as the rows of one array
+  (``law_rows(block)``).  Its uniforms come from
   :func:`dperm.draws.first_uniforms`, which gives each seed's
   ``default_rng(seed).random()`` bit for bit, for a block of seeds in one
   array kernel.  The seed is consumed as-is (callers derive per-trial
@@ -239,30 +240,23 @@ class MechanismDistribution:
 
 
 LawFn = Callable[[Dataset], MechanismDistribution]
-LawRowsFn = Callable[[Sequence[Dataset]], tuple[np.ndarray, np.ndarray]]
+LawRowsFn = Callable[[DatasetBlock], tuple[np.ndarray, np.ndarray]]
 SampleFn = Callable[[Dataset, int], object]
-SampleManyFn = Callable[[Union[Dataset, Sequence[Dataset]], Sequence[int]], np.ndarray]
+SampleManyFn = Callable[[Union[Dataset, DatasetBlock], Sequence[int]], np.ndarray]
 BudgetFn = Callable[[int], PrivacyBudget]
 
 
-def _datasets_for(data, seeds: Sequence[int]) -> Sequence[Dataset]:
-    """The sequence form of ``sample_many``'s data, checked against the
-    seeds.  A :class:`DatasetBlock` passes through as it is, and datasets of
-    one size that carry atom ids into one support become the block of their
-    ids; any other sequence becomes a list."""
-    datasets = data
-    if not isinstance(datasets, DatasetBlock):
-        datasets = list(data)
-        support = datasets[0].support if datasets else None
-        if support is not None and all(d.support is support and d.n == datasets[0].n
-                                       for d in datasets):
-            datasets = DatasetBlock(support, [d.atom_ids for d in datasets])
-    if len(datasets) != len(seeds):
+def _block_for(data, seeds: Sequence[int]) -> DatasetBlock:
+    """``sample_many``'s data when it is not one dataset: a block, a row per seed."""
+    if not isinstance(data, DatasetBlock):
+        raise TypeError(f"sample_many takes one Dataset or one DatasetBlock, "
+                        f"got {type(data).__name__}")
+    if len(data) != len(seeds):
         raise ValueError(
-            f"got {len(datasets)} datasets for {len(seeds)} seeds; "
+            f"got {len(data)} datasets for {len(seeds)} seeds; "
             "pass one dataset or one per seed"
         )
-    return datasets
+    return data
 
 
 @dataclass(eq=False)
@@ -274,29 +268,29 @@ class Mechanism:
     ``law`` is None when the mechanism gives no law (a boost whose candidate
     tuples pass its cap, or a wrapper of such a base).
 
-    ``sample_many(data, seeds)`` takes one dataset or a sequence of datasets
-    aligned with ``seeds`` and returns an array of ids: draw i under seed i,
-    on dataset i or on the one dataset.  The sequence may be a
-    :class:`dperm.problems.DatasetBlock`, which reaches ``law_rows`` as it
-    is, so the exponential mechanism and boost read its id array and build
-    no dataset per row; datasets of one size with atom ids into one support
-    are stacked into a block first.  ``seeds`` may be a uint64 array
-    (:func:`dperm.seeding.spawn_seeds`).  A factory may give ``sample``,
-    ``sample_many`` or neither:
+    ``sample_many(data, seeds)`` takes one :class:`dperm.problems.Dataset`
+    or one :class:`dperm.problems.DatasetBlock` with a row per seed, and
+    returns an array of ids: draw i under seed i, on the one dataset or on
+    item i of the block.  Any other data raises ``TypeError``.  The block
+    reaches ``law_rows`` as it is, so the exponential mechanism and boost
+    read its id array and build no dataset per row.  ``seeds`` may be a
+    uint64 array (:func:`dperm.seeding.spawn_seeds`).  A factory may give
+    ``sample``, ``sample_many`` or neither:
 
     * ``sample`` only: ``sample_many`` calls it seed by seed.
-    * ``sample_many`` only: ``sample`` is its one-row case,
-      ``self.sample_many([dataset], [seed])[0]``.
+    * ``sample_many`` only: ``sample`` is its one-row case.  A dataset with
+      atom ids goes in as the one-row block of its ids, a dataset without
+      as it is.
     * neither: draws come from the law.  ``sample`` is one draw from
       ``self.law(dataset)`` under ``default_rng(seed)``, reading
       ``self.law`` at call time.  ``sample_many`` builds ``self.law(dataset)``
-      once for one dataset, or ``self.law_rows(datasets)`` for a sequence,
-      and looks up the uniforms ``first_uniforms(seeds)``, each seed's
+      once for one dataset, or ``self.law_rows(block)`` for a block, and
+      looks up the uniforms ``first_uniforms(seeds)``, each seed's
       ``default_rng(seed).random()`` bit for bit, in one kernel call.
 
-    ``law_rows(datasets)`` gives the probabilities and log-probabilities of
-    the laws of the datasets as the rows of two (T, |H|) arrays; unless the
-    factory gives it, it stacks ``self.law``.
+    ``law_rows(block)`` gives the probabilities and log-probabilities of
+    the laws of a block's datasets as the rows of two (T, |H|) arrays;
+    unless the factory gives it, it stacks ``self.law`` of each item.
 
     ``base`` is set on wrappers whose law mixes laws of another mechanism on
     sub-datasets.  Their ``law(dataset, base_law)`` takes those laws from
@@ -320,8 +314,8 @@ class Mechanism:
             raise ValueError(f"mechanism {self.name!r} has neither sample nor law")
         if self.law_rows is None:
 
-            def law_rows(datasets: Sequence[Dataset]) -> tuple[np.ndarray, np.ndarray]:
-                laws = [self.law(d) for d in datasets]
+            def law_rows(block: DatasetBlock) -> tuple[np.ndarray, np.ndarray]:
+                laws = [self.law(d) for d in block]
                 return (np.stack([law.probabilities for law in laws]),
                         np.stack([law.log_probabilities for law in laws]))
 
@@ -329,7 +323,9 @@ class Mechanism:
         if self.sample is None and self.sample_many is not None:
 
             def sample(dataset: Dataset, seed: int) -> int:
-                return int(self.sample_many([dataset], [seed])[0])
+                ids = dataset.atom_ids
+                data = dataset if ids is None else DatasetBlock(dataset.support, ids[None])
+                return int(self.sample_many(data, [seed])[0])
 
             self.sample = sample
         elif self.sample is None:
@@ -341,7 +337,7 @@ class Mechanism:
                 u = first_uniforms(seeds)
                 if isinstance(data, Dataset):
                     return categorical(self.law(data).probabilities, u)
-                return categorical(self.law_rows(_datasets_for(data, seeds))[0], u)
+                return categorical(self.law_rows(_block_for(data, seeds))[0], u)
 
             self.sample = sample
             self.sample_many = sample_many
@@ -349,7 +345,7 @@ class Mechanism:
 
             def sample_many(data, seeds: Sequence[int]) -> np.ndarray:
                 datasets = ([data] * len(seeds) if isinstance(data, Dataset)
-                            else _datasets_for(data, seeds))
+                            else _block_for(data, seeds))
                 return np.array([self.sample(d, s) for d, s in zip(datasets, seeds)])
 
             self.sample_many = sample_many
@@ -389,13 +385,9 @@ def exponential_mechanism(
             space, log_measure - em_scale(epsilon, dataset.n) * values
         )
 
-    def law_rows(datasets: Sequence[Dataset]) -> tuple[np.ndarray, np.ndarray]:
-        if isinstance(datasets, DatasetBlock):
-            scales = em_scale(epsilon, datasets.n)
-        else:
-            scales = np.array([em_scale(epsilon, d.n) for d in datasets])[:, None]
-        values = objective_rows(problem, space, datasets)
-        p, logp = normalized_logit_rows(log_measure - scales * values)
+    def law_rows(block: DatasetBlock) -> tuple[np.ndarray, np.ndarray]:
+        values = objective_rows(problem, space, block)
+        p, logp = normalized_logit_rows(log_measure - em_scale(epsilon, block.n) * values)
         check_law_rows(p, logp)
         return p, logp
 
@@ -944,33 +936,24 @@ def boost_high_confidence(
     def sample_many(data, seeds: Sequence[int]) -> np.ndarray:
         # Draw i runs the base on part j under spawn_seed(seeds[i], j) and
         # selects under spawn_seed(seeds[i], a).  On one dataset the parts
-        # are the same for every seed, so each base law is built once; on
-        # one dataset per seed, one base call draws every part's candidate,
-        # with the parts trial-major.  A block splits its id array.
-        one = isinstance(data, Dataset)
-        datasets = [data] if one else _datasets_for(data, seeds)
+        # are the same for every seed, so each base law is built once; a
+        # block splits its id array, and one base call draws every part's
+        # candidate, with the parts trial-major.
         # Row i: the seeds of draw i's parts, then of its selection.
         sub = spawn_seeds(seeds, streams).T
-        if isinstance(datasets, DatasetBlock):
-            train, validation = boost_parts(datasets.n, a)
-            part = len(train[0])
-            parts = DatasetBlock(datasets.support,
-                                 datasets.atom_ids[:, :a * part].reshape(-1, part))
-            candidates = base.sample_many(parts, sub[:, :a].ravel()).reshape(-1, a)
-            risks = risk_rows(problem, space, datasets.columns(validation))
-            scales = selection_scale(datasets.n)
+        if isinstance(data, Dataset):
+            train, validation = boost_parts(data.n, a)
+            candidates = np.column_stack([base.sample_many(data.take(idx), sub[:, j])
+                                          for j, idx in enumerate(train)])
+            risks = risk_vector(problem, space, data.take(validation))[None]
         else:
-            splits = [boost_parts(d.n, a) for d in datasets]
-            parts = [d.take(idx) for d, (train, _) in zip(datasets, splits) for idx in train]
-            if one:
-                candidates = np.column_stack([base.sample_many(part, sub[:, j])
-                                              for j, part in enumerate(parts)])
-            else:
-                candidates = base.sample_many(parts, sub[:, :a].ravel()).reshape(-1, a)
-            risks = risk_rows(problem, space, [d.take(validation)
-                                               for d, (_, validation) in zip(datasets, splits)])
-            scales = np.array([selection_scale(d.n) for d in datasets])[:, None]
-        logits = -scales * np.take_along_axis(risks, candidates, axis=1)
+            block = _block_for(data, seeds)
+            train, validation = boost_parts(block.n, a)
+            part = len(train[0])
+            parts = DatasetBlock(block.support, block.atom_ids[:, :a * part].reshape(-1, part))
+            candidates = base.sample_many(parts, sub[:, :a].ravel()).reshape(-1, a)
+            risks = risk_rows(problem, space, block.columns(validation))
+        logits = -selection_scale(data.n) * np.take_along_axis(risks, candidates, axis=1)
         sel = np.exp(logits - logsumexp_rows(logits)[:, None])
         sel /= sel.sum(axis=1, keepdims=True)
         pick = categorical(sel, first_uniforms(sub[:, a]))

@@ -9,10 +9,11 @@ Constructors probe that range on seeded random hypotheses and points and
 refuse to build a problem violating it.
 
 A dataset drawn from a discrete law carries its atom ids into the law's
-``support``; a block of T such datasets of n points is a
-:class:`DatasetBlock`, one read-only (T, n) id array, which
+``support``.  A batch of datasets is always a :class:`DatasetBlock`: T
+datasets of n points as one read-only (T, n) id array, which
 :func:`risk_rows` counts in one ``bincount`` without building a dataset
-per row.
+per row.  One dataset, with or without ids, takes the loss path,
+:func:`risk_vector`.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -113,18 +113,21 @@ class Dataset:
 class DatasetBlock:
     """T datasets of n points each, drawn from the discrete law whose
     ``support`` they share, stored as one read-only (T, n) array of atom ids.
-    It is a sequence of T datasets (``len``, indexing, iteration).
+    It is a sequence of T datasets (``len``, indexing, iteration), and the
+    one form a batch of datasets takes; every id lies in [0, ``support.n``).
 
     Item i is ``Dataset.of_atoms(support, atom_ids[i])``, built only when it
-    is asked for; :func:`risk_rows`, :func:`objective_rows` and the
-    exponential mechanism's ``law_rows`` read the ids directly and build no
-    dataset.
+    is asked for; :func:`risk_rows` of a 0/1 loss, and so
+    :func:`objective_rows` and the exponential mechanism's ``law_rows``,
+    read the ids directly and build no dataset.
     """
 
     def __init__(self, support: Dataset, atom_ids) -> None:
         ids = np.array(atom_ids, dtype=np.intp)
         if ids.ndim != 2:
             raise ValueError(f"expected one row of atom ids per dataset, got shape {ids.shape}")
+        if ids.size and not (ids.min() >= 0 and ids.max() < support.n):
+            raise ValueError(f"atom ids must lie in [0, {support.n}), the atoms of the support")
         ids.flags.writeable = False
         self.support, self.atom_ids = support, ids
 
@@ -295,85 +298,60 @@ def _loss_table(problem: Problem, space: FiniteHypothesisSpace, dataset: Dataset
     return losses
 
 
-def _atom_counts(datasets: Sequence[Dataset]):
-    """(support, (T, k) atom counts, sizes) when every dataset carries atom
-    ids into one shared support of k atoms, else None.  One ``bincount``
-    counts the block: dataset i's ids are offset by i * k."""
-    if isinstance(datasets, DatasetBlock):
-        support, ids = datasets.support, datasets.atom_ids
-        sizes = np.full(len(ids), datasets.n)
-        keys = (ids + (np.arange(len(ids)) * support.n)[:, None]).ravel()
-    else:
-        support = datasets[0].support
-        if support is None or any(d.support is not support for d in datasets):
-            return None
-        sizes = np.array([d.n for d in datasets])
-        keys = np.concatenate([d.atom_ids for d in datasets])
-        keys += np.repeat(np.arange(len(datasets)) * support.n, sizes)
-    counts = np.bincount(keys, minlength=len(sizes) * support.n)
-    return support, counts.reshape(len(sizes), support.n), sizes
+def risk_rows(problem: Problem, space: FiniteHypothesisSpace, block: DatasetBlock) -> np.ndarray:
+    """Empirical risk of every hypothesis on each dataset of a
+    :class:`DatasetBlock`, as the rows of a (T, |H|) array.
 
-
-def risk_rows(
-    problem: Problem, space: FiniteHypothesisSpace, datasets: Sequence[Dataset]
-) -> np.ndarray:
-    """Empirical risk of every hypothesis on each dataset, as the rows of a
-    (T, |H|) array; :func:`risk_vector` is its one-row case.
-
-    When every dataset carries atom ids into one shared support (always, for
-    a :class:`DatasetBlock`), the losses are evaluated once, on the atoms
-    present in the block.  If that table is all 0/1 (+0.0 or 1.0), row i is
-    counts_i @ table.T / n_i: its sums are exact integers, so it equals
-    ``loss_matrix(...).mean(1)`` bit for bit.  This assumes, as every shipped
-    loss does, that a point's loss does not depend on the other points.  Any
-    other loss is averaged dataset by dataset over ``loss_matrix``, because
-    its sums depend on the order of the points.
+    The losses are evaluated once, on the atoms present in the block, and
+    one ``bincount`` counts every row (row i's ids offset by i * k).  If that
+    table is all 0/1 (+0.0 or 1.0), row i is counts_i @ table.T / n: its sums
+    are exact integers, so it equals :func:`risk_vector` of item i bit for
+    bit.  This assumes, as every shipped loss does, that a point's loss does
+    not depend on the other points.  Any other table falls back to
+    :func:`risk_vector` item by item, because its sums depend on the order of
+    the points.
     """
-    counted = _atom_counts(datasets)
-    if counted is not None:
-        support, counts, sizes = counted
-        present = np.flatnonzero(counts.any(axis=0))
-        atoms = Dataset(
-            x=support.x[present],
-            y=None if support.y is None else support.y[present],
-        )
-        table = _loss_table(problem, space, atoms)
-        # A -0.0 entry is left to the loss path, where a sum of -0.0s keeps
-        # its sign.
-        if ((table == 1.0) | ((table == 0.0) & ~np.signbit(table))).all():
-            return (counts[:, present].astype(float) @ table.T) / sizes[:, None]
-    return np.array([_loss_table(problem, space, d).mean(axis=1) for d in datasets])
+    if not isinstance(block, DatasetBlock):
+        raise TypeError("risk_rows takes one DatasetBlock (risk_vector takes one Dataset), "
+                        f"got {type(block).__name__}")
+    support, t, k = block.support, len(block), block.support.n
+    keys = (block.atom_ids + (np.arange(t) * k)[:, None]).ravel()
+    counts = np.bincount(keys, minlength=t * k).reshape(t, k)
+    present = np.flatnonzero(counts.any(axis=0))
+    atoms = Dataset(x=support.x[present], y=None if support.y is None else support.y[present])
+    table = _loss_table(problem, space, atoms)
+    # A -0.0 entry is left to the loss path, where a sum of -0.0s keeps its
+    # sign.
+    if ((table == 1.0) | ((table == 0.0) & ~np.signbit(table))).all():
+        return (counts[:, present].astype(float) @ table.T) / block.n
+    return np.array([risk_vector(problem, space, d) for d in block])
 
 
 def risk_vector(problem: Problem, space: FiniteHypothesisSpace, dataset: Dataset) -> np.ndarray:
-    """Empirical risk of every hypothesis: the one-row case of
-    :func:`risk_rows`, whose loss path a dataset without atom ids takes
-    directly."""
-    if dataset.support is None:
-        return _loss_table(problem, space, dataset).mean(axis=1)
-    return risk_rows(problem, space, [dataset])[0]
+    """Empirical risk of every hypothesis: the mean of ``loss_matrix`` over
+    the dataset's points."""
+    return _loss_table(problem, space, dataset).mean(axis=1)
 
 
-def objective_rows(
-    problem: Problem, space: FiniteHypothesisSpace, datasets: Sequence[Dataset]
-) -> np.ndarray:
-    """Regularized objective of every hypothesis on each dataset, as the
-    rows of a (T, |H|) array; :func:`objective_vector` is its one-row case.
-    A :class:`DatasetBlock` adds one regularizer row, at its one size."""
-    values = risk_rows(problem, space, datasets)
-    if isinstance(datasets, DatasetBlock):
-        values += problem.reg_vector(datasets.n, space.payloads)
-    else:
-        values += [problem.reg_vector(d.n, space.payloads) for d in datasets]
-    if not np.isfinite(values).all():
+def _regularized(problem: Problem, space: FiniteHypothesisSpace, risks, n: int) -> np.ndarray:
+    """The risks plus the regularizer at sample size n, checked finite."""
+    risks += problem.reg_vector(n, space.payloads)
+    if not np.isfinite(risks).all():
         raise ValueError("objective contains non-finite values")
-    return values
+    return risks
+
+
+def objective_rows(problem: Problem, space: FiniteHypothesisSpace, block: DatasetBlock) -> np.ndarray:
+    """Regularized objective of every hypothesis on each dataset of a
+    :class:`DatasetBlock`, as the rows of a (T, |H|) array: the
+    :func:`risk_rows` plus one regularizer row, at the block's one size."""
+    return _regularized(problem, space, risk_rows(problem, space, block), block.n)
 
 
 def objective_vector(problem: Problem, space: FiniteHypothesisSpace, dataset: Dataset) -> np.ndarray:
-    """Regularized objective for every hypothesis: the one-row case of
-    :func:`objective_rows`."""
-    return objective_rows(problem, space, [dataset])[0]
+    """Regularized objective for every hypothesis: :func:`risk_vector` plus
+    the regularizer."""
+    return _regularized(problem, space, risk_vector(problem, space, dataset), dataset.n)
 
 
 def erm(problem: Problem, space: FiniteHypothesisSpace, dataset: Dataset) -> int:

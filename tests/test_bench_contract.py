@@ -11,6 +11,7 @@ import importlib
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dperm
@@ -18,6 +19,8 @@ from dperm.analysis import _LawTable, exhaustive_neighbor_pairs
 from dperm.config import parse_config_text
 from dperm.experiments import _audit_problem
 from dperm.mechanisms import exponential_mechanism
+from dperm.problems import PROBLEM_BUILDERS, Problem, labeled_threshold, risk_vector
+from dperm.seeding import trial_rng
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -51,6 +54,24 @@ def test_multiset_key_splits_datasets_as_the_law_table(perfbench, op, tmp_path):
             for pair in exhaustive_neighbor_pairs(universe, config["n"]) for d in pair}
     assert len({k for k, _ in keys}) == len({row for _, row in keys}) == len(keys)
     assert len(keys) == math.comb(universe.n + config["n"] - 1, config["n"])
+
+
+def test_loss_cells_are_the_cells_risk_vector_evaluates(perfbench):
+    # problems.loss_cells counts |H| x n per traced risk_vector call; one
+    # dataset, atom ids or not, takes the loss path over its n points.
+    tracing, _ = perfbench
+    problem, space = PROBLEM_BUILDERS["threshold"](resolution=16)
+    dataset = labeled_threshold(0.5, support_size=4).sample(30, trial_rng(0, 0))
+    assert len(np.unique(dataset.atom_ids)) < dataset.n
+    cells = []
+
+    def loss_matrix(payloads, data):
+        cells.append(len(payloads) * data.n)
+        return problem.loss_matrix(payloads, data)
+
+    recorded = Problem(name=problem.name, dimension=problem.dimension, loss_matrix=loss_matrix)
+    risk_vector(recorded, space, dataset)
+    assert sum(cells) == tracing._extra("loss_cells", (recorded, space, dataset))
 
 
 def _dotted(node):

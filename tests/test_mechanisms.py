@@ -765,13 +765,15 @@ def test_no_mechanism_changes_during_a_computation(build):
     assert _state(mech) == before
 
 
-def _em_row_case(size, sizes, seed=0):
+def _em_row_case(size, trials, n, seed=0):
+    """An EM over the pth-power grid of ``size`` hypotheses, and a block of
+    ``trials`` datasets of n points from a law on 256 uniform atoms; its
+    losses are not 0/1, so ``risk_rows`` takes the loss path item by item."""
     problem, space = PROBLEM_BUILDERS["pth-power"](resolution=size)
     assert space.size == size
     mech = exponential_mechanism(problem, space, 3.0)
-    datasets = [uniform_box([0.0], [1.0]).sample(n, trial_rng(seed, i))
-                for i, n in enumerate(sizes)]
-    return mech, datasets
+    atoms = discrete_points(uniform_box([0.0], [1.0]).sample(256, trial_rng(seed, 0)).x)
+    return mech, atoms.datasets_at(trial_rng(seed, n).random((trials, n)))
 
 
 def boost_draw_oracle(base, space, a, epsilon, dataset, seed):
@@ -802,39 +804,41 @@ class TestLawRows:
     # sizes put the row sums on both sides of each.
     @pytest.mark.parametrize("size", [8, 128, 129, 1025])
     def test_em_rows_equal_the_laws(self, size):
-        mech, datasets = _em_row_case(size, [1, 2, 7, 40, 300])
-        p, logp = mech.law_rows(datasets)
-        assert p.shape == logp.shape == (len(datasets), size)
-        for row, dataset in enumerate(datasets):
-            law = mech.law(dataset)
-            assert np.array_equal(p[row], law.probabilities)
-            assert np.array_equal(logp[row], law.log_probabilities)
+        for n in (1, 2, 7, 40, 300):
+            mech, datasets = _em_row_case(size, 3, n)
+            p, logp = mech.law_rows(datasets)
+            assert p.shape == logp.shape == (len(datasets), size)
+            for row, dataset in enumerate(datasets):
+                law = mech.law(dataset)
+                assert np.array_equal(p[row], law.probabilities)
+                assert np.array_equal(logp[row], law.log_probabilities)
 
     def test_log_view_takes_math_log_of_each_total(self):
         # The linear total of a normalized row lies within a few ulps of 1.
         # At 1 - 2^-52 numpy's log can differ from math.log in the last bit,
         # and then log-probabilities in [-4, -2), where subtracting 2^-52 is
         # a rounding tie, come out one ulp apart; audits read this view.
-        mech, datasets = _em_row_case(8, [1 + i % 50 for i in range(120)], seed=8)
-        problem, space = mech.problem, mech.space
-        p, logp = mech.law_rows(datasets)
         rows_np_log_would_change = 0
-        for row, dataset in enumerate(datasets):
-            logits = (np.log(space.measure)
-                      - em_scale(3.0, dataset.n) * objective_vector(problem, space, dataset))
-            want_p, want_logp = law_oracle(logits)
-            assert np.array_equal(p[row], want_p)
-            assert np.array_equal(logp[row], want_logp)
-            shifted = logits - scipy_logsumexp(logits)
-            total = np.exp(shifted).sum()
-            rows_np_log_would_change += not np.array_equal(
-                want_logp, shifted - np.log(np.array([total]))[0])
+        for n in range(1, 51):
+            mech, datasets = _em_row_case(8, 3, n, seed=8)
+            problem, space = mech.problem, mech.space
+            p, logp = mech.law_rows(datasets)
+            for row, dataset in enumerate(datasets):
+                logits = (np.log(space.measure)
+                          - em_scale(3.0, n) * objective_vector(problem, space, dataset))
+                want_p, want_logp = law_oracle(logits)
+                assert np.array_equal(p[row], want_p)
+                assert np.array_equal(logp[row], want_logp)
+                shifted = logits - scipy_logsumexp(logits)
+                total = np.exp(shifted).sum()
+                rows_np_log_would_change += not np.array_equal(
+                    want_logp, shifted - np.log(np.array([total]))[0])
         top = 1.0 - 2.0**-52
         if np.log(np.array([top]))[0] != math.log(top):
             assert rows_np_log_would_change > 0
 
     def test_rows_are_checked_one_by_one(self, monkeypatch):
-        mech, datasets = _em_row_case(8, [3, 4, 5])
+        mech, datasets = _em_row_case(8, 3, 4)
         normalize = mechanisms.normalized_logit_rows
 
         def off_sum(logits):
@@ -872,18 +876,19 @@ class TestLawRows:
         problem, space = PROBLEM_BUILDERS["threshold"](resolution=257)
         mech = exponential_mechanism(problem, space, 1.0)
         dist = labeled_threshold(0.5, support_size=512)
-        datasets = [dist.sample(n, trial_rng(12, n)) for n in (1, 3, 100, 2000)]
-        p, logp = mech.law_rows(datasets)
-        for row, dataset in enumerate(datasets):
-            law = mech.law(Dataset(x=dataset.x, y=dataset.y))
-            assert np.array_equal(p[row], law.probabilities)
-            assert np.array_equal(logp[row], law.log_probabilities)
+        for n in (1, 3, 100, 2000):
+            datasets = dist.datasets_at(trial_rng(12, n).random((3, n)))
+            p, logp = mech.law_rows(datasets)
+            for row, dataset in enumerate(datasets):
+                law = mech.law(Dataset(x=dataset.x, y=dataset.y))
+                assert np.array_equal(p[row], law.probabilities)
+                assert np.array_equal(logp[row], law.log_probabilities)
 
     def test_default_rows_stack_the_laws(self):
         problem, space = PROBLEM_BUILDERS["threshold"](resolution=8)
         mech = erm_mechanism(problem, space)
-        datasets = [labeled_threshold(0.5, support_size=8).sample(n, trial_rng(2, n))
-                    for n in (3, 9)]
+        datasets = labeled_threshold(0.5, support_size=8).datasets_at(
+            trial_rng(2, 0).random((3, 9)))
         p, logp = mech.law_rows(datasets)
         for row, dataset in enumerate(datasets):
             assert np.array_equal(p[row], mech.law(dataset).probabilities)
@@ -891,24 +896,37 @@ class TestLawRows:
 
     @pytest.mark.parametrize("size", [8, 129])
     def test_em_sample_many_over_datasets_equals_sample(self, size):
-        mech, datasets = _em_row_case(size, [1, 5, 12, 40, 5, 300] * 5, seed=4)
-        seeds = [trial_rng(5, i).integers(2**63) for i in range(len(datasets))]
-        ids = mech.sample_many(datasets, seeds)
-        assert ids.tolist() == [mech.sample(d, s) for d, s in zip(datasets, seeds)]
-        assert ids.tolist() == [
-            np.random.default_rng(s).choice(size, p=mech.law(d).probabilities)
-            for d, s in zip(datasets, seeds)]
-        # The one-dataset form draws every seed from that dataset's law.
-        assert mech.sample_many(datasets[0], seeds).tolist() == [
-            mech.sample(datasets[0], s) for s in seeds]
+        for n in (1, 5, 12, 40, 300):
+            mech, datasets = _em_row_case(size, 6, n, seed=4)
+            seeds = [trial_rng(5, n + i).integers(2**63) for i in range(len(datasets))]
+            ids = mech.sample_many(datasets, seeds)
+            assert ids.tolist() == [mech.sample(d, s) for d, s in zip(datasets, seeds)]
+            assert ids.tolist() == [
+                np.random.default_rng(s).choice(size, p=mech.law(d).probabilities)
+                for d, s in zip(datasets, seeds)]
+            # The one-dataset form draws every seed from that dataset's law.
+            assert mech.sample_many(datasets[0], seeds).tolist() == [
+                mech.sample(datasets[0], s) for s in seeds]
 
     def test_sample_many_needs_one_dataset_per_seed(self):
-        mech, datasets = _em_row_case(8, [3, 4])
+        mech, datasets = _em_row_case(8, 2, 4)
         with pytest.raises(ValueError, match="2 datasets for 3 seeds"):
             mech.sample_many(datasets, [1, 2, 3])
 
+    def test_sample_many_refuses_a_list_of_datasets(self):
+        # A batch of datasets is a DatasetBlock; no mechanism stacks a list.
+        mech, datasets = _em_row_case(8, 2, 4)
+        base = exponential_mechanism(*PROBLEM_BUILDERS["threshold"](resolution=4), 1.0)
+        mechs = [mech, subsample_wrapper(mech, 3),
+                 boost_high_confidence(base, base.space, 0.5, 1.0)]
+        for m in mechs:
+            with pytest.raises(TypeError) as err:
+                m.sample_many(list(datasets), [1, 2])
+            assert re.search(r"\bDataset\b", str(err.value))
+            assert re.search(r"\bDatasetBlock\b", str(err.value))
+
     def test_own_sampler_gets_a_per_seed_sample_many(self):
-        mech, datasets = _em_row_case(8, [9, 12, 9])
+        mech, datasets = _em_row_case(8, 3, 9)
         sub = subsample_wrapper(mech, 3)
         ids = sub.sample_many(datasets, [5, 6, 7])
         assert ids.tolist() == [sub.sample(d, s) for d, s in zip(datasets, [5, 6, 7])]
@@ -918,8 +936,10 @@ class TestLawRows:
         mech = exponential_mechanism(problem, space, 2.0)
         block = discrete_points((np.arange(8) + 0.5) / 8).datasets_at(
             uniform_rows(spawn_seeds(15, np.arange(130)), 50))
-        for got, want in zip(mech.law_rows(block), mech.law_rows(list(block))):
-            assert np.array_equal(got, want)
+        laws = [mech.law(d) for d in block]
+        p, logp = mech.law_rows(block)
+        assert np.array_equal(p, np.stack([law.probabilities for law in laws]))
+        assert np.array_equal(logp, np.stack([law.log_probabilities for law in laws]))
 
     @pytest.mark.parametrize("trials", [1, 129])
     @pytest.mark.parametrize("max_subset_size, delta_target", [(1, 0.5), (2, 0.2)])
@@ -940,7 +960,6 @@ class TestLawRows:
                             classmethod(lambda cls, *a: built.append(1) or of_atoms(cls, *a)))
         ids = boosted.sample_many(block, seeds).tolist()
         assert built == []
-        assert ids == boosted.sample_many(datasets, seeds).tolist()
         assert ids == [boosted.sample(d, s) for d, s in zip(datasets, seeds.tolist())]
         assert ids == [boost_draw_oracle(base, space, boosted.info["parts"], 1.0, d, s)
                        for d, s in zip(datasets, seeds.tolist())]
@@ -961,19 +980,22 @@ class TestLawRows:
         ids = boosted.sample_many(data, seeds).tolist()
         assert ids == [boosted.sample(data, s) for s in seeds]
         assert ids == [boost_draw_oracle(base, space, parts, 1.0, data, s) for s in seeds]
-        # One dataset per seed, of different sizes: one base call draws the
+        # One block per size, one dataset per seed: one base call draws the
         # candidates of every part of every dataset.
-        datasets = [atoms.sample(8 + i % 13, trial_rng(7, i)) for i in range(len(seeds))]
-        base_calls = []
-        base_sample_many = base.sample_many
-        base.sample_many = lambda data, s: base_calls.append(len(s)) or base_sample_many(data, s)
-        ids = boosted.sample_many(datasets, seeds).tolist()
-        assert base_calls == [parts * len(seeds)]
-        base.sample_many = base_sample_many
-        assert ids == [boosted.sample(d, s) for d, s in zip(datasets, seeds)]
-        assert ids == [boost_draw_oracle(base, space, parts, 1.0, d, s)
-                       for d, s in zip(datasets, seeds)]
-        # Datasets without atom ids, whose risks take the loss path, give
-        # the same draws.
-        plain = [Dataset(x=d.x) for d in datasets]
-        assert boosted.sample_many(plain, seeds).tolist() == ids
+        for n in (8, 14, 20):
+            datasets = atoms.datasets_at(trial_rng(7, n).random((100, n)))
+            block_seeds = seeds[n:n + 100]
+            base_calls = []
+            base_sample_many = base.sample_many
+            base.sample_many = lambda data, s: (base_calls.append(len(s))
+                                                or base_sample_many(data, s))
+            ids = boosted.sample_many(datasets, block_seeds).tolist()
+            assert base_calls == [parts * len(block_seeds)]
+            base.sample_many = base_sample_many
+            assert ids == [boosted.sample(d, s) for d, s in zip(datasets, block_seeds)]
+            assert ids == [boost_draw_oracle(base, space, parts, 1.0, d, s)
+                           for d, s in zip(datasets, block_seeds)]
+            # The same points without atom ids, drawn one dataset at a time,
+            # give the same draws.
+            assert [boosted.sample(Dataset(x=d.x), s)
+                    for d, s in zip(datasets, block_seeds)] == ids

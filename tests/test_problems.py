@@ -1,6 +1,7 @@
 """Shipped problems: the vectorized loss of each must match a scalar oracle."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -342,13 +343,12 @@ ZERO_ONE_CASES = {
 
 @st.composite
 def blocks(draw):
-    """Block sizes 1..300 and dataset sizes 1..10,000, at most 20,000
-    points in all, and a law skew (1.0 is the uniform law)."""
+    """Blocks of 1..300 datasets of 1..10,000 points, at most 20,000 points
+    in all, and a law skew (1.0 is the uniform law)."""
     count = draw(st.integers(1, 300))
-    cap = min(10_000, 20_000 // count)
-    sizes = draw(st.lists(st.integers(1, cap), min_size=count, max_size=count))
+    n = draw(st.integers(1, min(10_000, 20_000 // count)))
     skew = draw(st.sampled_from([1.0, 0.97, 0.7, 0.2]))
-    return sizes, skew, draw(st.integers(0, 2**32))
+    return count, n, skew, draw(st.integers(0, 2**32))
 
 
 class TestDatasetsAt:
@@ -388,9 +388,7 @@ class TestDatasetsAt:
                 assert not a.flags.writeable
         assert isinstance(rows, DatasetBlock) and not rows.atom_ids.flags.writeable
         assert np.array_equal(risk_rows(problem, space, rows),
-                              risk_rows(problem, space, singles))
-        assert np.array_equal(risk_rows(problem, space, rows),
-                              risk_rows(problem, space, list(rows)))
+                              np.stack([risk_vector(problem, space, d) for d in singles]))
         idx = rng.permutation(n)[: max(1, n // 3)]
         cols = rows.columns(idx)
         assert cols.support is dist.support and not cols.atom_ids.flags.writeable
@@ -410,6 +408,14 @@ class TestDatasetsAt:
         with pytest.raises(ValueError, match="one row of atom ids per dataset"):
             DatasetBlock(dist.support, [1, 2])
 
+    @pytest.mark.parametrize("ids", [[[0, 4], [3, 3]], [[0, 1], [-1, 2]]])
+    def test_block_refuses_ids_outside_the_support(self, ids):
+        # Id 4 of a 4-atom support would spill into the next row's counts:
+        # row 0 would read atoms 0 and 0 (risk 0 at hypothesis 0, not 1/2).
+        dist = discrete_points(np.array([0.2, 0.4, 0.6, 0.8]), y=np.array([0.0, 1.0, 0.0, 1.0]))
+        with pytest.raises(ValueError, match=re.escape("[0, 4)")):
+            DatasetBlock(dist.support, ids)
+
     def test_block_objective_rows_add_one_regularizer_row(self):
         # Logistic losses take the loss path, item by item, and the block
         # adds its one regularizer row.
@@ -417,7 +423,7 @@ class TestDatasetsAt:
         block = labeled_threshold(0.5, support_size=16).datasets_at(
             trial_rng(14, 0).random((5, 9)))
         assert np.array_equal(objective_rows(problem, space, block),
-                              objective_rows(problem, space, list(block)))
+                              np.stack([objective_vector(problem, space, d) for d in block]))
 
 
 class TestRiskRows:
@@ -426,18 +432,16 @@ class TestRiskRows:
     @settings(max_examples=25, deadline=None)
     def test_counts_equal_the_loss_path_bit_for_bit(self, case, block):
         (problem, space), dist = ZERO_ONE_CASES[case]()
-        sizes, skew, seed = block
-        dist = _skewed(dist, skew)
-        datasets = [dist.sample(n, trial_rng(seed, i)) for i, n in enumerate(sizes)]
+        count, n, skew, seed = block
+        datasets = _skewed(dist, skew).datasets_at(trial_rng(seed, 0).random((count, n)))
         risks = risk_rows(problem, space, datasets)
-        assert risks.shape == (len(sizes), space.size)
+        assert risks.shape == (count, space.size)
         assert np.array_equal(risks, _loss_rows(problem, space, datasets))
         assert np.array_equal(risk_vector(problem, space, datasets[0]), risks[0])
         # One loss table, over the atoms present in the block.
         recorded, calls = _recording(problem)
         risk_rows(recorded, space, datasets)
-        present = np.unique(np.concatenate([d.atom_ids for d in datasets]))
-        assert calls == [len(present)]
+        assert calls == [len(np.unique(datasets.atom_ids))]
 
     @pytest.mark.parametrize("kind", ["pth-power", "logistic"])
     def test_other_losses_take_the_loss_path(self, kind):
@@ -446,48 +450,64 @@ class TestRiskRows:
         # loss_matrix in full.
         problem, space = PROBLEM_BUILDERS[kind]()
         dist = labeled_threshold(0.5, support_size=16)
-        sizes = [1, 9, 40, 300, 2]
-        datasets = [dist.sample(n, trial_rng(9, i)) for i, n in enumerate(sizes)]
-        recorded, calls = _recording(problem)
-        risks = risk_rows(recorded, space, datasets)
-        # The table over the 16 atoms, found not 0/1, then every dataset.
-        assert calls == [16] + sizes
-        assert np.array_equal(risks, _loss_rows(problem, space, datasets))
-
-    def test_datasets_from_two_laws_take_the_loss_path(self):
-        problem, space = PROBLEM_BUILDERS["threshold"](resolution=16)
-        first = labeled_threshold(0.5, support_size=8)
-        second = labeled_threshold(0.5, support_size=8)
-        datasets = [first.sample(5, trial_rng(10, 0)), second.sample(7, trial_rng(10, 1)),
-                    first.sample(3, trial_rng(10, 2))]
-        recorded, calls = _recording(problem)
-        risks = risk_rows(recorded, space, datasets)
-        assert calls == [5, 7, 3]
-        assert np.array_equal(risks, _loss_rows(problem, space, datasets))
+        for n in (1, 9, 300):
+            datasets = dist.datasets_at(trial_rng(9, n).random((3, n)))
+            recorded, calls = _recording(problem)
+            risks = risk_rows(recorded, space, datasets)
+            # The table over the atoms present, found not 0/1, then every
+            # dataset.
+            assert calls == [len(np.unique(datasets.atom_ids))] + [n] * 3
+            assert np.array_equal(risks, _loss_rows(problem, space, datasets))
 
     def test_negative_zero_losses_take_the_loss_path(self):
         problem, space = PROBLEM_BUILDERS["threshold"](resolution=4)
         negated = Problem(name="negated-zero", dimension=1,
                           loss_matrix=lambda h, d: np.where(
                               problem.loss_matrix(h, d) == 0.0, -0.0, 1.0))
-        data = labeled_threshold(0.5, support_size=4).sample(6, trial_rng(11, 0))
+        data = labeled_threshold(0.5, support_size=4).datasets_at(
+            trial_rng(11, 0).random((1, 6)))
         recorded, calls = _recording(negated)
-        risks = risk_rows(recorded, space, [data])
+        risks = risk_rows(recorded, space, data)
         assert calls[1:] == [6]
-        assert np.array_equal(np.signbit(risks), np.signbit(_loss_rows(negated, space, [data])))
+        assert np.array_equal(np.signbit(risks), np.signbit(_loss_rows(negated, space, data)))
 
     def test_objective_rows_add_each_datasets_regularizer(self):
-        # The regularizer depends on n, so a block of mixed sizes, with and
-        # without atom ids, gets one regularizer row per dataset.
+        # The regularizer depends on n: each block adds the row at its size,
+        # and one dataset, with or without atom ids, adds the row at its own.
         problem, space = PROBLEM_BUILDERS["logistic"]()
         dist = labeled_threshold(0.5, support_size=16)
-        datasets = [dist.sample(n, trial_rng(12, i)) for i, n in enumerate([3, 40, 7])]
-        datasets.append(Dataset(x=[0.1, 0.7], y=[0.0, 1.0]))
-        expected = _loss_rows(problem, space, datasets) + np.stack(
-            [problem.reg_vector(d.n, space.payloads) for d in datasets])
-        assert np.array_equal(objective_rows(problem, space, datasets), expected)
-        for d, row in zip(datasets, expected):
-            assert np.array_equal(objective_vector(problem, space, d), row)
+        for n in (3, 40, 7):
+            datasets = dist.datasets_at(trial_rng(12, n).random((2, n)))
+            expected = (_loss_rows(problem, space, datasets)
+                        + problem.reg_vector(n, space.payloads))
+            assert np.array_equal(objective_rows(problem, space, datasets), expected)
+            for d, row in zip(datasets, expected):
+                assert np.array_equal(objective_vector(problem, space, d), row)
+                assert np.array_equal(objective_vector(problem, space, Dataset(x=d.x, y=d.y)), row)
+        plain = Dataset(x=[0.1, 0.7], y=[0.0, 1.0])
+        assert np.array_equal(objective_vector(problem, space, plain),
+                              _loss_rows(problem, space, [plain])[0]
+                              + problem.reg_vector(2, space.payloads))
+
+    def test_one_dataset_takes_the_loss_path(self):
+        # A dataset with repeated atoms is not counted: loss_matrix runs
+        # once, on its n points.
+        problem, space = PROBLEM_BUILDERS["threshold"](resolution=16)
+        data = labeled_threshold(0.5, support_size=4).sample(30, trial_rng(13, 0))
+        assert len(np.unique(data.atom_ids)) < data.n
+        recorded, calls = _recording(problem)
+        risks = risk_vector(recorded, space, data)
+        assert calls == [30]
+        assert np.array_equal(risks, _loss_rows(problem, space, [data])[0])
+
+    def test_a_list_of_datasets_is_refused(self):
+        problem, space = PROBLEM_BUILDERS["threshold"](resolution=8)
+        data = labeled_threshold(0.5, support_size=4).sample(5, trial_rng(14, 0))
+        for rows in (risk_rows, objective_rows):
+            with pytest.raises(TypeError) as err:
+                rows(problem, space, [data, data])
+            assert re.search(r"\bDataset\b", str(err.value))
+            assert re.search(r"\bDatasetBlock\b", str(err.value))
 
 
 class TestPackedFamily:
