@@ -7,8 +7,9 @@ sampled) neighboring datasets.  Neighbors differ in exactly one point drawn
 from a finite universe of atoms; each is ``Dataset.of_atoms(universe, ids)``.
 Every shipped mechanism's law depends on the dataset only through its
 multiset of points (objectives are averages), and a multiset over one
-universe is its vector of atom counts.  Each audit call builds one law
-table: a row per distinct count vector, its law built once, in
+universe is its vector of atom counts.  Each audit call reads its pairs
+once and builds one law matrix: a row per distinct count vector, all built
+by one ``mechanism.law_rows`` call over a ``DatasetBlock``, in
 ``(rows x |H|)`` arrays.  The audits map each pair to two rows and compute
 the gaps of all pairs with array operations, one fixed-size block of pairs
 at a time; exact consistency reads the same vectors as ``DatasetBlock`` rows.
@@ -28,7 +29,6 @@ from scipy import stats
 
 from .mechanisms import (
     Mechanism,
-    MechanismDistribution,
     em_scale,
     exponential_mechanism,
 )
@@ -128,109 +128,49 @@ def sampled_neighbor_pairs(
         yield second, first
 
 
-class _LawTable:
-    """Exact output laws of one mechanism, one row per distinct multiset.
+def _audit_laws(
+    mechanism: Mechanism, pairs: Iterable[tuple[Dataset, Dataset]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Read ``pairs`` once and return the law matrix of their multisets, as
+    (probabilities, log-probabilities), with the left and right row of
+    every pair.
 
-    Every dataset must carry atom ids (:meth:`Dataset.of_atoms`) into the
-    one support of the first dataset the table reads.  A multiset is then
-    its vector of atom counts, which keys its row, so datasets that differ
-    only in point order share it.  Its law is built once, by
-    ``mechanism.law`` on the atoms in id order.  A wrapper that mixes base
-    laws (``mechanism.base``) takes them from a second table, shared by all
-    of its rows.  Rows are kept in ``(rows x |H|)`` arrays of probabilities
-    and log-probabilities.  Each audit call builds its own table.
+    Every dataset must carry atom ids (:meth:`Dataset.of_atoms`) into one
+    support and have one size.  A multiset is then its vector of atom
+    counts, so datasets that differ only in point order share a row.  The
+    rows are the distinct count vectors in ascending order, and
+    ``mechanism.law_rows`` builds their laws on the atoms in id order, in
+    one call.
     """
-
-    def __init__(self, mechanism: Mechanism) -> None:
-        if mechanism.law is None:
-            raise ValueError(
-                f"mechanism {mechanism.name!r} has no exact law to audit"
-            )
-        self._mechanism = mechanism
-        self._base = None if mechanism.base is None else _LawTable(mechanism.base)
-        self._support: Optional[Dataset] = None
-        self._index: dict[bytes, int] = {}
-        self._laws: list[MechanismDistribution] = []
-        self._p = np.empty((0, 0))
-        self._logp = np.empty((0, 0))
-
-    @property
-    def probabilities(self) -> np.ndarray:
-        return self._p[: len(self._laws)]
-
-    @property
-    def log_probabilities(self) -> np.ndarray:
-        return self._logp[: len(self._laws)]
-
-    @property
-    def width(self) -> int:
-        return self._p.shape[1]
-
-    def row(self, dataset: Dataset) -> int:
-        if self._support is None:
-            self._support = dataset.support
-        if dataset.support is None or dataset.support is not self._support:
-            raise ValueError("the law table keys a dataset by its atom counts: it "
-                             "needs atom ids (Dataset.of_atoms) into one support")
-        counts = np.bincount(dataset.atom_ids, minlength=self._support.n)
-        key = counts.tobytes()
-        index = self._index.get(key)
-        if index is None:
-            atoms = np.repeat(np.arange(len(counts)), counts)
-            index = self._add(Dataset.of_atoms(self._support, atoms))
-            self._index[key] = index
-        return index
-
-    def law(self, dataset: Dataset) -> MechanismDistribution:
-        return self._laws[self.row(dataset)]
-
-    def _add(self, dataset: Dataset) -> int:
-        mech = self._mechanism
-        if self._base is None:
-            law = mech.law(dataset)
-        else:
-            law = mech.law(dataset, self._base.law)
-        index = len(self._laws)
-        if index == len(self._p):
-            size = max(16, 2 * index)
-            p = np.empty((size, law.space.size))
-            logp = np.empty_like(p)
-            if index:
-                p[:index] = self._p
-                logp[:index] = self._logp
-            self._p, self._logp = p, logp
-        self._p[index] = law.probabilities
-        self._logp[index] = law.log_probabilities
-        self._laws.append(law)
-        return index
-
-
-def _pair_blocks(
-    table: _LawTable, pairs: Iterable[tuple[Dataset, Dataset]]
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Read ``pairs`` once and yield (index of the block's first pair, left
-    rows, right rows) for blocks of at most AUDIT_BLOCK_CELLS / |H| pairs."""
+    if mechanism.law is None:
+        raise ValueError(f"mechanism {mechanism.name!r} has no exact law to audit")
+    datasets: list[Dataset] = []
     left: list[int] = []
     right: list[int] = []
-    first = 0
-    block = 0
-    last, last_row = None, -1
+    last, last_index = None, -1
     for a, b in pairs:
         # Enumerators hand out one left dataset for a run of pairs.
         if a is not last:
-            last, last_row = a, table.row(a)
-        left.append(last_row)
-        right.append(table.row(b))
-        if not block:
-            block = max(1, AUDIT_BLOCK_CELLS // table.width)
-        if len(left) == block:
-            yield first, np.array(left), np.array(right)
-            first += block
-            left, right = [], []
-    if left:
-        yield first, np.array(left), np.array(right)
-    elif first == 0:
+            last, last_index = a, len(datasets)
+            datasets.append(a)
+        left.append(last_index)
+        right.append(len(datasets))
+        datasets.append(b)
+    if not datasets:
         raise ValueError("no neighbor pairs were supplied")
+    support = datasets[0].support
+    if support is None or any(d.support is not support for d in datasets):
+        raise ValueError("an audit keys a dataset by its atom counts: it "
+                         "needs atom ids (Dataset.of_atoms) into one support")
+    sizes = {d.n for d in datasets}
+    if len(sizes) > 1:
+        raise ValueError(f"an audit needs datasets of one size, got sizes {sorted(sizes)}")
+    counts = DatasetBlock(support, np.stack([d.atom_ids for d in datasets])).counts()
+    vectors, rows = np.unique(counts, axis=0, return_inverse=True)
+    rows = rows.reshape(-1)
+    atoms = np.repeat(np.tile(np.arange(support.n), len(vectors)), vectors.ravel())
+    p, logp = mechanism.law_rows(DatasetBlock(support, atoms.reshape(len(vectors), -1)))
+    return p, logp, rows[left], rows[right]
 
 
 # ---------------------------------------------------------------------------
@@ -265,13 +205,14 @@ def audit_pure_dp(
     infinite ratio and is reported as such; zero-zero entries carry no
     evidence and are skipped.
     """
-    table = _LawTable(mechanism)
+    p, logp, left_rows, right_rows = _audit_laws(mechanism, pairs)
+    step = max(1, AUDIT_BLOCK_CELLS // p.shape[1])
     worst = 0.0
     witness: Optional[dict] = None
-    probed = 0
-    for first, left, right in _pair_blocks(table, pairs):
-        lp = table.log_probabilities[left]
-        lq = table.log_probabilities[right]
+    for first in range(0, len(left_rows), step):
+        block = slice(first, first + step)
+        left, right = left_rows[block], right_rows[block]
+        lp, lq = logp[left], logp[right]
         with np.errstate(invalid="ignore"):
             gaps = np.abs(lp - lq)
         gaps[np.isneginf(lp) & np.isneginf(lq)] = 0.0
@@ -286,11 +227,11 @@ def audit_pure_dp(
                 "pair_index": first + j,
                 "hypothesis_id": hid,
                 "log_ratio": worst,
-                "p": float(table.probabilities[left[j], hid]),
-                "q": float(table.probabilities[right[j], hid]),
+                "p": float(p[left[j], hid]),
+                "q": float(p[right[j], hid]),
             }
-        probed = first + len(left)
-    return PureAuditReport(max_log_ratio=worst, pairs_probed=probed, witness=witness)
+    return PureAuditReport(max_log_ratio=worst, pairs_probed=len(left_rows),
+                           witness=witness)
 
 
 def audit_approx_dp(
@@ -306,23 +247,20 @@ def audit_approx_dp(
     """
     if not (math.isfinite(epsilon) and epsilon >= 0):
         raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
-    table = _LawTable(mechanism)
+    p, _, left_rows, right_rows = _audit_laws(mechanism, pairs)
+    step = max(1, AUDIT_BLOCK_CELLS // p.shape[1])
     factor = math.exp(epsilon)
     worst = -1.0
     witness: Optional[dict] = None
-    probed = 0
-    for first, left, right in _pair_blocks(table, pairs):
-        p = table.probabilities[left]
-        q = table.probabilities[right]
-        values = np.clip(p - factor * q, 0.0, None).sum(axis=1)
+    for first in range(0, len(left_rows), step):
+        block = slice(first, first + step)
+        values = np.clip(p[left_rows[block]] - factor * p[right_rows[block]], 0.0, None).sum(axis=1)
         j = int(values.argmax())
         if values[j] > worst:
             worst = float(values[j])
             witness = {"pair_index": first + j, "realized_delta": worst}
-        probed = first + len(left)
-    return ApproxAuditReport(
-        epsilon=epsilon, realized_delta=worst, pairs_probed=probed, witness=witness
-    )
+    return ApproxAuditReport(epsilon=epsilon, realized_delta=worst,
+                             pairs_probed=len(left_rows), witness=witness)
 
 
 def stability_audit(
@@ -337,11 +275,13 @@ def stability_audit(
     """
     if mechanism.problem is None or mechanism.space is None:
         raise ValueError("stability audit needs a mechanism bound to a problem")
-    table = _LawTable(mechanism)
+    p, _, left_rows, right_rows = _audit_laws(mechanism, pairs)
+    step = max(1, AUDIT_BLOCK_CELLS // p.shape[1])
     losses = mechanism.problem.loss_matrix(mechanism.space.payloads, probe_points)
     worst = 0.0
-    for _, left, right in _pair_blocks(table, pairs):
-        diff = table.probabilities[left] - table.probabilities[right]
+    for first in range(0, len(left_rows), step):
+        block = slice(first, first + step)
+        diff = p[left_rows[block]] - p[right_rows[block]]
         # A stack of one-row products: each matches a lone diff @ losses bit
         # for bit, which one (pairs x |H|) product does not.
         shifts = np.matmul(diff[:, None, :], losses)

@@ -252,20 +252,20 @@ def run_audit(config: RunConfig) -> ExperimentOutcome:
 
     # Approximate-budget base: realized delta at claimed epsilon, then again
     # after subsampling at the amplified (epsilon', delta').
-    base_eps = float(config["epsilon"][0])
-    base_delta = config["approx_delta"]
+    flag_eps = float(config["epsilon"][0])
+    flag_delta = config["approx_delta"]
     marker = float(universe.x[0] if universe.x.ndim == 1 else universe.x[0, 0])
-    flag = membership_flag_mechanism(base_eps, base_delta, marker)
-    flag_report = audit_approx_dp(flag, pairs, epsilon=base_eps)
-    flag_ok = flag_report.realized_delta <= base_delta + AUDIT_TOL
+    flag = membership_flag_mechanism(flag_eps, flag_delta, marker)
+    flag_report = audit_approx_dp(flag, pairs, epsilon=flag_eps)
+    flag_ok = flag_report.realized_delta <= flag_delta + AUDIT_TOL
     rows.append(
-        Row("audit", flag.name, "membership-flag", n, base_eps, base_delta, seed,
+        Row("audit", flag.name, "membership-flag", n, flag_eps, flag_delta, seed,
             "approx_realized_delta", flag_report.realized_delta, None,
-            base_delta, flag_ok)
+            flag_delta, flag_ok)
     )
     m = config["subsample_m"]
     sub_flag = subsample_wrapper(flag, m)
-    amplified = amplify_approx(base_eps, base_delta, m / n)
+    amplified = amplify_approx(flag_eps, flag_delta, m / n)
     sub_flag_report = audit_approx_dp(sub_flag, pairs, epsilon=amplified.epsilon)
     sub_flag_ok = sub_flag_report.realized_delta <= amplified.delta + AUDIT_TOL
     rows.append(

@@ -136,6 +136,19 @@ def normalized_logit_rows(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p, logp
 
 
+def normalized_probability_rows(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Probabilities and log-probabilities of each row of a 2-d array of
+    nonnegative weights, each row divided by its sum;
+    :meth:`MechanismDistribution.from_probabilities` is its one-row case."""
+    total = weights.sum(axis=1)
+    if not (np.isfinite(total).all() and (total > 0).all()):
+        raise ValueError("probabilities must have positive finite mass")
+    p = weights / total[:, None]
+    with np.errstate(divide="ignore"):
+        logp = np.log(p)
+    return p, logp
+
+
 def check_law_rows(p: np.ndarray, logp: np.ndarray) -> None:
     """Check each row of 2-d arrays of probabilities and log-probabilities
     as one exact law; :class:`MechanismDistribution` runs the one-row case.
@@ -219,15 +232,10 @@ class MechanismDistribution:
     def from_probabilities(
         cls, space: FiniteHypothesisSpace, probabilities: np.ndarray
     ) -> "MechanismDistribution":
-        """Wrap an explicit probability vector (e.g. a mixture of laws)."""
-        p = np.asarray(probabilities, dtype=float)
-        total = float(p.sum())
-        if not math.isfinite(total) or total <= 0:
-            raise ValueError("probabilities must have positive finite mass")
-        p = p / total
-        with np.errstate(divide="ignore"):
-            logp = np.log(p)
-        return cls(space=space, probabilities=p, log_probabilities=logp)
+        """Wrap an explicit probability vector, e.g. a mixture of laws (the
+        one-row case of :func:`normalized_probability_rows`)."""
+        p, logp = normalized_probability_rows(np.asarray(probabilities, dtype=float)[None])
+        return cls(space=space, probabilities=p[0], log_probabilities=logp[0])
 
     def sample(self, rng: np.random.Generator) -> int:
         return int(categorical(self.probabilities, rng.random()))
@@ -244,6 +252,12 @@ LawRowsFn = Callable[[DatasetBlock], tuple[np.ndarray, np.ndarray]]
 SampleFn = Callable[[Dataset, int], object]
 SampleManyFn = Callable[[Union[Dataset, DatasetBlock], Sequence[int]], np.ndarray]
 BudgetFn = Callable[[int], PrivacyBudget]
+
+
+def _check_block(block) -> None:
+    if not isinstance(block, DatasetBlock):
+        raise TypeError("law_rows takes one DatasetBlock (law takes one Dataset), "
+                        f"got {type(block).__name__}")
 
 
 def _block_for(data, seeds: Sequence[int]) -> DatasetBlock:
@@ -290,12 +304,9 @@ class Mechanism:
 
     ``law_rows(block)`` gives the probabilities and log-probabilities of
     the laws of a block's datasets as the rows of two (T, |H|) arrays;
-    unless the factory gives it, it stacks ``self.law`` of each item.
-
-    ``base`` is set on wrappers whose law mixes laws of another mechanism on
-    sub-datasets.  Their ``law(dataset, base_law)`` takes those laws from
-    ``base_law`` (``base.law`` when omitted), so an audit can build each
-    base law once and share it across datasets.
+    unless the factory gives it, it stacks ``self.law`` of each item.  It
+    takes one :class:`dperm.problems.DatasetBlock`; any other data raises
+    ``TypeError``.
     """
 
     name: str
@@ -304,7 +315,6 @@ class Mechanism:
     budget: Optional[BudgetFn] = None
     problem: Optional[Problem] = None
     space: Optional[FiniteHypothesisSpace] = None
-    base: Optional["Mechanism"] = None
     info: dict = field(default_factory=dict)
     sample_many: Optional[SampleManyFn] = None
     law_rows: Optional[LawRowsFn] = None
@@ -315,6 +325,7 @@ class Mechanism:
         if self.law_rows is None:
 
             def law_rows(block: DatasetBlock) -> tuple[np.ndarray, np.ndarray]:
+                _check_block(block)
                 laws = [self.law(d) for d in block]
                 return (np.stack([law.probabilities for law in laws]),
                         np.stack([law.log_probabilities for law in laws]))
@@ -780,10 +791,14 @@ def subsample_wrapper(
     atom ids (:meth:`Dataset.of_atoms`), whose multiset is its vector of
     atom counts c over the support: the sub-multiset that keeps s_i of the
     c_i copies of each present atom has the multivariate hypergeometric
-    weight prod_i C(c_i, s_i) / C(n, m) and contributes the base law on
-    ``Dataset.of_atoms(support, ids)``, its ids in ascending order.  Past
-    ``exact_cap`` distinct sub-multisets (reached only by datasets of mostly
-    distinct points) the law raises SizeLimitError naming the mechanism.
+    weight prod_i C(c_i, s_i) / C(n, m) and contributes the base law of
+    that sub-multiset, its ids in ascending order.  ``law_rows(block)``
+    enumerates each row's sub-multisets once, builds the base laws of the
+    distinct ones over the whole block in one ``base.law_rows`` call, and
+    sums each row's mixture in enumeration order; ``law(dataset)`` is its
+    one-row case.  Past ``exact_cap`` distinct sub-multisets of one row
+    (reached only by datasets of mostly distinct points) it raises
+    SizeLimitError naming the mechanism.
     """
     sqrt_rule = m == "sqrt"
     if not sqrt_rule:
@@ -814,32 +829,46 @@ def subsample_wrapper(
             return PrivacyBudget(amplify_pure(claimed.epsilon, gamma).tight, 0.0)
         return amplify_approx(claimed.epsilon, claimed.delta, gamma)
 
-    def law(
-        dataset: Dataset, base_law: Optional[LawFn] = None
-    ) -> MechanismDistribution:
+    def law_rows(block: DatasetBlock) -> tuple[np.ndarray, np.ndarray]:
+        _check_block(block)
+        n = block.n
+        size = subsample_size(n)
+        total = math.comb(n, size)
+        # Row i's mixture as (weight, row of the base block) terms; index
+        # keys each distinct sub-multiset by its ids in ascending order.
+        mixtures: list[list[tuple[float, int]]] = []
+        index: dict[tuple[int, ...], int] = {}
+        for row in block.counts().tolist():
+            present = [a for a, c in enumerate(row) if c]
+            counts = [row[a] for a in present]
+            if not _sub_multisets_fit(counts, size, exact_cap):
+                raise SizeLimitError(
+                    f"mechanism {name!r}: {n} points hold more than {exact_cap} "
+                    f"distinct size-{size} sub-multisets"
+                )
+            mixture = []
+            for kept in _sub_multisets(counts, size):
+                ids = tuple(a for a, s in zip(present, kept) for _ in range(s))
+                mixture.append((math.prod(map(math.comb, counts, kept)) / total,
+                                index.setdefault(ids, len(index))))
+            mixtures.append(mixture)
+        base_p = base.law_rows(DatasetBlock(block.support, list(index)))[0]
+        acc = np.zeros((len(block), base.space.size))
+        for row, mixture in zip(acc, mixtures):
+            for weight, j in mixture:
+                row += weight * base_p[j]
+        p, logp = normalized_probability_rows(acc)
+        check_law_rows(p, logp)
+        return p, logp
+
+    def law(dataset: Dataset) -> MechanismDistribution:
         if dataset.atom_ids is None:
             raise ValueError(
                 f"mechanism {name!r}: the exact subsample law reads atom counts "
                 "and needs a dataset with atom ids (Dataset.of_atoms)"
             )
-        base_law = base.law if base_law is None else base_law
-        n = dataset.n
-        size = subsample_size(n)
-        counts = np.bincount(dataset.atom_ids)
-        present = np.flatnonzero(counts)
-        counts = counts[present].tolist()
-        if not _sub_multisets_fit(counts, size, exact_cap):
-            raise SizeLimitError(
-                f"mechanism {name!r}: {n} points hold more than {exact_cap} "
-                f"distinct size-{size} sub-multisets"
-            )
-        acc = np.zeros(base.space.size)
-        total = math.comb(n, size)
-        for kept in _sub_multisets(counts, size):
-            weight = math.prod(map(math.comb, counts, kept)) / total
-            sub = Dataset.of_atoms(dataset.support, np.repeat(present, kept))
-            acc += weight * base_law(sub).probabilities
-        return MechanismDistribution.from_probabilities(base.space, acc)
+        p, logp = law_rows(DatasetBlock(dataset.support, dataset.atom_ids[None]))
+        return MechanismDistribution(base.space, p[0], logp[0])
 
     def sample(dataset: Dataset, seed: int):
         size = subsample_size(dataset.n)
@@ -851,10 +880,10 @@ def subsample_wrapper(
         name=name,
         sample=sample,
         law=None if base.law is None else law,
+        law_rows=None if base.law is None else law_rows,
         budget=budget,
         problem=base.problem,
         space=base.space,
-        base=base,
     )
 
 

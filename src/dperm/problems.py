@@ -54,6 +54,15 @@ __all__ = [
 DEFAULT_PACKING_CAP = 10**6
 
 
+def _atom_ids(support: "Dataset", ids) -> np.ndarray:
+    """``ids`` as a read-only intp array, every id an atom of ``support``."""
+    ids = np.array(ids, dtype=np.intp)
+    if ids.size and not (ids.min() >= 0 and ids.max() < support.n):
+        raise ValueError(f"atom ids must lie in [0, {support.n}), the atoms of the support")
+    ids.flags.writeable = False
+    return ids
+
+
 @dataclass(eq=False)
 class Dataset:
     """Sample of points, optionally labeled.
@@ -86,10 +95,10 @@ class Dataset:
     @classmethod
     def of_atoms(cls, support: "Dataset", ids) -> "Dataset":
         """The points ``support.take(ids)``, carrying ``ids`` as their atom
-        ids; x, y and the ids are read-only."""
-        ids = np.array(ids, dtype=np.intp)
+        ids; x, y and the ids are read-only, every id in [0, ``support.n``)."""
+        ids = _atom_ids(support, ids)
         data = cls(x=support.x[ids], y=None if support.y is None else support.y[ids])
-        for a in (data.x, data.y, ids):
+        for a in (data.x, data.y):
             if a is not None:
                 a.flags.writeable = False
         data.atom_ids, data.support = ids, support
@@ -123,12 +132,9 @@ class DatasetBlock:
     """
 
     def __init__(self, support: Dataset, atom_ids) -> None:
-        ids = np.array(atom_ids, dtype=np.intp)
+        ids = _atom_ids(support, atom_ids)
         if ids.ndim != 2:
             raise ValueError(f"expected one row of atom ids per dataset, got shape {ids.shape}")
-        if ids.size and not (ids.min() >= 0 and ids.max() < support.n):
-            raise ValueError(f"atom ids must lie in [0, {support.n}), the atoms of the support")
-        ids.flags.writeable = False
         self.support, self.atom_ids = support, ids
 
     @property
@@ -141,6 +147,13 @@ class DatasetBlock:
 
     def __getitem__(self, i) -> Dataset:
         return Dataset.of_atoms(self.support, self.atom_ids[operator.index(i)])
+
+    def counts(self) -> np.ndarray:
+        """The (T, ``support.n``) atom counts of every row, from one
+        ``bincount`` (row i's ids offset by i * ``support.n``)."""
+        t, k = len(self), self.support.n
+        keys = (self.atom_ids + (np.arange(t) * k)[:, None]).ravel()
+        return np.bincount(keys, minlength=t * k).reshape(t, k)
 
     def columns(self, indices) -> "DatasetBlock":
         """Every dataset taken at the same positions: item i is
@@ -303,10 +316,9 @@ def risk_rows(problem: Problem, space: FiniteHypothesisSpace, block: DatasetBloc
     :class:`DatasetBlock`, as the rows of a (T, |H|) array.
 
     The losses are evaluated once, on the atoms present in the block, and
-    one ``bincount`` counts every row (row i's ids offset by i * k).  If that
-    table is all 0/1 (+0.0 or 1.0), row i is counts_i @ table.T / n: its sums
-    are exact integers, so it equals :func:`risk_vector` of item i bit for
-    bit.  This assumes, as every shipped loss does, that a point's loss does
+    :meth:`DatasetBlock.counts` counts every row.  If that table is all 0/1
+    (+0.0 or 1.0), row i is counts_i @ table.T / n: its sums are exact
+    integers, so it equals :func:`risk_vector` of item i bit for bit.  This assumes, as every shipped loss does, that a point's loss does
     not depend on the other points.  Any other table falls back to
     :func:`risk_vector` item by item, because its sums depend on the order of
     the points.
@@ -314,9 +326,7 @@ def risk_rows(problem: Problem, space: FiniteHypothesisSpace, block: DatasetBloc
     if not isinstance(block, DatasetBlock):
         raise TypeError("risk_rows takes one DatasetBlock (risk_vector takes one Dataset), "
                         f"got {type(block).__name__}")
-    support, t, k = block.support, len(block), block.support.n
-    keys = (block.atom_ids + (np.arange(t) * k)[:, None]).ravel()
-    counts = np.bincount(keys, minlength=t * k).reshape(t, k)
+    support, counts = block.support, block.counts()
     present = np.flatnonzero(counts.any(axis=0))
     atoms = Dataset(x=support.x[present], y=None if support.y is None else support.y[present])
     table = _loss_table(problem, space, atoms)

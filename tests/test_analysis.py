@@ -477,10 +477,10 @@ class TestSampleCountsBatch:
         em = exponential_mechanism(problem, space, 1.0)
         mech = boost_high_confidence(em, space, 0.2, 1.0)
         expected = _per_seed_counts(mech, data, 150, 11)
-        base_laws, laws, draws = [], [], []
-        em.law = _counting(em.law, base_laws)
+        part_laws, laws, draws = [], [], []
+        em.law = _counting(em.law, part_laws)
         mech.law = _counting(mech.law, laws)
         mech.sample = _counting(mech.sample, draws)
         assert np.array_equal(sample_counts(mech, data, 150, 11), expected)
-        assert len(base_laws) == mech.info["parts"]
+        assert len(part_laws) == mech.info["parts"]
         assert not laws and not draws

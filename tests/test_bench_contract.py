@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import dperm
-from dperm.analysis import _LawTable, exhaustive_neighbor_pairs
+from dperm.analysis import _audit_laws, exhaustive_neighbor_pairs
 from dperm.config import parse_config_text
 from dperm.experiments import _audit_problem
 from dperm.mechanisms import exponential_mechanism
@@ -44,14 +44,15 @@ def test_workload_builds_under_instrumentation(perfbench, name, tmp_path):
 def test_multiset_key_splits_datasets_as_the_law_table(perfbench, op, tmp_path):
     # analysis.laws_per_multiset divides the laws an audit builds by the
     # distinct multiset_key values it sees: one law per multiset only while
-    # that key splits the audit's datasets exactly as the table's count key.
+    # that key splits the audit's datasets exactly as the audit's law rows.
     tracing, workloads = perfbench
     config = parse_config_text(workloads._config(
         workloads.EXACT_AUDIT[op], workloads.REFERENCE_SEED, str(tmp_path / "out.csv")))
     problem, space, universe = _audit_problem(config)
-    table = _LawTable(exponential_mechanism(problem, space, 1.0))
-    keys = {(tracing.multiset_key(d), table.row(d))
-            for pair in exhaustive_neighbor_pairs(universe, config["n"]) for d in pair}
+    pairs = list(exhaustive_neighbor_pairs(universe, config["n"]))
+    _, _, left, right = _audit_laws(exponential_mechanism(problem, space, 1.0), pairs)
+    keys = {(tracing.multiset_key(d), int(row))
+            for (a, b), i, j in zip(pairs, left, right) for d, row in ((a, i), (b, j))}
     assert len({k for k, _ in keys}) == len({row for _, row in keys}) == len(keys)
     assert len(keys) == math.comb(universe.n + config["n"] - 1, config["n"])
 

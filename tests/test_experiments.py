@@ -54,12 +54,12 @@ def test_rows_to_csv_quotes_commas():
 # uniforms and datasets, with no generator and no dataset built per trial.
 # What each builds does not depend on its trial count.  The one generator
 # is the loss-range probe of the problem's constructor.  consistency_mc's
-# exact stability audit at n = 100 over 2 atoms builds 101 multisets, 200
-# swapped neighbours and 101 law-table rows.
+# exact stability audit at n = 100 over 2 atoms builds 101 multisets and
+# 200 swapped neighbours; its law rows read one id array and build none.
 TRIAL_BLOCK_BUILDS = {
     "aerm": {"generator": 1},
     "boost": {"generator": 1},
-    "consistency_mc": {"generator": 1, "dataset": 402},
+    "consistency_mc": {"generator": 1, "dataset": 301},
     "phase": {"generator": 1},
 }
 

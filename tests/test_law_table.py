@@ -1,4 +1,4 @@
-"""The law-table audits against per-pair oracles, their law counts, their
+"""The law-matrix audits against per-pair oracles, their law rows, their
 refusal of laws past a size cap, and a planted defect they must catch."""
 
 import math
@@ -180,46 +180,49 @@ def test_stability_audit_matches_oracle(u, n):
 # Law counts
 
 
-def counted(mech, calls):
-    law = mech.law
+def counted(mech, blocks):
+    law_rows = mech.law_rows
 
-    def wrapper(dataset, *args):
-        calls.append(dataset.n)
-        return law(dataset, *args)
+    def wrapper(block):
+        blocks.append(block.atom_ids.shape)
+        # Each multiset is built once, on its atoms in id order.
+        assert (np.diff(block.atom_ids, axis=1) >= 0).all()
+        return law_rows(block)
 
-    mech.law = wrapper
+    mech.law_rows = wrapper
     return mech
 
 
 def test_one_law_per_multiset():
     problem, space = threshold_classification(resolution=16)
-    calls = []
-    mech = counted(exponential_mechanism(problem, space, 1.0), calls)
+    blocks = []
+    mech = counted(exponential_mechanism(problem, space, 1.0), blocks)
     pairs = exhaustive_neighbor_pairs(threshold_universe(6), 5)
     audit_pure_dp(mech, pairs)
-    assert len(calls) == math.comb(6 + 5 - 1, 5) == 252
+    assert blocks == [(math.comb(6 + 5 - 1, 5), 5)] == [(252, 5)]
 
 
-def test_subsample_base_laws_shared_across_datasets():
+def test_subsample_base_rows_shared_across_datasets():
     problem, space = threshold_classification(resolution=16)
-    base_calls, wrapper_calls = [], []
-    base = counted(exponential_mechanism(problem, space, 1.0), base_calls)
-    wrapped = counted(subsample_wrapper(base, 2), wrapper_calls)
+    base_blocks, wrapper_blocks = [], []
+    base = counted(exponential_mechanism(problem, space, 1.0), base_blocks)
+    wrapped = counted(subsample_wrapper(base, 2), wrapper_blocks)
     audit_pure_dp(wrapped, exhaustive_neighbor_pairs(threshold_universe(6), 5))
-    assert len(wrapper_calls) == 252
-    assert base_calls == [2] * math.comb(6 + 2 - 1, 2) == [2] * 21
+    assert wrapper_blocks == [(252, 5)]
+    assert base_blocks == [(math.comb(6 + 2 - 1, 2), 2)] == [(21, 2)]
 
 
 def test_one_law_per_count_vector_on_unsorted_ids():
     problem, space = threshold_classification(resolution=16)
-    calls = []
-    mech = counted(exponential_mechanism(problem, space, 1.0), calls)
+    blocks = []
+    mech = counted(exponential_mechanism(problem, space, 1.0), blocks)
     pairs = list(sampled_neighbor_pairs(threshold_universe(6), 5, 200, seed=3))
     datasets = [d for pair in pairs for d in pair]
     assert any((np.diff(d.atom_ids) < 0).any() for d in datasets)
     vectors = {np.bincount(d.atom_ids, minlength=6).tobytes() for d in datasets}
     audit_pure_dp(mech, pairs)
-    assert len(calls) == len(vectors) < len(datasets)
+    assert blocks == [(len(vectors), 5)]
+    assert len(vectors) < len(datasets)
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +248,29 @@ def test_law_table_refuses_ids_into_a_second_support():
     pairs = [(Dataset.of_atoms(first, [0, 1]), Dataset.of_atoms(second, [0, 2]))]
     with pytest.raises(ValueError, match="into one support"):
         audit_pure_dp(mech, pairs)
+
+
+def test_audits_refuse_datasets_of_mixed_sizes():
+    problem, space = threshold_classification(resolution=4)
+    mech = exponential_mechanism(problem, space, 1.0)
+    universe = threshold_universe(4)
+    pairs = [(Dataset.of_atoms(universe, [0, 1]), Dataset.of_atoms(universe, [0, 2])),
+             (Dataset.of_atoms(universe, [0, 1, 3]), Dataset.of_atoms(universe, [0, 2, 3]))]
+    for audit in (lambda pairs: audit_pure_dp(mech, pairs),
+                  lambda pairs: audit_approx_dp(mech, pairs, 1.0),
+                  lambda pairs: stability_audit(mech, pairs, universe)):
+        with pytest.raises(ValueError, match=re.escape("one size, got sizes [2, 3]")):
+            audit(pairs)
+
+
+def test_audits_refuse_no_pairs_and_no_law():
+    problem, space = threshold_classification(resolution=4)
+    with pytest.raises(ValueError, match="no neighbor pairs were supplied"):
+        audit_pure_dp(exponential_mechanism(problem, space, 1.0), [])
+    lawless = Mechanism(name="draws-only", sample=lambda dataset, seed: 0)
+    pairs = exhaustive_neighbor_pairs(threshold_universe(4), 2)
+    with pytest.raises(ValueError, match="'draws-only' has no exact law to audit"):
+        audit_pure_dp(lawless, pairs)
 
 
 def test_subsample_law_refuses_datasets_without_ids():
@@ -299,7 +325,7 @@ def test_audits_refuse_sampled_laws(audit):
 
 def test_boost_over_a_capped_subsample_is_refused():
     # A boost with one part runs its base on the first n // 2 points (the
-    # audit's law table puts them in sorted order).  Four distinct points
+    # audit's law rows put them in sorted order).  Four distinct points
     # there pass the subsample's cap, so the boost has no exact law for
     # them, and its audit must say so.
     problem, space = threshold_classification(resolution=4)

@@ -42,6 +42,7 @@ from dperm.mechanisms import (
 from dperm.problems import (
     PROBLEM_BUILDERS,
     Dataset,
+    DatasetBlock,
     discrete_points,
     labeled_threshold,
     objective_vector,
@@ -346,6 +347,33 @@ class TestSubsampling:
                 law = subsample_wrapper(base, m=m).law(data).probabilities
                 oracle = hypergeometric_subsample_law(base, data, m)
                 assert np.allclose(law, oracle, atol=1e-12)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_block_rows_equal_the_sequential_mixture(self, m):
+        # Each row is the mixture summed one sub-multiset at a time, in
+        # lexicographic order of the kept counts, over base.law of the
+        # sub-multiset on ascending ids: bit for bit, in both views.
+        problem, space = PROBLEM_BUILDERS["threshold"](resolution=16)
+        support = labeled_threshold(0.5, support_size=5).support
+        block = DatasetBlock(support, list(itertools.combinations_with_replacement(range(5), 4)))
+        flag = membership_flag_mechanism(0.5, 0.1, marker=float(support.x[0]))
+        for base in (exponential_mechanism(problem, space, 1.0), flag):
+            wrapped = subsample_wrapper(base, m)
+            p, logp = wrapped.law_rows(block)
+            for i, data in enumerate(block):
+                counts = np.bincount(data.atom_ids)
+                present = np.flatnonzero(counts)
+                acc = np.zeros(base.space.size)
+                for kept in itertools.product(*(range(c + 1) for c in counts[present])):
+                    if sum(kept) == m:
+                        weight = math.prod(map(math.comb, counts[present].tolist(), kept))
+                        sub = Dataset.of_atoms(support, np.repeat(present, kept))
+                        acc += weight / math.comb(4, m) * base.law(sub).probabilities
+                oracle = MechanismDistribution.from_probabilities(base.space, acc)
+                law = wrapped.law(data)
+                for got in ((p[i], logp[i]), (law.probabilities, law.log_probabilities)):
+                    assert np.array_equal(got[0], oracle.probabilities)
+                    assert np.array_equal(got[1], oracle.log_probabilities)
 
     def test_budget_fixed_m(self):
         problem, space = PROBLEM_BUILDERS["threshold"](resolution=8)
@@ -924,6 +952,17 @@ class TestLawRows:
                 m.sample_many(list(datasets), [1, 2])
             assert re.search(r"\bDataset\b", str(err.value))
             assert re.search(r"\bDatasetBlock\b", str(err.value))
+
+    def test_law_rows_refuse_a_list_of_datasets(self):
+        # The default law_rows (erm), the subsample mixture and the EM rows
+        # all take one DatasetBlock; two sizes in a list are refused.
+        mech, block = _em_row_case(8, 2, 4)
+        d1, d2 = block[0], block[1].take([0, 1, 2])
+        for m in (erm_mechanism(mech.problem, mech.space), subsample_wrapper(mech, 2), mech):
+            with pytest.raises(TypeError) as err:
+                m.law_rows([d1, d2])
+            assert re.search(r"\bDatasetBlock\b", str(err.value))
+            assert "list" in str(err.value)
 
     def test_own_sampler_gets_a_per_seed_sample_many(self):
         mech, datasets = _em_row_case(8, 3, 9)

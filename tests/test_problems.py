@@ -416,6 +416,14 @@ class TestDatasetsAt:
         with pytest.raises(ValueError, match=re.escape("[0, 4)")):
             DatasetBlock(dist.support, ids)
 
+    @pytest.mark.parametrize("ids", [[0, -1], [0, 4]])
+    def test_of_atoms_refuses_ids_outside_the_support(self, ids):
+        # Id -1 would wrap around to the last atom's point while the id
+        # stayed -1, so the points and the counts would disagree.
+        dist = discrete_points(np.array([0.2, 0.4, 0.6, 0.8]), y=np.array([0.0, 1.0, 0.0, 1.0]))
+        with pytest.raises(ValueError, match=re.escape("[0, 4)")):
+            Dataset.of_atoms(dist.support, ids)
+
     def test_block_objective_rows_add_one_regularizer_row(self):
         # Logistic losses take the loss path, item by item, and the block
         # adds its one regularizer row.
