@@ -172,6 +172,10 @@ def _audit_problem(config: RunConfig):
         cells = config["cells"]
         problem, space = _support_space(config)
         size = min(universe_size, cells)
+        if size < 2:
+            raise ConfigError(
+                f"the audit universe needs >= 2 atoms, got min(universe, cells) = {size}"
+            )
         universe = Dataset(x=(np.arange(size) + 0.5) / cells)
     else:
         raise ConfigError(
@@ -194,9 +198,9 @@ def _support_problem(config: RunConfig):
 
 def run_audit(config: RunConfig) -> ExperimentOutcome:
     """Exact privacy audits: the private learner against its pure claim,
-    subsampling against the tight amplification bound, the sqrt rule for an
-    arbitrary base, and an approximate-budget base before and after
-    subsampling."""
+    subsampling against amplify_pure's bound (valid, not tight), the sqrt
+    rule for an arbitrary base, and an approximate-budget base before and
+    after subsampling."""
     problem, space, universe = _audit_problem(config)
     n = config["n"]
     pairs = list(exhaustive_neighbor_pairs(universe, n))
@@ -378,6 +382,8 @@ def run_consistency(config: RunConfig) -> ExperimentOutcome:
     """Stability, generalization, AERM, and excess-risk gaps of the private
     learner with the decomposition and stability checks, exactly for small n
     or by Monte Carlo with a 4-SE margin."""
+    if config["mode"] not in ("exact", "mc"):
+        raise ConfigError(f"mode must be 'exact' or 'mc', got {config['mode']!r}")
     problem, space = threshold_classification(resolution=config["resolution"])
     distribution = discrete_points(
         x=np.array([0.3, 0.7]), y=np.array([0.0, 1.0])
@@ -603,14 +609,10 @@ def run_rates(config: RunConfig) -> ExperimentOutcome:
         done = 0
         while done < trials:
             size = min(chunk, trials - done)
-            block = np.empty((size, n))
-            quantiles = np.empty(size)
-            for j in range(size):
-                rng = trial_rng(root, done + j)
-                block[j] = rng.uniform(0.0, 1.0, size=n)
-                quantiles[j] = rng.random()
-            erms = pth_power_erm_batch(block)
-            noise = np.array([laplace_icdf(float(u), scale) for u in quantiles])
+            # Row j is trial done + j's stream: n points, then the quantile.
+            u = uniform_rows(spawn_seeds(root, np.arange(done, done + size)), n + 1)
+            erms = pth_power_erm_batch(u[:, :n])
+            noise = np.array([laplace_icdf(u_j, scale) for u_j in u[:, n].tolist()])
             outputs = np.clip(erms + noise, 0.0, 1.0)
             excesses[done : done + size] = population_risk(outputs) - best
             done += size

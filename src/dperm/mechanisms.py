@@ -7,18 +7,17 @@ Every mechanism here exposes the same two call paths:
   Every law is exact: a law too large to build raises
   :class:`dperm.spaces.SizeLimitError` instead of being estimated, so
   auditing code never sees a sampled law.
-* ``sample(dataset, seed)`` draws one output.  Unless a factory gives its
-  own, it is one draw from ``law(dataset)`` under ``default_rng(seed)``.
-  ``sample_many(data, seeds)`` gives the draws of many seeds at once: on one
-  :class:`~dperm.problems.Dataset`, all from one law; on a
-  :class:`~dperm.problems.DatasetBlock` with one row per seed, draw i from
-  the law of item i, with those laws built as the rows of one array
-  (``law_rows(block)``).  Its uniforms come from
-  :func:`dperm.draws.first_uniforms`, which gives each seed's
-  ``default_rng(seed).random()`` bit for bit, for a block of seeds in one
-  array kernel.  The seed is consumed as-is (callers derive per-trial
-  seeds themselves); sub-draws inside composite mechanisms fork the seed
-  through :func:`dperm.seeding.spawn_seeds` so the pieces stay independent.
+* ``sample_many(data, seeds)`` is the one way a mechanism draws: draw i
+  under seed i, on one :class:`~dperm.problems.Dataset` or on item i of a
+  :class:`~dperm.problems.DatasetBlock` with one row per seed.  Unless a
+  factory gives its own, every draw comes from the law: one law for a
+  dataset, the rows of one array (``law_rows(block)``) for a block.  Its
+  uniforms come from :func:`dperm.draws.first_uniforms`, which gives each
+  seed's ``default_rng(seed).random()`` bit for bit, for a block of seeds in
+  one array kernel.  ``sample(dataset, seed)`` is its one-row case.  The
+  seed is consumed as-is (callers derive per-trial seeds themselves);
+  sub-draws inside composite mechanisms fork the seed through
+  :func:`dperm.seeding.spawn_seeds` so the pieces stay independent.
 
 Every draw from a probability vector goes through
 :func:`dperm.draws.categorical` with the generator's own uniforms, so it
@@ -237,9 +236,6 @@ class MechanismDistribution:
         p, logp = normalized_probability_rows(np.asarray(probabilities, dtype=float)[None])
         return cls(space=space, probabilities=p[0], log_probabilities=logp[0])
 
-    def sample(self, rng: np.random.Generator) -> int:
-        return int(categorical(self.probabilities, rng.random()))
-
     def expectation(self, values: np.ndarray) -> float:
         values = np.asarray(values, dtype=float)
         if values.shape != (self.space.size,):
@@ -249,7 +245,6 @@ class MechanismDistribution:
 
 LawFn = Callable[[Dataset], MechanismDistribution]
 LawRowsFn = Callable[[DatasetBlock], tuple[np.ndarray, np.ndarray]]
-SampleFn = Callable[[Dataset, int], object]
 SampleManyFn = Callable[[Union[Dataset, DatasetBlock], Sequence[int]], np.ndarray]
 BudgetFn = Callable[[int], PrivacyBudget]
 
@@ -282,35 +277,28 @@ class Mechanism:
     ``law`` is None when the mechanism gives no law (a boost whose candidate
     tuples pass its cap, or a wrapper of such a base).
 
-    ``sample_many(data, seeds)`` takes one :class:`dperm.problems.Dataset`
-    or one :class:`dperm.problems.DatasetBlock` with a row per seed, and
-    returns an array of ids: draw i under seed i, on the one dataset or on
-    item i of the block.  Any other data raises ``TypeError``.  The block
-    reaches ``law_rows`` as it is, so the exponential mechanism and boost
-    read its id array and build no dataset per row.  ``seeds`` may be a
-    uint64 array (:func:`dperm.seeding.spawn_seeds`).  A factory may give
-    ``sample``, ``sample_many`` or neither:
-
-    * ``sample`` only: ``sample_many`` calls it seed by seed.
-    * ``sample_many`` only: ``sample`` is its one-row case.  A dataset with
-      atom ids goes in as the one-row block of its ids, a dataset without
-      as it is.
-    * neither: draws come from the law.  ``sample`` is one draw from
-      ``self.law(dataset)`` under ``default_rng(seed)``, reading
-      ``self.law`` at call time.  ``sample_many`` builds ``self.law(dataset)``
-      once for one dataset, or ``self.law_rows(block)`` for a block, and
-      looks up the uniforms ``first_uniforms(seeds)``, each seed's
-      ``default_rng(seed).random()`` bit for bit, in one kernel call.
+    ``sample_many(data, seeds)`` is the one draw primitive.  It takes one
+    :class:`dperm.problems.Dataset` or one :class:`dperm.problems.DatasetBlock`
+    with a row per seed, and returns an array of ids: draw i under seed i,
+    on the one dataset or on item i of the block.  Any other data raises
+    ``TypeError``.  ``seeds`` may be a uint64 array
+    (:func:`dperm.seeding.spawn_seeds`).  Unless the factory gives it,
+    every draw comes from the law: ``self.law(dataset)`` once for one
+    dataset, or ``self.law_rows(block)`` for a block, which reaches it as it
+    is, so the exponential mechanism reads its id array and builds no
+    dataset per row.  The uniforms are ``first_uniforms(seeds)``, each
+    seed's ``default_rng(seed).random()`` bit for bit, in one kernel call.
+    :meth:`sample` is its one-row case.
 
     ``law_rows(block)`` gives the probabilities and log-probabilities of
     the laws of a block's datasets as the rows of two (T, |H|) arrays;
     unless the factory gives it, it stacks ``self.law`` of each item.  It
     takes one :class:`dperm.problems.DatasetBlock`; any other data raises
-    ``TypeError``.
+    ``TypeError``.  Both derived functions read ``self.law`` and
+    ``self.law_rows`` at call time.
     """
 
     name: str
-    sample: Optional[SampleFn] = None
     law: Optional[LawFn] = None
     budget: Optional[BudgetFn] = None
     problem: Optional[Problem] = None
@@ -320,8 +308,8 @@ class Mechanism:
     law_rows: Optional[LawRowsFn] = None
 
     def __post_init__(self) -> None:
-        if self.sample is None and self.sample_many is None and self.law is None:
-            raise ValueError(f"mechanism {self.name!r} has neither sample nor law")
+        if self.sample_many is None and self.law is None:
+            raise ValueError(f"mechanism {self.name!r} has neither sample_many nor law")
         if self.law_rows is None:
 
             def law_rows(block: DatasetBlock) -> tuple[np.ndarray, np.ndarray]:
@@ -331,18 +319,7 @@ class Mechanism:
                         np.stack([law.log_probabilities for law in laws]))
 
             self.law_rows = law_rows
-        if self.sample is None and self.sample_many is not None:
-
-            def sample(dataset: Dataset, seed: int) -> int:
-                ids = dataset.atom_ids
-                data = dataset if ids is None else DatasetBlock(dataset.support, ids[None])
-                return int(self.sample_many(data, [seed])[0])
-
-            self.sample = sample
-        elif self.sample is None:
-
-            def sample(dataset: Dataset, seed: int) -> int:
-                return self.law(dataset).sample(np.random.default_rng(seed))
+        if self.sample_many is None:
 
             def sample_many(data, seeds: Sequence[int]) -> np.ndarray:
                 u = first_uniforms(seeds)
@@ -350,16 +327,14 @@ class Mechanism:
                     return categorical(self.law(data).probabilities, u)
                 return categorical(self.law_rows(_block_for(data, seeds))[0], u)
 
-            self.sample = sample
             self.sample_many = sample_many
-        elif self.sample_many is None:
 
-            def sample_many(data, seeds: Sequence[int]) -> np.ndarray:
-                datasets = ([data] * len(seeds) if isinstance(data, Dataset)
-                            else _block_for(data, seeds))
-                return np.array([self.sample(d, s) for d, s in zip(datasets, seeds)])
-
-            self.sample_many = sample_many
+    def sample(self, dataset: Dataset, seed: int) -> int:
+        """One draw: ``sample_many`` on one seed.  A dataset with atom ids
+        goes in as the one-row block of its ids, a dataset without as it is."""
+        ids = dataset.atom_ids
+        data = dataset if ids is None else DatasetBlock(dataset.support, ids[None])
+        return int(self.sample_many(data, [seed])[0])
 
     def claimed_budget(self, n: int) -> PrivacyBudget:
         if n < 1:
@@ -372,8 +347,11 @@ class Mechanism:
 def em_scale(epsilon: float, n: int) -> float:
     """Exponent scale for the exponential mechanism on unit-range losses.
 
-    A one-point swap moves the averaged objective by at most 2/n, so the
-    exponent epsilon * n / 4 equals epsilon over twice that sensitivity.
+    With losses in [0, 1], a one-point swap moves the averaged objective by
+    at most 1/n (the regularizer depends on n only).  McSherry and Talwar's
+    scale for that sensitivity is epsilon * n / 2; epsilon * n / 4 is half
+    of it, so the mechanism is (epsilon / 2)-DP and its claim of epsilon is
+    valid but twice that.
     """
     return epsilon * n / 4.0
 
@@ -684,7 +662,11 @@ def membership_flag_mechanism(
 
 @dataclass(frozen=True)
 class AmplifiedPure:
-    """Pure-DP level after subsampling: the tight value and its linear relaxation."""
+    """Pure-DP level after subsampling: a valid bound and its linear relaxation.
+
+    ``tight`` is valid but not tight: at gamma = 2/3, epsilon = 0.1 it is
+    0.133, where Balle, Barthe and Gaboardi (2018) give 0.068.
+    """
 
     tight: float
     relaxed: float
@@ -696,6 +678,8 @@ def amplify_pure(epsilon: float, gamma: float) -> AmplifiedPure:
 
     tight   = log(1 + gamma(e^eps - 1)) - log(1 + gamma(e^-eps - 1))
     relaxed = 2 gamma (e^eps - e^-eps), an upper bound on tight.
+
+    Both are valid bounds; neither is tight (see :class:`AmplifiedPure`).
     """
     if not (math.isfinite(epsilon) and epsilon >= 0):
         raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
@@ -784,7 +768,8 @@ def subsample_wrapper(
     m = floor(sqrt(n)).  The sqrt rule is the only mode allowed when the base
     carries no privacy claim at all: an arbitrary base subsampled at that rate
     is claimed (0, 1/sqrt(n)).  A base with a pure claim is amplified through
-    the tight pure bound; a base with delta > 0 goes through amplify_approx.
+    amplify_pure's bound (valid, not tight); a base with delta > 0 goes
+    through amplify_approx.
 
     The exact law is a mixture over the distinct size-m sub-multisets of the
     dataset, not over all C(n, m) index subsets.  It needs a dataset with
@@ -870,15 +855,20 @@ def subsample_wrapper(
         p, logp = law_rows(DatasetBlock(dataset.support, dataset.atom_ids[None]))
         return MechanismDistribution(base.space, p[0], logp[0])
 
-    def sample(dataset: Dataset, seed: int):
-        size = subsample_size(dataset.n)
-        rng = np.random.default_rng(spawn_seed(seed, 0))
-        subset = rng.choice(dataset.n, size=size, replace=False)
-        return base.sample(dataset.take(subset), spawn_seed(seed, 1))
+    def sample_many(data, seeds: Sequence[int]) -> np.ndarray:
+        # Draw i keeps the subset chosen under spawn_seed(seeds[i], 0) and
+        # runs the base on it under spawn_seed(seeds[i], 1).
+        datasets = [data] * len(seeds) if isinstance(data, Dataset) else _block_for(data, seeds)
+        ids = []
+        for dataset, seed in zip(datasets, seeds):
+            rng = np.random.default_rng(spawn_seed(seed, 0))
+            subset = rng.choice(dataset.n, size=subsample_size(dataset.n), replace=False)
+            ids.append(base.sample(dataset.take(subset), spawn_seed(seed, 1)))
+        return np.array(ids)
 
     return Mechanism(
         name=name,
-        sample=sample,
+        sample_many=sample_many,
         law=None if base.law is None else law,
         law_rows=None if base.law is None else law_rows,
         budget=budget,

@@ -303,8 +303,8 @@ class TestConsistencySuite:
     def test_mechanism_without_law_rejected(self, mode):
         problem, space = PROBLEM_BUILDERS["threshold"](resolution=4)
         em = exponential_mechanism(problem, space, 1.0)
-        sample_only = Mechanism(name="sample-only", sample=em.sample, budget=em.budget,
-                                problem=problem, space=space)
+        sample_only = Mechanism(name="sample-only", sample_many=em.sample_many,
+                                budget=em.budget, problem=problem, space=space)
         dist = discrete_points(np.array([0.3, 0.7]), y=np.array([0.0, 1.0]))
         with pytest.raises(ValueError, match="with a law"):
             consistency_suite(sample_only, dist, n=3, mode=mode)
@@ -462,13 +462,15 @@ class TestSampleCountsBatch:
         assert sample_counts(mech, data, 150, 11)[best] == 150
 
     def test_own_samplers_keep_the_per_seed_loop(self, support_case):
+        # The subsample wrapper's sample_many makes one base draw per seed
+        # and never builds its own law.
         problem, space, data = support_case
         em = exponential_mechanism(problem, space, 1.0)
         mech = subsample_wrapper(em, 10)
         laws, draws = [], []
         expected = _per_seed_counts(mech, data, 150, 11)
         mech.law = _counting(mech.law, laws)
-        mech.sample = _counting(mech.sample, draws)
+        em.sample = _counting(em.sample, draws)
         assert np.array_equal(sample_counts(mech, data, 150, 11), expected)
         assert len(draws) == 150 and not laws
 

@@ -19,7 +19,8 @@ from dperm.analysis import _audit_laws, exhaustive_neighbor_pairs
 from dperm.config import parse_config_text
 from dperm.experiments import _audit_problem
 from dperm.mechanisms import exponential_mechanism
-from dperm.problems import PROBLEM_BUILDERS, Problem, labeled_threshold, risk_vector
+from dperm.problems import (PROBLEM_BUILDERS, Problem, discrete_points, labeled_threshold,
+                            risk_vector)
 from dperm.seeding import trial_rng
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -73,6 +74,30 @@ def test_loss_cells_are_the_cells_risk_vector_evaluates(perfbench):
     recorded = Problem(name=problem.name, dimension=problem.dimension, loss_matrix=loss_matrix)
     risk_vector(recorded, space, dataset)
     assert sum(cells) == tracing._extra("loss_cells", (recorded, space, dataset))
+
+
+def test_traced_sample_is_one_span_per_draw(perfbench):
+    # perfbench assigns a traced wrapper over each factory-built mechanism's
+    # sample; the draw through it is one span and the untraced id.
+    tracing, _ = perfbench
+    mechanisms = importlib.import_module("dperm.mechanisms")
+    problem, space = PROBLEM_BUILDERS["finite-support"](6, 2)
+    weights = 0.7 ** np.arange(6)
+    data = discrete_points((np.arange(6) + 0.5) / 6, probs=weights / weights.sum()).sample(
+        60, trial_rng(0, 2))
+
+    def draws():
+        em = mechanisms.exponential_mechanism(problem, space, 1.0)
+        boost = mechanisms.boost_high_confidence(em, space, 0.2, 1.0)
+        return [em.sample(data, 12), boost.sample(data, 12)]
+
+    expected = draws()
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer):
+        assert draws() == expected
+    spans = [tracer.names[i] for i in tracer.name_id]
+    assert spans.count("mechanisms.sample") == 1
+    assert spans.count("mechanisms.boost_sample") == 1
 
 
 def _dotted(node):

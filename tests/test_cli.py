@@ -95,6 +95,22 @@ class TestRun:
         assert main(["run", conf]) == 1
         assert capsys.readouterr().err.startswith(f"config-error: {message}")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # One cell leaves the audit universe a single atom.
+            ("experiment = audit\nproblem = finite-support\ncells = 1\nsubset_size = 1",
+             "the audit universe needs >= 2 atoms"),
+            ("experiment = stability\nproblem = finite-support\ncells = 1\nsubset_size = 1",
+             "the audit universe needs >= 2 atoms"),
+            ("experiment = consistency\nmode = bogus", "mode must be 'exact' or 'mc'"),
+        ],
+    )
+    def test_mistake_found_by_the_driver_exits_1(self, tmp_path, capsys, text, message):
+        conf = write(tmp_path / "bad.conf", f"{text}\n")
+        assert main(["run", conf]) == 1
+        assert capsys.readouterr().err.startswith(f"config-error: {message}")
+
     def test_missing_file_exits_1(self, capsys):
         assert main(["run", "/nonexistent/x.conf"]) == 1
         assert capsys.readouterr().err.startswith("config-error:")

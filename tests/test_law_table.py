@@ -267,7 +267,8 @@ def test_audits_refuse_no_pairs_and_no_law():
     problem, space = threshold_classification(resolution=4)
     with pytest.raises(ValueError, match="no neighbor pairs were supplied"):
         audit_pure_dp(exponential_mechanism(problem, space, 1.0), [])
-    lawless = Mechanism(name="draws-only", sample=lambda dataset, seed: 0)
+    lawless = Mechanism(name="draws-only",
+                        sample_many=lambda data, seeds: np.zeros(len(seeds), dtype=int))
     pairs = exhaustive_neighbor_pairs(threshold_universe(4), 2)
     with pytest.raises(ValueError, match="'draws-only' has no exact law to audit"):
         audit_pure_dp(lawless, pairs)
@@ -350,7 +351,7 @@ def overconfident_em(problem, space, epsilon, factor):
     real = exponential_mechanism(problem, space, factor * epsilon)
     return Mechanism(
         name=f"em-x{factor}(eps={epsilon:g})",
-        sample=real.sample,
+        sample_many=real.sample_many,
         law=real.law,
         budget=lambda n: PrivacyBudget(epsilon),
         problem=problem,

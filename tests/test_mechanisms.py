@@ -49,7 +49,7 @@ from dperm.problems import (
     risk_vector,
     uniform_box,
 )
-from dperm.draws import uniform_rows
+from dperm.draws import categorical, uniform_rows
 from dperm.seeding import spawn_seed, spawn_seeds, trial_rng
 from dperm.spaces import FiniteHypothesisSpace, SizeLimitError
 
@@ -119,7 +119,7 @@ class TestDistribution:
         space = two_point_space()
         law = MechanismDistribution.from_probabilities(space, np.array([0.25, 0.75]))
         rng = np.random.default_rng(0)
-        draws = [law.sample(rng) for _ in range(4000)]
+        draws = [categorical(law.probabilities, rng.random()) for _ in range(4000)]
         assert abs(np.mean(np.array(draws) == 1) - 0.75) < 0.03
         assert law.expectation(np.array([0.0, 4.0])) == pytest.approx(3.0)
 
@@ -238,19 +238,30 @@ class TestExponentialMechanism:
         assert np.max(np.abs(freq - law)) < 0.03
 
     def test_derived_sample_reads_law_at_call_time(self):
+        # A dataset with ids is drawn through law_rows on the one-row block
+        # of its ids, one without through law; both are read at call time.
         problem, space = PROBLEM_BUILDERS["threshold"](resolution=4)
         data = labeled_threshold(0.5, support_size=8).sample(6, trial_rng(8, 0))
+        plain = Dataset(x=data.x, y=data.y)
         mech = exponential_mechanism(problem, space, 1.0)
         expected = mech.sample(data, 7)
-        built, original = [], mech.law
+        assert mech.sample(plain, 7) == expected
+        built, blocks = [], []
+        law, law_rows = mech.law, mech.law_rows
 
-        def law(dataset):
+        def spy_law(dataset):
             built.append(dataset)
-            return original(dataset)
+            return law(dataset)
 
-        mech.law = law
+        def spy_law_rows(block):
+            blocks.append(block.atom_ids.tolist())
+            return law_rows(block)
+
+        mech.law, mech.law_rows = spy_law, spy_law_rows
         assert mech.sample(data, 7) == expected
-        assert built == [data]
+        assert blocks == [[data.atom_ids.tolist()]] and not built
+        assert mech.sample(plain, 7) == expected
+        assert built == [plain] and len(blocks) == 1
 
     def test_claimed_budget(self):
         problem, space = PROBLEM_BUILDERS["threshold"](resolution=4)
@@ -409,12 +420,12 @@ class TestSubsampling:
         # A mechanism that records the sub-dataset size it was handed.
         seen = []
 
-        def spy_sample(dataset, seed):
+        def spy_sample_many(dataset, seeds):
             seen.append(dataset.n)
-            return 0
+            return np.zeros(len(seeds), dtype=int)
 
         spy = Mechanism(
-            name="spy", sample=spy_sample, budget=lambda n: PrivacyBudget(1.0)
+            name="spy", sample_many=spy_sample_many, budget=lambda n: PrivacyBudget(1.0)
         )
         data = uniform_box([0.0], [1.0]).sample(12, trial_rng(0, 0))
         subsample_wrapper(spy, m=3).sample(data, seed=5)
@@ -791,6 +802,19 @@ def test_no_mechanism_changes_during_a_computation(build):
         if mech.budget is not None:
             mech.claimed_budget(data.n)
     assert _state(mech) == before
+
+
+@pytest.mark.parametrize("build", [_em, _erm, _flag, _subsample_exact, _boost])
+def test_sample_is_the_one_row_case_of_sample_many(build):
+    # A dataset with ids is drawn as the one-row block of its ids and the
+    # id-less copy as it is; both give sample_many's draw on the dataset.
+    mech, data = build()
+    assert data.atom_ids is not None
+    plain = Dataset(x=data.x, y=data.y)
+    for seed in (0, 7, 2**40 + 3):
+        draws = [mech.sample(data, seed), int(mech.sample_many(data, [seed])[0]),
+                 mech.sample(plain, seed), int(mech.sample_many(plain, [seed])[0])]
+        assert draws == [draws[0]] * 4
 
 
 def _em_row_case(size, trials, n, seed=0):
