@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .mechanisms import (
     Mechanism,
@@ -166,11 +165,25 @@ def _audit_laws(
     if len(sizes) > 1:
         raise ValueError(f"an audit needs datasets of one size, got sizes {sorted(sizes)}")
     counts = DatasetBlock(support, np.stack([d.atom_ids for d in datasets])).counts()
-    vectors, rows = np.unique(counts, axis=0, return_inverse=True)
-    rows = rows.reshape(-1)
+    vectors, rows = _unique_rows(counts)
     atoms = np.repeat(np.tile(np.arange(support.n), len(vectors)), vectors.ravel())
     p, logp = mechanism.law_rows(DatasetBlock(support, atoms.reshape(len(vectors), -1)))
     return p, logp, rows[left], rows[right]
+
+
+def _unique_rows(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(counts, axis=0, return_inverse=True)`` for a 2-d integer
+    array: the distinct rows in ascending lexicographic order, and the index
+    of each row among them.  One ``lexsort`` over the columns, which is
+    several times faster than ``unique``'s sort of the rows as records."""
+    order = np.lexsort(counts.T[::-1])
+    ordered = counts[order]
+    first = np.empty(len(ordered), dtype=bool)
+    first[:1] = True
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=first[1:])
+    rows = np.empty(len(ordered), dtype=np.intp)
+    rows[order] = np.cumsum(first) - 1
+    return ordered[first], rows
 
 
 # ---------------------------------------------------------------------------
@@ -780,6 +793,10 @@ def chi_square_gof(
         raise ValueError("law too concentrated for a goodness-of-fit test")
     # Rescale expectations to the observed total so the test sums match.
     exp_eff = exp_eff * (obs_eff.sum() / exp_eff.sum())
+    # scipy.stats takes about 1 s to import and serves only this call, so
+    # it is imported here rather than with the package.
+    from scipy import stats
+
     stat, pvalue = stats.chisquare(obs_eff, exp_eff)
     return GofResult(
         statistic=float(stat),

@@ -365,6 +365,40 @@ class TestGof:
         with pytest.raises(ValueError):
             chi_square_gof(np.array([1.0]), np.array([50]))
 
+    def test_pooled_case_equals_scipy_chisquare(self):
+        from scipy import stats
+
+        p = np.array([0.7, 0.2, 0.05, 0.05])
+        counts = np.array([28, 8, 2, 2])
+        e = p * 40
+        # The two 2s pool, then fold into the 8.
+        expected = np.array([e[0], e[1] + (e[2] + e[3])])
+        observed = np.array([28.0, 12.0])
+        expected = expected * (observed.sum() / expected.sum())
+        result = chi_square_gof(p, counts)
+        ref = stats.chisquare(observed, expected)
+        assert (result.statistic, result.pvalue) == (ref.statistic, ref.pvalue)
+
+    def test_sixteen_bin_law_equals_scipy_chisquare(self):
+        # The law and draws of c12 (threshold resolution 16), at fewer draws;
+        # every expected count is at least 5, so no bin pools.
+        from scipy import stats
+
+        problem, space = PROBLEM_BUILDERS["threshold"](resolution=16)
+        mech = exponential_mechanism(problem, space, 1.0)
+        data = labeled_threshold(0.5, support_size=64).sample(40, trial_rng(7, 0))
+        law = mech.law(data).probabilities
+        counts = sample_counts(mech, data, draws=20_000, seed=123)
+        expected = law * 20_000
+        assert len(law) == 16 and expected.min() >= 5.0
+        order = np.argsort(expected)[::-1]
+        observed = counts[order].astype(float)
+        expected = expected[order] * (observed.sum() / expected[order].sum())
+        result = chi_square_gof(law, counts)
+        ref = stats.chisquare(observed, expected)
+        assert result.bins == 16
+        assert (result.statistic, result.pvalue) == (ref.statistic, ref.pvalue)
+
 
 class TestTotalVariation:
     def test_hand_values(self):

@@ -6,8 +6,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dperm.analysis import (
+    _unique_rows,
     audit_approx_dp,
     audit_pure_dp,
     exhaustive_neighbor_pairs,
@@ -227,6 +230,25 @@ def test_one_law_per_count_vector_on_unsorted_ids():
 
 # ---------------------------------------------------------------------------
 # Multiset keys
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(1, 5000), cols=st.integers(1, 8), top=st.integers(0, 6),
+       seed=st.integers(0, 2**32 - 1), equal=st.booleans())
+@example(rows=1, cols=6, top=5, seed=0, equal=False)
+@example(rows=300, cols=6, top=5, seed=1, equal=True)
+@example(rows=200, cols=1, top=9, seed=2, equal=False)
+@example(rows=5000, cols=6, top=5, seed=3, equal=False)
+def test_unique_rows_match_numpy_unique(rows, cols, top, seed, equal):
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(0, top + 1, size=(1 if equal else rows, cols))
+    if equal:
+        counts = np.repeat(counts, rows, axis=0)
+    vectors, inverse = _unique_rows(counts)
+    ref_vectors, ref_inverse = np.unique(counts, axis=0, return_inverse=True)
+    assert vectors.dtype == ref_vectors.dtype
+    assert np.array_equal(vectors, ref_vectors)
+    assert np.array_equal(inverse, ref_inverse.reshape(-1))
 
 
 def test_law_table_refuses_datasets_without_ids():
