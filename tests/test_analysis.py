@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from dperm.analysis import (
     aerm_bound,
@@ -366,8 +367,6 @@ class TestGof:
             chi_square_gof(np.array([1.0]), np.array([50]))
 
     def test_pooled_case_equals_scipy_chisquare(self):
-        from scipy import stats
-
         p = np.array([0.7, 0.2, 0.05, 0.05])
         counts = np.array([28, 8, 2, 2])
         e = p * 40
@@ -382,8 +381,6 @@ class TestGof:
     def test_sixteen_bin_law_equals_scipy_chisquare(self):
         # The law and draws of c12 (threshold resolution 16), at fewer draws;
         # every expected count is at least 5, so no bin pools.
-        from scipy import stats
-
         problem, space = PROBLEM_BUILDERS["threshold"](resolution=16)
         mech = exponential_mechanism(problem, space, 1.0)
         data = labeled_threshold(0.5, support_size=64).sample(40, trial_rng(7, 0))
