@@ -3,16 +3,17 @@
 #
 # counterexample.conf and rates.conf exit 2 by design (see the comments in
 # those files); any other nonzero exit, of those two or of any other
-# config, is a failure.
+# config, is a failure.  Runs the package from src/ of this checkout.
 set -u
 cd "$(dirname "$0")/.."
+export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 failed=""
 
 for conf in scripts/*.conf; do
     name="$(basename "$conf" .conf)"
     echo "== dperm run $conf"
-    dperm run "$conf"
+    python3 -m dperm.cli run "$conf"
     code=$?
     case "$code:$name" in
         0:*) ;;
@@ -22,7 +23,7 @@ for conf in scripts/*.conf; do
 done
 
 echo
-dperm summarize results/*.csv || true
+python3 -m dperm.cli summarize results/*.csv || true
 
 if [ -n "$failed" ]; then
     echo "unexpected failures:$failed" >&2

@@ -79,15 +79,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(config_path: str) -> int:
     config = parse_config_file(config_path)
+    if config.output:  # an unusable output path is found before the run
+        try:
+            os.makedirs(os.path.dirname(config.output) or ".", exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output {config.output!r}: {exc}") from None
+        if os.path.isdir(config.output):
+            raise ConfigError(f"cannot write output {config.output!r}: it is a directory")
     start = time.monotonic()
     outcome = run_experiment(config)
     elapsed = time.monotonic() - start
     text = rows_to_csv(outcome.rows)
 
     if config.output:
-        directory = os.path.dirname(config.output)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
         with open(config.output, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
         manifest = {

@@ -2,21 +2,24 @@
 
 Every mechanism here exposes the same two call paths:
 
-* ``law(dataset)`` returns the exact output distribution as a
-  :class:`MechanismDistribution` over the hypothesis ids of a finite space.
-  Every law is exact: a law too large to build raises
-  :class:`dperm.spaces.SizeLimitError` instead of being estimated, so
-  auditing code never sees a sampled law.
+* ``law_rows(block)`` is the one law a mechanism builds: the exact output
+  laws of the datasets of a :class:`~dperm.problems.DatasetBlock`, as the
+  rows of (T, |H|) probability and log-probability arrays over the
+  hypothesis ids of a finite space.  Every law is exact: a law too large
+  to build raises :class:`dperm.spaces.SizeLimitError` instead of being
+  estimated, so auditing code never sees a sampled law.  ``law(dataset)``,
+  a :class:`MechanismDistribution`, is its one-row case on the dataset's
+  one-row block: its atom ids over its support or, without ids, its own
+  points as the support.
 * ``sample_many(data, seeds)`` is the one way a mechanism draws: draw i
   under seed i, on one :class:`~dperm.problems.Dataset` or on item i of a
-  :class:`~dperm.problems.DatasetBlock` with one row per seed.  Unless a
-  factory gives its own, every draw comes from the law: one law for a
-  dataset, the rows of one array (``law_rows(block)``) for a block.  Its
-  uniforms come from :func:`dperm.draws.first_uniforms`, which gives each
-  seed's ``default_rng(seed).random()`` bit for bit, for a block of seeds in
-  one array kernel.  ``sample(dataset, seed)`` is its one-row case.  The
-  seed is consumed as-is (callers derive per-trial seeds themselves);
-  sub-draws inside composite mechanisms fork the seed through
+  block with one row per seed.  Unless a factory gives its own, every draw
+  comes from the law: one law for a dataset, the rows of ``law_rows(block)``
+  for a block.  Its uniforms come from :func:`dperm.draws.first_uniforms`,
+  which gives each seed's ``default_rng(seed).random()`` bit for bit, for a
+  block of seeds in one array kernel.  ``sample(dataset, seed)`` is its
+  one-row case.  The seed is consumed as-is (callers derive per-trial seeds
+  themselves); sub-draws inside composite mechanisms fork the seed through
   :func:`dperm.seeding.spawn_seeds` so the pieces stay independent.
 
 Every draw from a probability vector goes through
@@ -38,8 +41,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .draws import categorical, first_uniforms
-from .problems import (Dataset, DatasetBlock, Problem, objective_rows, objective_vector,
-                       risk_rows, risk_vector)
+from .problems import Dataset, DatasetBlock, Problem, objective_rows, risk_rows
 from .seeding import spawn_seed, spawn_seeds
 from .spaces import FiniteHypothesisSpace, SizeLimitError
 
@@ -243,7 +245,6 @@ class MechanismDistribution:
         return float(self.probabilities @ values)
 
 
-LawFn = Callable[[Dataset], MechanismDistribution]
 LawRowsFn = Callable[[DatasetBlock], tuple[np.ndarray, np.ndarray]]
 SampleManyFn = Callable[[Union[Dataset, DatasetBlock], Sequence[int]], np.ndarray]
 BudgetFn = Callable[[int], PrivacyBudget]
@@ -253,6 +254,13 @@ def _check_block(block) -> None:
     if not isinstance(block, DatasetBlock):
         raise TypeError("law_rows takes one DatasetBlock (law takes one Dataset), "
                         f"got {type(block).__name__}")
+
+
+def _one_row(dataset: Dataset) -> DatasetBlock:
+    """A dataset's one-row block: its ids over its support, or its own points."""
+    if dataset.atom_ids is None:
+        return DatasetBlock(dataset, np.arange(dataset.n)[None])
+    return DatasetBlock(dataset.support, dataset.atom_ids[None])
 
 
 def _block_for(data, seeds: Sequence[int]) -> DatasetBlock:
@@ -274,8 +282,14 @@ class Mechanism:
 
     ``budget(n)`` is the claim at dataset size n, read through
     :meth:`claimed_budget`; None means the mechanism makes no claim.
-    ``law`` is None when the mechanism gives no law (a boost whose candidate
-    tuples pass its cap, or a wrapper of such a base).
+
+    ``law_rows(block)`` is the one law a factory gives: the laws of a
+    block's datasets as the rows of (T, |H|) probability and log-probability
+    arrays.  It takes one :class:`dperm.problems.DatasetBlock`; any other
+    data raises ``TypeError``.  It is None when the mechanism gives no law
+    (a boost whose candidate tuples pass its cap, or a wrapper of such a
+    base), and so is ``law``.  ``law(dataset)`` is derived: row 0 of
+    ``law_rows`` on the dataset's one-row block (:func:`_one_row`).
 
     ``sample_many(data, seeds)`` is the one draw primitive.  It takes one
     :class:`dperm.problems.Dataset` or one :class:`dperm.problems.DatasetBlock`
@@ -283,42 +297,32 @@ class Mechanism:
     on the one dataset or on item i of the block.  Any other data raises
     ``TypeError``.  ``seeds`` may be a uint64 array
     (:func:`dperm.seeding.spawn_seeds`).  Unless the factory gives it,
-    every draw comes from the law: ``self.law(dataset)`` once for one
-    dataset, or ``self.law_rows(block)`` for a block, which reaches it as it
-    is, so the exponential mechanism reads its id array and builds no
-    dataset per row.  The uniforms are ``first_uniforms(seeds)``, each
-    seed's ``default_rng(seed).random()`` bit for bit, in one kernel call.
+    every draw comes from the law, read at call time: ``self.law(dataset)``
+    once for one dataset, or ``self.law_rows(block)`` for a block.  The
+    uniforms are ``first_uniforms(seeds)``, each seed's
+    ``default_rng(seed).random()`` bit for bit, in one kernel call.
     :meth:`sample` is its one-row case.
-
-    ``law_rows(block)`` gives the probabilities and log-probabilities of
-    the laws of a block's datasets as the rows of two (T, |H|) arrays;
-    unless the factory gives it, it stacks ``self.law`` of each item.  It
-    takes one :class:`dperm.problems.DatasetBlock`; any other data raises
-    ``TypeError``.  Both derived functions read ``self.law`` and
-    ``self.law_rows`` at call time.
     """
 
     name: str
-    law: Optional[LawFn] = None
     budget: Optional[BudgetFn] = None
     problem: Optional[Problem] = None
     space: Optional[FiniteHypothesisSpace] = None
     info: dict = field(default_factory=dict)
     sample_many: Optional[SampleManyFn] = None
     law_rows: Optional[LawRowsFn] = None
+    law: Optional[Callable[[Dataset], MechanismDistribution]] = field(default=None, init=False)
 
     def __post_init__(self) -> None:
-        if self.sample_many is None and self.law is None:
-            raise ValueError(f"mechanism {self.name!r} has neither sample_many nor law")
-        if self.law_rows is None:
+        if self.sample_many is None and self.law_rows is None:
+            raise ValueError(f"mechanism {self.name!r} has neither sample_many nor law_rows")
+        if self.law_rows is not None:
 
-            def law_rows(block: DatasetBlock) -> tuple[np.ndarray, np.ndarray]:
-                _check_block(block)
-                laws = [self.law(d) for d in block]
-                return (np.stack([law.probabilities for law in laws]),
-                        np.stack([law.log_probabilities for law in laws]))
+            def law(dataset: Dataset) -> MechanismDistribution:
+                p, logp = self.law_rows(_one_row(dataset))
+                return MechanismDistribution(self.space, p[0], logp[0])
 
-            self.law_rows = law_rows
+            self.law = law
         if self.sample_many is None:
 
             def sample_many(data, seeds: Sequence[int]) -> np.ndarray:
@@ -330,11 +334,8 @@ class Mechanism:
             self.sample_many = sample_many
 
     def sample(self, dataset: Dataset, seed: int) -> int:
-        """One draw: ``sample_many`` on one seed.  A dataset with atom ids
-        goes in as the one-row block of its ids, a dataset without as it is."""
-        ids = dataset.atom_ids
-        data = dataset if ids is None else DatasetBlock(dataset.support, ids[None])
-        return int(self.sample_many(data, [seed])[0])
+        """One draw: ``sample_many`` on one seed and the dataset's one-row block."""
+        return int(self.sample_many(_one_row(dataset), [seed])[0])
 
     def claimed_budget(self, n: int) -> PrivacyBudget:
         if n < 1:
@@ -368,12 +369,6 @@ def exponential_mechanism(
 
     log_measure = np.log(space.measure)
 
-    def law(dataset: Dataset) -> MechanismDistribution:
-        values = objective_vector(problem, space, dataset)
-        return MechanismDistribution.from_logits(
-            space, log_measure - em_scale(epsilon, dataset.n) * values
-        )
-
     def law_rows(block: DatasetBlock) -> tuple[np.ndarray, np.ndarray]:
         values = objective_rows(problem, space, block)
         p, logp = normalized_logit_rows(log_measure - em_scale(epsilon, block.n) * values)
@@ -382,7 +377,6 @@ def exponential_mechanism(
 
     return Mechanism(
         name=f"em({problem.name},eps={epsilon:g})",
-        law=law,
         law_rows=law_rows,
         budget=lambda n: PrivacyBudget(epsilon),
         problem=problem,
@@ -398,15 +392,17 @@ def erm_mechanism(problem: Problem, space: FiniteHypothesisSpace) -> Mechanism:
     learner) and as the non-private comparison arm in experiments.
     """
 
-    def law(dataset: Dataset) -> MechanismDistribution:
-        values = objective_vector(problem, space, dataset)
-        probs = np.zeros(space.size)
-        probs[int(np.argmin(values))] = 1.0
-        return MechanismDistribution.from_probabilities(space, probs)
+    def law_rows(block: DatasetBlock) -> tuple[np.ndarray, np.ndarray]:
+        values = objective_rows(problem, space, block)
+        probs = np.zeros_like(values)
+        probs[np.arange(len(block)), np.argmin(values, axis=1)] = 1.0
+        p, logp = normalized_probability_rows(probs)
+        check_law_rows(p, logp)
+        return p, logp
 
     return Mechanism(
         name=f"erm({problem.name})",
-        law=law,
+        law_rows=law_rows,
         problem=problem,
         space=space,
     )
@@ -644,17 +640,19 @@ def membership_flag_mechanism(
     p_same = (1.0 - delta) * keep + delta
     p_flip = (1.0 - delta) * (1.0 - keep)
 
-    def law(dataset: Dataset) -> MechanismDistribution:
-        x = dataset.x if dataset.x.ndim == 1 else dataset.x[:, 0]
-        bit = int(np.any(np.abs(x - marker) <= tol))
-        probs = np.empty(2)
-        probs[bit] = p_same
-        probs[1 - bit] = p_flip
-        return MechanismDistribution.from_probabilities(space, probs)
+    laws = np.array([[p_same, p_flip], [p_flip, p_same]])  # row b: the true bit is b
+
+    def law_rows(block: DatasetBlock) -> tuple[np.ndarray, np.ndarray]:
+        _check_block(block)
+        x = block.support.x if block.support.x.ndim == 1 else block.support.x[:, 0]
+        bits = (np.abs(x - marker) <= tol)[block.atom_ids].any(axis=1)
+        p, logp = normalized_probability_rows(laws[bits.astype(np.intp)])
+        check_law_rows(p, logp)
+        return p, logp
 
     return Mechanism(
         name=f"membership-flag(eps={epsilon:g},delta={delta:g})",
-        law=law,
+        law_rows=law_rows,
         budget=lambda n: PrivacyBudget(epsilon, delta),
         space=space,
     )
@@ -772,18 +770,18 @@ def subsample_wrapper(
     through amplify_approx.
 
     The exact law is a mixture over the distinct size-m sub-multisets of the
-    dataset, not over all C(n, m) index subsets.  It needs a dataset with
-    atom ids (:meth:`Dataset.of_atoms`), whose multiset is its vector of
-    atom counts c over the support: the sub-multiset that keeps s_i of the
-    c_i copies of each present atom has the multivariate hypergeometric
-    weight prod_i C(c_i, s_i) / C(n, m) and contributes the base law of
-    that sub-multiset, its ids in ascending order.  ``law_rows(block)``
+    dataset, not over all C(n, m) index subsets.  A dataset's multiset is
+    its vector of atom counts c over the support: the sub-multiset that
+    keeps s_i of the c_i copies of each present atom has the multivariate
+    hypergeometric weight prod_i C(c_i, s_i) / C(n, m) and contributes the
+    base law of that sub-multiset, its ids in ascending order.  A dataset
+    without atom ids is its own support, each point an atom, so its law is
+    the mixture over its C(n, m) index subsets.  ``law_rows(block)``
     enumerates each row's sub-multisets once, builds the base laws of the
     distinct ones over the whole block in one ``base.law_rows`` call, and
-    sums each row's mixture in enumeration order; ``law(dataset)`` is its
-    one-row case.  Past ``exact_cap`` distinct sub-multisets of one row
-    (reached only by datasets of mostly distinct points) it raises
-    SizeLimitError naming the mechanism.
+    sums each row's mixture in enumeration order.  Past ``exact_cap``
+    distinct sub-multisets of one row (reached only by datasets of mostly
+    distinct points) it raises SizeLimitError naming the mechanism.
     """
     sqrt_rule = m == "sqrt"
     if not sqrt_rule:
@@ -846,15 +844,6 @@ def subsample_wrapper(
         check_law_rows(p, logp)
         return p, logp
 
-    def law(dataset: Dataset) -> MechanismDistribution:
-        if dataset.atom_ids is None:
-            raise ValueError(
-                f"mechanism {name!r}: the exact subsample law reads atom counts "
-                "and needs a dataset with atom ids (Dataset.of_atoms)"
-            )
-        p, logp = law_rows(DatasetBlock(dataset.support, dataset.atom_ids[None]))
-        return MechanismDistribution(base.space, p[0], logp[0])
-
     def sample_many(data, seeds: Sequence[int]) -> np.ndarray:
         # Draw i keeps the subset chosen under spawn_seed(seeds[i], 0) and
         # runs the base on it under spawn_seed(seeds[i], 1).
@@ -869,8 +858,7 @@ def subsample_wrapper(
     return Mechanism(
         name=name,
         sample_many=sample_many,
-        law=None if base.law is None else law,
-        law_rows=None if base.law is None else law_rows,
+        law_rows=None if base.law_rows is None else law_rows,
         budget=budget,
         problem=base.problem,
         space=base.space,
@@ -931,24 +919,35 @@ def boost_high_confidence(
         claimed = base.claimed_budget(n // (a + 1))
         return PrivacyBudget(max(claimed.epsilon, epsilon), claimed.delta)
 
-    def law(dataset: Dataset) -> MechanismDistribution:
-        train, validation = boost_parts(dataset.n, a)
-        part_laws = [base.law(dataset.take(idx)).probabilities for idx in train]
-        val_risks = risk_vector(problem, space, dataset.take(validation))
-        scale = selection_scale(dataset.n)
+    def split(block: DatasetBlock) -> tuple[DatasetBlock, DatasetBlock]:
+        # The training parts, trial-major, and the validation columns.
+        train, validation = boost_parts(block.n, a)
+        part = len(train[0])
+        parts = DatasetBlock(block.support, block.atom_ids[:, :a * part].reshape(-1, part))
+        return parts, block.columns(validation)
+
+    def law_rows(block: DatasetBlock) -> tuple[np.ndarray, np.ndarray]:
+        _check_block(block)
+        parts, validation = split(block)
+        part_laws = base.law_rows(parts)[0].reshape(len(block), a, space.size)
+        val_risks = risk_rows(problem, space, validation)
+        scale = selection_scale(block.n)
         # One row per candidate tuple, in itertools.product order.
         combos = np.indices((space.size,) * a).reshape(a, -1).T
-        weight = part_laws[0][combos[:, 0]]
-        for j in range(1, a):
-            weight = weight * part_laws[j][combos[:, j]]
-        keep = weight != 0.0
-        combos, weight = combos[keep], weight[keep]
-        logits = -scale * val_risks[combos]
-        sel = np.exp(logits - logsumexp_rows(logits)[:, None])
-        probs = np.zeros(space.size)
-        # add.at accumulates in index order, the order of the tuple loop.
-        np.add.at(probs, combos.ravel(), (weight[:, None] * sel).ravel())
-        return MechanismDistribution.from_probabilities(space, probs)
+        probs = np.zeros((len(block), space.size))
+        for row, laws, risks in zip(probs, part_laws, val_risks):
+            weight = laws[0][combos[:, 0]]
+            for j in range(1, a):
+                weight = weight * laws[j][combos[:, j]]
+            keep = weight != 0.0
+            kept = combos[keep]
+            logits = -scale * risks[kept]
+            sel = np.exp(logits - logsumexp_rows(logits)[:, None])
+            # add.at accumulates in index order, the order of the tuple loop.
+            np.add.at(row, kept.ravel(), (weight[keep][:, None] * sel).ravel())
+        p, logp = normalized_probability_rows(probs)
+        check_law_rows(p, logp)
+        return p, logp
 
     streams = np.arange(a + 1, dtype=np.uint64)[:, None]
 
@@ -964,25 +963,22 @@ def boost_high_confidence(
             train, validation = boost_parts(data.n, a)
             candidates = np.column_stack([base.sample_many(data.take(idx), sub[:, j])
                                           for j, idx in enumerate(train)])
-            risks = risk_vector(problem, space, data.take(validation))[None]
+            risks = risk_rows(problem, space, _one_row(data).columns(validation))
         else:
-            block = _block_for(data, seeds)
-            train, validation = boost_parts(block.n, a)
-            part = len(train[0])
-            parts = DatasetBlock(block.support, block.atom_ids[:, :a * part].reshape(-1, part))
+            parts, validation = split(_block_for(data, seeds))
             candidates = base.sample_many(parts, sub[:, :a].ravel()).reshape(-1, a)
-            risks = risk_rows(problem, space, block.columns(validation))
+            risks = risk_rows(problem, space, validation)
         logits = -selection_scale(data.n) * np.take_along_axis(risks, candidates, axis=1)
         sel = np.exp(logits - logsumexp_rows(logits)[:, None])
         sel /= sel.sum(axis=1, keepdims=True)
         pick = categorical(sel, first_uniforms(sub[:, a]))
         return candidates[np.arange(len(seeds)), pick]
 
-    has_law = base.law is not None and space.size**a <= law_cap
+    has_law = base.law_rows is not None and space.size**a <= law_cap
     return Mechanism(
         name=f"boost({base.name},delta={delta_target:g},eps={epsilon:g})",
         sample_many=sample_many,
-        law=law if has_law else None,
+        law_rows=law_rows if has_law else None,
         budget=budget,
         problem=problem,
         space=space,

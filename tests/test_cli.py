@@ -111,6 +111,17 @@ class TestRun:
         assert main(["run", conf]) == 1
         assert capsys.readouterr().err.startswith(f"config-error: {message}")
 
+    @pytest.mark.parametrize("below", [(), ("file",)], ids=["directory", "below-a-file"])
+    def test_unusable_output_exits_1_before_the_run(self, tmp_path, capsys, monkeypatch, below):
+        # An existing directory, or a path below a regular file, cannot take
+        # the CSV: a config error naming the path, raised before any run.
+        (tmp_path / "file").write_text("")
+        out = tmp_path.joinpath(*below, "out.csv") if below else tmp_path
+        monkeypatch.setitem(EXPERIMENTS, "audit", lambda config: pytest.fail("ran"))
+        conf = write(tmp_path / "a.conf", AUDIT_CONF + f"output = {out}\n")
+        assert main(["run", conf]) == 1
+        assert capsys.readouterr().err.startswith(f"config-error: cannot write output {str(out)!r}")
+
     def test_missing_file_exits_1(self, capsys):
         assert main(["run", "/nonexistent/x.conf"]) == 1
         assert capsys.readouterr().err.startswith("config-error:")

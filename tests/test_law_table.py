@@ -296,13 +296,16 @@ def test_audits_refuse_no_pairs_and_no_law():
         audit_pure_dp(lawless, pairs)
 
 
-def test_subsample_law_refuses_datasets_without_ids():
+def test_subsample_law_of_a_dataset_without_ids_is_its_of_atoms_twin():
+    # A dataset without ids is its own support, each point an atom: its law
+    # is the mixture over its C(n, m) index subsets, as for the same points
+    # with ids.
     problem, space = threshold_classification(resolution=4)
     wrapped = subsample_wrapper(exponential_mechanism(problem, space, 1.0), 2)
-    with pytest.raises(ValueError, match=re.escape(repr(wrapped.name)) + ".*atom ids"):
-        wrapped.law(threshold_universe(4))
-    law = wrapped.law(Dataset.of_atoms(threshold_universe(4), [0, 1, 2, 3]))
-    assert law.probabilities.sum() == pytest.approx(1.0)
+    plain = wrapped.law(threshold_universe(4))
+    twin = wrapped.law(Dataset.of_atoms(threshold_universe(4), [0, 1, 2, 3]))
+    assert np.array_equal(plain.probabilities, twin.probabilities)
+    assert np.array_equal(plain.log_probabilities, twin.log_probabilities)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +377,7 @@ def overconfident_em(problem, space, epsilon, factor):
     return Mechanism(
         name=f"em-x{factor}(eps={epsilon:g})",
         sample_many=real.sample_many,
-        law=real.law,
+        law_rows=real.law_rows,
         budget=lambda n: PrivacyBudget(epsilon),
         problem=problem,
         space=space,

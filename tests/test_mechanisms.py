@@ -46,6 +46,7 @@ from dperm.problems import (
     discrete_points,
     labeled_threshold,
     objective_vector,
+    packed_datasets,
     risk_vector,
     uniform_box,
 )
@@ -238,8 +239,9 @@ class TestExponentialMechanism:
         assert np.max(np.abs(freq - law)) < 0.03
 
     def test_derived_sample_reads_law_at_call_time(self):
-        # A dataset with ids is drawn through law_rows on the one-row block
-        # of its ids, one without through law; both are read at call time.
+        # A dataset is drawn through law_rows, read at call time, on its
+        # one-row block: the block of its ids, or, without ids, of its own
+        # points as the support.  Neither draw reads law.
         problem, space = PROBLEM_BUILDERS["threshold"](resolution=4)
         data = labeled_threshold(0.5, support_size=8).sample(6, trial_rng(8, 0))
         plain = Dataset(x=data.x, y=data.y)
@@ -261,7 +263,8 @@ class TestExponentialMechanism:
         assert mech.sample(data, 7) == expected
         assert blocks == [[data.atom_ids.tolist()]] and not built
         assert mech.sample(plain, 7) == expected
-        assert built == [plain] and len(blocks) == 1
+        assert blocks == [[data.atom_ids.tolist()], [list(range(plain.n))]]
+        assert not built
 
     def test_claimed_budget(self):
         problem, space = PROBLEM_BUILDERS["threshold"](resolution=4)
@@ -806,8 +809,9 @@ def test_no_mechanism_changes_during_a_computation(build):
 
 @pytest.mark.parametrize("build", [_em, _erm, _flag, _subsample_exact, _boost])
 def test_sample_is_the_one_row_case_of_sample_many(build):
-    # A dataset with ids is drawn as the one-row block of its ids and the
-    # id-less copy as it is; both give sample_many's draw on the dataset.
+    # A dataset is drawn on its one-row block: the block of its ids, or, for
+    # the id-less copy, of its own points; both give sample_many's draw on
+    # the dataset.
     mech, data = build()
     assert data.atom_ids is not None
     plain = Dataset(x=data.x, y=data.y)
@@ -924,7 +928,16 @@ class TestLawRows:
 
     def test_em_rows_from_atom_counts_equal_the_loss_path(self):
         # The laws of datasets drawn from a discrete law, whose risks come
-        # from atom counts, equal the laws of the same points without ids.
+        # from atom counts, equal the loss path on the same points without
+        # ids: from_logits of the log measure minus the scaled
+        # objective_vector.  So do the laws of two datasets without ids: a
+        # packed one on a fine grid, and pth-power points, whose losses are
+        # not 0/1.
+        def loss_path(mech, dataset):
+            values = objective_vector(mech.problem, mech.space, dataset)
+            return MechanismDistribution.from_logits(
+                mech.space, np.log(mech.space.measure) - em_scale(1.0, dataset.n) * values)
+
         problem, space = PROBLEM_BUILDERS["threshold"](resolution=257)
         mech = exponential_mechanism(problem, space, 1.0)
         dist = labeled_threshold(0.5, support_size=512)
@@ -932,19 +945,42 @@ class TestLawRows:
             datasets = dist.datasets_at(trial_rng(12, n).random((3, n)))
             p, logp = mech.law_rows(datasets)
             for row, dataset in enumerate(datasets):
-                law = mech.law(Dataset(x=dataset.x, y=dataset.y))
+                law = loss_path(mech, Dataset(x=dataset.x, y=dataset.y))
                 assert np.array_equal(p[row], law.probabilities)
                 assert np.array_equal(logp[row], law.log_probabilities)
+        fine = exponential_mechanism(*PROBLEM_BUILDERS["threshold"](resolution=65536), 1.0)
+        pth = exponential_mechanism(*PROBLEM_BUILDERS["pth-power"](), 1.0)
+        for mech, dataset in ((fine, packed_datasets(1.0, 3).datasets[10]),
+                              (pth, uniform_box([0.0], [1.0]).sample(40, trial_rng(13, 0)))):
+            assert dataset.atom_ids is None
+            law, want = mech.law(dataset), loss_path(mech, dataset)
+            assert np.array_equal(law.probabilities, want.probabilities)
+            assert np.array_equal(law.log_probabilities, want.log_probabilities)
 
-    def test_default_rows_stack_the_laws(self):
-        problem, space = PROBLEM_BUILDERS["threshold"](resolution=8)
-        mech = erm_mechanism(problem, space)
-        datasets = labeled_threshold(0.5, support_size=8).datasets_at(
-            trial_rng(2, 0).random((3, 9)))
-        p, logp = mech.law_rows(datasets)
-        for row, dataset in enumerate(datasets):
-            assert np.array_equal(p[row], mech.law(dataset).probabilities)
-            assert np.array_equal(logp[row], mech.law(dataset).log_probabilities)
+    def test_law_is_row_zero_of_law_rows(self):
+        # law(dataset) is row 0 of law_rows on the dataset's one-row block,
+        # so each row of a block's law_rows equals the law of its item and,
+        # bit for bit, of the item's points without ids.  The subsample law
+        # of repeated points without ids sums over their C(n, m) index
+        # subsets, not their sub-multisets, so it meets the hypergeometric
+        # oracle to 1e-12 instead.
+        for build in (_em, _erm, _flag, _subsample_exact, _boost):
+            mech, data = build()
+            block = DatasetBlock(data.support, np.stack(
+                [data.atom_ids, data.atom_ids[::-1], np.sort(data.atom_ids)]))
+            p, logp = mech.law_rows(block)
+            for row, item in enumerate(block):
+                laws = [mech.law(item)]
+                if build is not _subsample_exact:
+                    laws.append(mech.law(Dataset(x=item.x, y=item.y)))
+                for law in laws:
+                    assert np.array_equal(p[row], law.probabilities)
+                    assert np.array_equal(logp[row], law.log_probabilities)
+        base, data = _em()
+        plain = Dataset(x=data.x, y=data.y)
+        assert len(np.unique(plain.x)) < plain.n
+        law = subsample_wrapper(base, m=3).law(plain).probabilities
+        assert np.allclose(law, hypergeometric_subsample_law(base, plain, 3), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("size", [8, 129])
     def test_em_sample_many_over_datasets_equals_sample(self, size):
@@ -978,7 +1014,7 @@ class TestLawRows:
             assert re.search(r"\bDatasetBlock\b", str(err.value))
 
     def test_law_rows_refuse_a_list_of_datasets(self):
-        # The default law_rows (erm), the subsample mixture and the EM rows
+        # The ERM rows, the subsample mixture and the EM rows
         # all take one DatasetBlock; two sizes in a list are refused.
         mech, block = _em_row_case(8, 2, 4)
         d1, d2 = block[0], block[1].take([0, 1, 2])
