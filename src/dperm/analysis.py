@@ -35,6 +35,7 @@ from .problems import (
     DataDistribution,
     Dataset,
     DatasetBlock,
+    _unique_rows,
     labeled_threshold,
     objective_vector,
     packed_datasets,
@@ -75,9 +76,16 @@ def exhaustive_neighbor_pairs(
     for the mechanisms in this package (their laws ignore point order).  For
     every multiset and every atom it contains, one occurrence is replaced by
     each other atom; iterating all multisets therefore produces each ordered
-    pair exactly once in each direction, as ``Dataset.of_atoms`` datasets.
+    pair exactly once in each direction.  The multisets are the ascending id
+    rows of ``itertools.combinations_with_replacement``, in its order; the
+    first occurrence of each atom is replaced, by each other atom in
+    ascending order.  The left and the right id rows of every pair are built
+    as two arrays and checked once, as two :class:`DatasetBlock` s; each
+    pair is an item of each, and a multiset's run of pairs shares one left
+    dataset.
 
-    Raises SizeLimitError when the ordered-pair count would exceed ``cap``.
+    Raises SizeLimitError when the ordered-pair count would exceed ``cap``,
+    before any array is built.
     """
     u = universe.n
     if n < 1 or u < 2:
@@ -87,19 +95,21 @@ def exhaustive_neighbor_pairs(
         raise SizeLimitError(
             f"up to {bound} ordered neighbor pairs exceeds the cap of {cap}"
         )
-    for ms in itertools.combinations_with_replacement(range(u), n):
-        base = Dataset.of_atoms(universe, ms)
-        seen = set()
-        for pos, a in enumerate(ms):
-            if a in seen:
-                continue
-            seen.add(a)
-            for b in range(u):
-                if b == a:
-                    continue
-                swapped = list(ms)
-                swapped[pos] = b
-                yield base, Dataset.of_atoms(universe, swapped)
+    multisets = np.array(list(itertools.combinations_with_replacement(range(u), n)),
+                         dtype=np.intp)
+    first = np.ones(multisets.shape, dtype=bool)
+    first[:, 1:] = multisets[:, 1:] != multisets[:, :-1]
+    # One pair per first occurrence and other atom: u - 1 in a row.
+    rows, slots = (np.repeat(index, u - 1) for index in np.nonzero(first))
+    swap = np.tile(np.arange(u - 1), len(rows) // (u - 1))
+    swap += swap >= multisets[rows, slots]
+    swapped = multisets[rows]
+    swapped[np.arange(len(rows)), slots] = swap
+    rights = iter(DatasetBlock(universe, swapped))
+    runs = first.sum(axis=1) * (u - 1)
+    for left, run in zip(DatasetBlock(universe, multisets), runs.tolist()):
+        for _ in range(run):
+            yield left, next(rights)
 
 
 def sampled_neighbor_pairs(
@@ -143,47 +153,33 @@ def _audit_laws(
     """
     if mechanism.law is None:
         raise ValueError(f"mechanism {mechanism.name!r} has no exact law to audit")
-    datasets: list[Dataset] = []
-    left: list[int] = []
-    right: list[int] = []
-    last, last_index = None, -1
+    lefts: list[Dataset] = []
+    rights: list[Dataset] = []
+    run: list[int] = []  # each pair's left dataset, an index into lefts
+    last = None
     for a, b in pairs:
         # Enumerators hand out one left dataset for a run of pairs.
         if a is not last:
-            last, last_index = a, len(datasets)
-            datasets.append(a)
-        left.append(last_index)
-        right.append(len(datasets))
-        datasets.append(b)
-    if not datasets:
+            last = a
+            lefts.append(a)
+        run.append(len(lefts) - 1)
+        rights.append(b)
+    if not rights:
         raise ValueError("no neighbor pairs were supplied")
+    datasets = lefts + rights
     support = datasets[0].support
-    if support is None or any(d.support is not support for d in datasets):
+    if support is None or len({d.support for d in datasets}) > 1:
         raise ValueError("an audit keys a dataset by its atom counts: it "
                          "needs atom ids (Dataset.of_atoms) into one support")
-    sizes = {d.n for d in datasets}
+    ids = [d.atom_ids for d in datasets]
+    sizes = {len(i) for i in ids}
     if len(sizes) > 1:
         raise ValueError(f"an audit needs datasets of one size, got sizes {sorted(sizes)}")
-    counts = DatasetBlock(support, np.stack([d.atom_ids for d in datasets])).counts()
+    counts = DatasetBlock(support, np.concatenate(ids).reshape(len(ids), -1)).counts()
     vectors, rows = _unique_rows(counts)
     atoms = np.repeat(np.tile(np.arange(support.n), len(vectors)), vectors.ravel())
     p, logp = mechanism.law_rows(DatasetBlock(support, atoms.reshape(len(vectors), -1)))
-    return p, logp, rows[left], rows[right]
-
-
-def _unique_rows(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(counts, axis=0, return_inverse=True)`` for a 2-d integer
-    array: the distinct rows in ascending lexicographic order, and the index
-    of each row among them.  One ``lexsort`` over the columns, which is
-    several times faster than ``unique``'s sort of the rows as records."""
-    order = np.lexsort(counts.T[::-1])
-    ordered = counts[order]
-    first = np.empty(len(ordered), dtype=bool)
-    first[:1] = True
-    np.any(ordered[1:] != ordered[:-1], axis=1, out=first[1:])
-    rows = np.empty(len(ordered), dtype=np.intp)
-    rows[order] = np.cumsum(first) - 1
-    return ordered[first], rows
+    return p, logp, rows[run], rows[len(lefts):]
 
 
 # ---------------------------------------------------------------------------

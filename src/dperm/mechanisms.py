@@ -41,7 +41,8 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .draws import categorical, first_uniforms
-from .problems import Dataset, DatasetBlock, Problem, objective_rows, risk_rows
+from .problems import (Dataset, DatasetBlock, Problem, _unique_rows, objective_rows,
+                       risk_rows)
 from .seeding import spawn_seed, spawn_seeds
 from .spaces import FiniteHypothesisSpace, SizeLimitError
 
@@ -204,16 +205,30 @@ class MechanismDistribution:
     log_probabilities: np.ndarray
 
     def __post_init__(self) -> None:
-        p = np.asarray(self.probabilities, dtype=float)
-        logp = np.asarray(self.log_probabilities, dtype=float)
+        self._set_views(self.probabilities, self.log_probabilities)
+        check_law_rows(self.probabilities[None], self.log_probabilities[None])
+
+    def _set_views(self, probabilities, log_probabilities) -> None:
+        p = np.asarray(probabilities, dtype=float)
+        logp = np.asarray(log_probabilities, dtype=float)
         if p.shape != (self.space.size,) or logp.shape != (self.space.size,):
             raise ValueError(
                 "probability vectors must have one entry per hypothesis, "
                 f"got shapes {p.shape} and {logp.shape} for |H|={self.space.size}"
             )
-        check_law_rows(p[None], logp[None])
         self.probabilities = p
         self.log_probabilities = logp
+
+    @classmethod
+    def _of_checked_row(
+        cls, space: FiniteHypothesisSpace, p: np.ndarray, logp: np.ndarray
+    ) -> "MechanismDistribution":
+        """The law of one row that :func:`check_law_rows` has passed: only
+        the shapes are checked again."""
+        law = cls.__new__(cls)
+        law.space = space
+        law._set_views(p, logp)
+        return law
 
     @classmethod
     def from_logits(
@@ -288,8 +303,10 @@ class Mechanism:
     arrays.  It takes one :class:`dperm.problems.DatasetBlock`; any other
     data raises ``TypeError``.  It is None when the mechanism gives no law
     (a boost whose candidate tuples pass its cap, or a wrapper of such a
-    base), and so is ``law``.  ``law(dataset)`` is derived: row 0 of
-    ``law_rows`` on the dataset's one-row block (:func:`_one_row`).
+    base), and so is ``law``.  The given ``law_rows`` is wrapped so that
+    every call ends in one :func:`check_law_rows`; factories do not check
+    their own rows.  ``law(dataset)`` is derived: row 0 of ``law_rows`` on
+    the dataset's one-row block (:func:`_one_row`), not checked again.
 
     ``sample_many(data, seeds)`` is the one draw primitive.  It takes one
     :class:`dperm.problems.Dataset` or one :class:`dperm.problems.DatasetBlock`
@@ -317,12 +334,18 @@ class Mechanism:
         if self.sample_many is None and self.law_rows is None:
             raise ValueError(f"mechanism {self.name!r} has neither sample_many nor law_rows")
         if self.law_rows is not None:
+            given = self.law_rows
+
+            def law_rows(block: DatasetBlock) -> tuple[np.ndarray, np.ndarray]:
+                p, logp = given(block)
+                check_law_rows(p, logp)
+                return p, logp
 
             def law(dataset: Dataset) -> MechanismDistribution:
                 p, logp = self.law_rows(_one_row(dataset))
-                return MechanismDistribution(self.space, p[0], logp[0])
+                return MechanismDistribution._of_checked_row(self.space, p[0], logp[0])
 
-            self.law = law
+            self.law_rows, self.law = law_rows, law
         if self.sample_many is None:
 
             def sample_many(data, seeds: Sequence[int]) -> np.ndarray:
@@ -371,9 +394,7 @@ def exponential_mechanism(
 
     def law_rows(block: DatasetBlock) -> tuple[np.ndarray, np.ndarray]:
         values = objective_rows(problem, space, block)
-        p, logp = normalized_logit_rows(log_measure - em_scale(epsilon, block.n) * values)
-        check_law_rows(p, logp)
-        return p, logp
+        return normalized_logit_rows(log_measure - em_scale(epsilon, block.n) * values)
 
     return Mechanism(
         name=f"em({problem.name},eps={epsilon:g})",
@@ -396,9 +417,7 @@ def erm_mechanism(problem: Problem, space: FiniteHypothesisSpace) -> Mechanism:
         values = objective_rows(problem, space, block)
         probs = np.zeros_like(values)
         probs[np.arange(len(block)), np.argmin(values, axis=1)] = 1.0
-        p, logp = normalized_probability_rows(probs)
-        check_law_rows(p, logp)
-        return p, logp
+        return normalized_probability_rows(probs)
 
     return Mechanism(
         name=f"erm({problem.name})",
@@ -646,9 +665,7 @@ def membership_flag_mechanism(
         _check_block(block)
         x = block.support.x if block.support.x.ndim == 1 else block.support.x[:, 0]
         bits = (np.abs(x - marker) <= tol)[block.atom_ids].any(axis=1)
-        p, logp = normalized_probability_rows(laws[bits.astype(np.intp)])
-        check_law_rows(p, logp)
-        return p, logp
+        return normalized_probability_rows(laws[bits.astype(np.intp)])
 
     return Mechanism(
         name=f"membership-flag(eps={epsilon:g},delta={delta:g})",
@@ -707,52 +724,47 @@ def amplify_approx(epsilon: float, delta: float, gamma: float) -> PrivacyBudget:
     return PrivacyBudget(eps_out, min(delta_out, 1.0))
 
 
-def _sub_multisets_fit(counts: list[int], m: int, cap: int) -> bool:
-    """Whether a multiset with these multiplicities has at most ``cap``
-    distinct size-m sub-multisets.
+def _sub_multiset_terms(
+    counts: np.ndarray, m: int, cap: int, name: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The size-m sub-multisets of every row of a (T, k) array of atom counts.
 
-    ways[j] counts the size-j sub-multisets of the groups seen so far; adding
-    a group of c copies turns it into the window sum of ways[j - c .. j].
-    Entries are clipped at cap + 1, which keeps every sum past the cap past
-    it.
+    Returns (row, kept, atoms): term i keeps ``kept[i, j]`` copies of atom
+    ``atoms[j]`` from row ``row[i]``, where ``atoms`` are the atoms with a
+    count in some row.  Each row's terms are consecutive and in the
+    lexicographic order of their kept counts.  They are built atom by atom:
+    every prefix of kept counts that can still reach m is extended by each
+    count the next atom allows, in ascending order, and the last atom keeps
+    what is left.  A prefix has at least one completion, so no row has more
+    prefixes than terms: a row that would pass ``cap`` raises SizeLimitError
+    naming mechanism ``name`` before its prefixes are built.
     """
-    ways = np.zeros(m + 1, dtype=np.int64)
-    ways[0] = 1
-    for c in counts:
-        prefix = np.cumsum(ways)
-        ways = prefix.copy()
-        ways[c + 1 :] -= prefix[: max(m - c, 0)]
-        np.minimum(ways, cap + 1, out=ways)
-    return int(ways[m]) <= cap
-
-
-def _sub_multisets(counts: list[int], m: int):
-    """Every vector s with 0 <= s_i <= counts_i and sum m, in lexicographic
-    order."""
-    k = len(counts)
-    s = [0] * k
-
-    def fill(start: int, amount: int) -> None:
-        # The smallest tail: as much as fits, as far right as it goes.
-        for j in range(k - 1, start - 1, -1):
-            s[j] = min(counts[j], amount)
-            amount -= s[j]
-
-    if sum(counts) < m:
-        return
-    fill(0, m)
-    yield tuple(s)
-    while True:
-        rest = 0
-        for i in range(k - 1, -1, -1):
-            if rest >= 1 and s[i] < counts[i]:
-                break
-            rest += s[i]
-        else:
-            return
-        s[i] += 1
-        fill(i + 1, rest - 1)
-        yield tuple(s)
+    atoms = np.flatnonzero(counts.any(axis=0))
+    have = counts[:, atoms].T
+    # after[j]: each row's points past atom j, all that a prefix ending at
+    # atom j can still keep.
+    after = have[::-1].cumsum(axis=0)[::-1] - have
+    t = len(counts)
+    row = np.arange(t)  # each prefix's row
+    room = np.full(t, m)  # copies each prefix has still to keep
+    kept = np.zeros((t, len(atoms)), dtype=np.intp)
+    for j in range(len(atoms) - 1):
+        # Each prefix keeps low, low + 1, ... copies of atom j: count choices.
+        low = np.maximum(room - after[j][row], 0)
+        count = np.minimum(have[j][row], room) - low + 1
+        ends = count.cumsum()
+        # The block's total bounds each row's count.
+        if ends[-1] > cap and np.bincount(row, count).max() > cap:
+            raise SizeLimitError(
+                f"mechanism {name!r}: {int(have[:, 0].sum())} points hold more than "
+                f"{cap} distinct size-{m} sub-multisets"
+            )
+        parent = np.arange(len(row)).repeat(count)
+        s = np.arange(ends[-1]) - (ends - count - low)[parent]
+        row, room, kept = row[parent], room[parent] - s, kept[parent]
+        kept[:, j] = s
+    kept[:, -1] = room
+    return row, kept, atoms
 
 
 def subsample_wrapper(
@@ -777,11 +789,13 @@ def subsample_wrapper(
     base law of that sub-multiset, its ids in ascending order.  A dataset
     without atom ids is its own support, each point an atom, so its law is
     the mixture over its C(n, m) index subsets.  ``law_rows(block)``
-    enumerates each row's sub-multisets once, builds the base laws of the
-    distinct ones over the whole block in one ``base.law_rows`` call, and
-    sums each row's mixture in enumeration order.  Past ``exact_cap``
-    distinct sub-multisets of one row (reached only by datasets of mostly
-    distinct points) it raises SizeLimitError naming the mechanism.
+    enumerates the sub-multisets of every row as one count array
+    (:func:`_sub_multiset_terms`, each row in lexicographic order), takes
+    each weight from Python ints, builds the base laws of the distinct ones
+    over the whole block in one ``base.law_rows`` call, and sums each row's
+    mixture in enumeration order.  Past ``exact_cap`` distinct sub-multisets
+    of one row (reached only by datasets of mostly distinct points) it
+    raises SizeLimitError naming the mechanism.
     """
     sqrt_rule = m == "sqrt"
     if not sqrt_rule:
@@ -816,33 +830,32 @@ def subsample_wrapper(
         _check_block(block)
         n = block.n
         size = subsample_size(n)
-        total = math.comb(n, size)
-        # Row i's mixture as (weight, row of the base block) terms; index
-        # keys each distinct sub-multiset by its ids in ascending order.
-        mixtures: list[list[tuple[float, int]]] = []
-        index: dict[tuple[int, ...], int] = {}
-        for row in block.counts().tolist():
-            present = [a for a, c in enumerate(row) if c]
-            counts = [row[a] for a in present]
-            if not _sub_multisets_fit(counts, size, exact_cap):
-                raise SizeLimitError(
-                    f"mechanism {name!r}: {n} points hold more than {exact_cap} "
-                    f"distinct size-{size} sub-multisets"
-                )
-            mixture = []
-            for kept in _sub_multisets(counts, size):
-                ids = tuple(a for a, s in zip(present, kept) for _ in range(s))
-                mixture.append((math.prod(map(math.comb, counts, kept)) / total,
-                                index.setdefault(ids, len(index))))
-            mixtures.append(mixture)
-        base_p = base.law_rows(DatasetBlock(block.support, list(index)))[0]
+        counts = block.counts()
+        row, kept, atoms = _sub_multiset_terms(counts, size, exact_cap, name)
+        # Each term's weight prod_i C(c_i, s_i) / C(n, m), from Python ints.
+        have = counts[row[:, None], atoms]
+        combs = np.array([[math.comb(c, s) for s in range(size + 1)]
+                          for c in range(int(have.max()) + 1)], dtype=object)
+        weights = (np.multiply.reduce(combs[have, kept], axis=1)
+                   / math.comb(n, size)).astype(float)
+        # The base laws of the distinct sub-multisets, on ascending ids.
+        vectors, base_rows = _unique_rows(kept)
+        ids = atoms[np.arange(vectors.size) % len(atoms)].repeat(vectors.ravel())
+        base_p = base.law_rows(DatasetBlock(block.support, ids.reshape(len(vectors), size)))[0]
+        # weight[j] and source[j] hold each row's j-th term (rows come in
+        # block order); a row with fewer terms is padded with weight 0.0,
+        # whose term adds +0.0 and leaves the sum's bits.  So every row is
+        # summed in enumeration order, one term position of all rows at a
+        # time.
+        column = np.arange(len(row)) - row.searchsorted(row)
+        weight = np.zeros((column.max() + 1, len(block), 1))
+        weight[column, row, 0] = weights
+        source = np.zeros(weight.shape[:2], dtype=np.intp)
+        source[column, row] = base_rows
         acc = np.zeros((len(block), base.space.size))
-        for row, mixture in zip(acc, mixtures):
-            for weight, j in mixture:
-                row += weight * base_p[j]
-        p, logp = normalized_probability_rows(acc)
-        check_law_rows(p, logp)
-        return p, logp
+        for w, j in zip(weight, source):
+            acc += w * base_p[j]
+        return normalized_probability_rows(acc)
 
     def sample_many(data, seeds: Sequence[int]) -> np.ndarray:
         # Draw i keeps the subset chosen under spawn_seed(seeds[i], 0) and
@@ -945,9 +958,7 @@ def boost_high_confidence(
             sel = np.exp(logits - logsumexp_rows(logits)[:, None])
             # add.at accumulates in index order, the order of the tuple loop.
             np.add.at(row, kept.ravel(), (weight[keep][:, None] * sel).ravel())
-        p, logp = normalized_probability_rows(probs)
-        check_law_rows(p, logp)
-        return p, logp
+        return normalized_probability_rows(probs)
 
     streams = np.arange(a + 1, dtype=np.uint64)[:, None]
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from dperm import analysis
 from dperm.analysis import (
     aerm_bound,
     aerm_bound_stated,
@@ -51,6 +52,30 @@ def two_atom_universe():
     return Dataset(x=np.array([0.3, 0.7]), y=np.array([0.0, 1.0]))
 
 
+def itertools_neighbor_pairs(universe, n):
+    """The enumerator as a loop over itertools multisets, one pair at a time:
+    each multiset's first occurrence of each atom, replaced by each other
+    atom in ascending order."""
+    for ms in itertools.combinations_with_replacement(range(universe.n), n):
+        base = Dataset.of_atoms(universe, ms)
+        seen = set()
+        for pos, a in enumerate(ms):
+            if a in seen:
+                continue
+            seen.add(a)
+            for b in range(universe.n):
+                if b == a:
+                    continue
+                swapped = list(ms)
+                swapped[pos] = b
+                yield base, Dataset.of_atoms(universe, swapped)
+
+
+def left_runs(pairs):
+    """Where a new left object starts."""
+    return [i for i, (left, _) in enumerate(pairs) if i == 0 or left is not pairs[i - 1][0]]
+
+
 class TestNeighborPairs:
     def pair_count_formula(self, u, n):
         # Each size-n multiset over u atoms contributes one ordered pair per
@@ -79,6 +104,32 @@ class TestNeighborPairs:
         universe = Dataset(x=(np.arange(6) + 0.5) / 6, y=np.zeros(6))
         with pytest.raises(SizeLimitError):
             list(exhaustive_neighbor_pairs(universe, 14, cap=200_000))
+
+    @pytest.mark.parametrize("u,n", [(2, 1), (2, 4), (3, 3), (4, 2), (5, 4), (6, 5)])
+    def test_pairs_equal_the_itertools_enumerator(self, u, n):
+        universe = Dataset(x=(np.arange(u) + 0.5) / u, y=np.arange(u, dtype=float) % 2)
+        got = list(exhaustive_neighbor_pairs(universe, n))
+        want = list(itertools_neighbor_pairs(universe, n))
+        assert len(got) == len(want)
+        for pair, oracle in zip(got, want):
+            for d, o in zip(pair, oracle):
+                assert d.support is universe
+                assert np.array_equal(d.atom_ids, o.atom_ids)
+                assert np.array_equal(d.x, o.x) and np.array_equal(d.y, o.y)
+                assert d.atom_ids.dtype == o.atom_ids.dtype and d.x.dtype == o.x.dtype
+                assert not any(a.flags.writeable for a in (d.x, d.y, d.atom_ids))
+        assert left_runs(got) == left_runs(want)
+        assert len(left_runs(got)) == math.comb(u + n - 1, n)
+
+    def test_cap_is_checked_before_any_array_is_built(self, monkeypatch):
+        def built(*args, **kwargs):
+            raise AssertionError("an array was built before the cap check")
+
+        monkeypatch.setattr(analysis.itertools, "combinations_with_replacement", built)
+        monkeypatch.setattr(analysis, "DatasetBlock", built)
+        universe = Dataset(x=(np.arange(50) + 0.5) / 50, y=np.zeros(50))
+        with pytest.raises(SizeLimitError, match="exceeds the cap of 200000"):
+            next(exhaustive_neighbor_pairs(universe, 40))
 
     def test_sampled_pairs_come_in_both_orders(self):
         universe = two_atom_universe()

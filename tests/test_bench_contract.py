@@ -58,6 +58,25 @@ def test_multiset_key_splits_datasets_as_the_law_table(perfbench, op, tmp_path):
     assert len(keys) == math.comb(universe.n + config["n"] - 1, config["n"])
 
 
+@pytest.mark.parametrize("audit", ["audit_pure_dp", "audit_approx_dp", "stability_audit"])
+def test_each_audit_reads_one_item_per_pair(perfbench, audit):
+    # repeated-data's work_per_s counts the items an audit reads from its
+    # pairs argument (tracing.count_audit_pairs), so an audit must read one
+    # item per neighbor pair, the pair itself.
+    tracing, _ = perfbench
+    problem, space = PROBLEM_BUILDERS["threshold"](resolution=8)
+    universe = labeled_threshold(0.5, support_size=4).support
+    pairs = list(exhaustive_neighbor_pairs(universe, 3))
+    extra = {"audit_pure_dp": (), "audit_approx_dp": (1.0,), "stability_audit": (universe,)}
+    counter = [0]
+    with tracing.count_audit_pairs(counter):
+        report = getattr(dperm.analysis, audit)(
+            exponential_mechanism(problem, space, 1.0), iter(pairs), *extra[audit])
+    # Sum over the 20 multisets of 3 points over 4 atoms: distinct atoms x 3.
+    assert counter[0] == len(pairs) == 120
+    assert getattr(report, "pairs_probed", len(pairs)) == len(pairs)
+
+
 def test_loss_cells_are_the_cells_risk_vector_evaluates(perfbench):
     # problems.loss_cells counts |H| x n per traced risk_vector call; one
     # dataset, atom ids or not, takes the loss path over its n points.

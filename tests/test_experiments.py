@@ -71,10 +71,11 @@ TRIAL_BLOCK_BUILDS = {
 )
 def test_shipped_config_reproduces_its_csv(conf, monkeypatch):
     built = collections.Counter()
-    default_rng, of_atoms = np.random.default_rng, Dataset.of_atoms.__func__
+    default_rng, of_atoms = np.random.default_rng, Dataset._of_checked_atoms.__func__
     monkeypatch.setattr(np.random, "default_rng",
                         lambda *a: built.update(["generator"]) or default_rng(*a))
-    monkeypatch.setattr(Dataset, "of_atoms",
+    # Every dataset of atoms, from of_atoms or a block item, is built here.
+    monkeypatch.setattr(Dataset, "_of_checked_atoms",
                         classmethod(lambda cls, *a: built.update(["dataset"]) or of_atoms(cls, *a)))
     config = parse_config_file(str(conf))
     text = rows_to_csv(run_experiment(config).rows)

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp as scipy_logsumexp
 from scipy.stats import laplace as scipy_laplace
@@ -445,6 +445,153 @@ class TestSubsampling:
         capped = subsample_wrapper(base, m=3, exact_cap=2)
         with pytest.raises(SizeLimitError, match=re.escape(repr(capped.name))):
             capped.law(data)
+
+
+def sub_multisets_oracle(counts, m):
+    """Every vector s with 0 <= s_i <= counts_i and sum m, in lexicographic
+    order: the generator the subsample law enumerated one row with."""
+    k = len(counts)
+    s = [0] * k
+
+    def fill(start, amount):
+        # The smallest tail: as much as fits, as far right as it goes.
+        for j in range(k - 1, start - 1, -1):
+            s[j] = min(counts[j], amount)
+            amount -= s[j]
+
+    if sum(counts) < m:
+        return
+    fill(0, m)
+    yield tuple(s)
+    while True:
+        rest = 0
+        for i in range(k - 1, -1, -1):
+            if rest >= 1 and s[i] < counts[i]:
+                break
+            rest += s[i]
+        else:
+            return
+        s[i] += 1
+        fill(i + 1, rest - 1)
+        yield tuple(s)
+
+
+@st.composite
+def count_blocks(draw):
+    """A (T, k) block of atom counts, every row of one size n, and 1 <= m <= n."""
+    k = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 7))
+    ids = draw(st.lists(st.lists(st.integers(0, k - 1), min_size=n, max_size=n),
+                        min_size=1, max_size=4))
+    return np.stack([np.bincount(row, minlength=k) for row in ids]), draw(st.integers(1, n))
+
+
+class TestSubMultisetTerms:
+    @settings(max_examples=100, deadline=None)
+    @given(case=count_blocks())
+    @example(case=(np.array([[0, 3, 0, 2]]), 1))  # absent atoms, m = 1
+    @example(case=(np.array([[2, 0, 1, 1]]), 4))  # m = n
+    @example(case=(np.array([[5]]), 3))  # a single atom
+    @example(case=(np.array([[0, 4, 0]]), 2))  # a single atom among absent ones
+    @example(case=(np.array([[4, 0, 0], [1, 2, 1], [0, 0, 4]]), 2))
+    def test_terms_are_the_generators_vectors_in_its_order(self, case):
+        # Row by row, in block order, each row's sub-multisets as the
+        # generator gave them over the row's present atoms.
+        counts, m = case
+        row, kept, atoms = mechanisms._sub_multiset_terms(counts, m, 10**5, "x")
+        assert np.array_equal(atoms, np.flatnonzero(counts.any(axis=0)))
+        expected = []
+        for r, c in enumerate(counts):
+            present = np.flatnonzero(c)
+            for s in sub_multisets_oracle(c[present].tolist(), m):
+                full = np.zeros(len(c), dtype=int)
+                full[present] = s
+                expected.append((r, tuple(full[atoms].tolist())))
+        assert list(zip(row.tolist(), map(tuple, kept.tolist()))) == expected
+
+    def test_cap_refuses_exactly_one_past_it(self):
+        # Four distinct points hold C(4, 2) = 6 sub-multisets of size 2: a
+        # cap of 6 builds the law, a cap of 5 refuses it, naming the
+        # mechanism, also when the row sits below rows under the cap.
+        problem, space = PROBLEM_BUILDERS["threshold"](resolution=4)
+        base = exponential_mechanism(problem, space, 1.0)
+        support = labeled_threshold(0.5, support_size=4).support
+        block = DatasetBlock(support, [[0, 0, 0, 1], [1, 1, 2, 2], [0, 1, 2, 3]])
+        exact = subsample_wrapper(base, 2, exact_cap=6)
+        assert exact.law_rows(block)[0].shape == (3, space.size)
+        capped = subsample_wrapper(base, 2, exact_cap=5)
+        message = re.escape(f"mechanism {capped.name!r}: 4 points hold more than 5 "
+                            "distinct size-2 sub-multisets")
+        with pytest.raises(SizeLimitError, match=message):
+            capped.law_rows(block)
+        with pytest.raises(SizeLimitError, match=message):
+            capped.law(block[2])
+        assert np.array_equal(capped.law_rows(DatasetBlock(support, block.atom_ids[:2]))[0],
+                              exact.law_rows(block)[0][:2])
+
+
+def _which_kept_mechanism(size):
+    """A base whose law is a point mass on the copies of atom 0 it is given."""
+
+    def law_rows(block):
+        p = np.zeros((len(block), size))
+        p[np.arange(len(block)), block.counts()[:, 0]] = 1.0
+        with np.errstate(divide="ignore"):
+            return p, np.log(p)
+
+    space = FiniteHypothesisSpace(payloads=np.arange(size, dtype=float)[:, None],
+                                  measure=np.ones(size))
+    return Mechanism(name="which-kept", law_rows=law_rows,
+                     budget=lambda n: PrivacyBudget(1.0), space=space)
+
+
+class TestSubsampleWeightsPast2To53:
+    # Atoms 0 and 1 with 29 and 31 copies, n = 60, m = 30: C(60, 30) is
+    # about 1.2e17, past 2^53, so float or int64 arithmetic can round the
+    # products or the quotient differently from Python ints.
+    COUNTS = (29, 31)
+    N, M = 60, 30
+
+    def weights(self):
+        total = math.comb(self.N, self.M)
+        kept = range(max(0, self.M - self.COUNTS[1]), min(self.COUNTS[0], self.M) + 1)
+        return {s: math.prod(map(math.comb, self.COUNTS, (s, self.M - s))) / total
+                for s in kept}
+
+    def test_each_weight_is_the_python_int_quotient(self, monkeypatch):
+        weights = self.weights()
+        assert math.comb(self.N, self.M) > 2**53
+        floats = {s: float(math.comb(self.COUNTS[0], s))
+                  * float(math.comb(self.COUNTS[1], self.M - s))
+                  / float(math.comb(self.N, self.M)) for s in weights}
+        assert floats != weights  # the float products round differently here
+        mixtures = []
+        normalize = mechanisms.normalized_probability_rows
+        monkeypatch.setattr(mechanisms, "normalized_probability_rows",
+                            lambda acc: mixtures.append(acc.copy()) or normalize(acc))
+        support = labeled_threshold(0.5, support_size=2).support
+        data = Dataset.of_atoms(support, [0] * self.COUNTS[0] + [1] * self.COUNTS[1])
+        subsample_wrapper(_which_kept_mechanism(self.M + 1), self.M).law(data)
+        # Term s puts its weight alone on hypothesis s, so the mixture row
+        # before normalization is the weights themselves.
+        (mixture,) = mixtures
+        assert mixture.shape == (1, self.M + 1)
+        assert {s: mixture[0, s] for s in weights} == weights
+        assert not np.delete(mixture[0], list(weights)).any()
+
+    def test_law_equals_the_sequential_mixture(self):
+        problem, space = PROBLEM_BUILDERS["threshold"](resolution=16)
+        base = exponential_mechanism(problem, space, 1.0)
+        support = labeled_threshold(0.5, support_size=2).support
+        data = Dataset.of_atoms(support, [1] * self.COUNTS[1] + [0] * self.COUNTS[0])
+        acc = np.zeros(space.size)
+        for s, weight in self.weights().items():
+            sub = Dataset.of_atoms(support, [0] * s + [1] * (self.M - s))
+            acc += weight * base.law(sub).probabilities
+        oracle = MechanismDistribution.from_probabilities(space, acc)
+        law = subsample_wrapper(base, self.M).law(data)
+        assert np.array_equal(law.probabilities, oracle.probabilities)
+        assert np.array_equal(law.log_probabilities, oracle.log_probabilities)
 
 
 class TestMembershipFlag:
@@ -907,6 +1054,41 @@ class TestLawRows:
             mech.law_rows(datasets)
         with pytest.raises(ValueError, match=r"sum to 1\.(5|49)"):
             mech.sample_many(datasets, [1, 2, 3])
+
+    def test_each_law_is_checked_once(self, monkeypatch):
+        # Mechanism checks each law_rows call once; law is its row 0 and is
+        # not checked again.  A subsample call also checks its base block.
+        calls = []
+        check = mechanisms.check_law_rows
+        monkeypatch.setattr(mechanisms, "check_law_rows",
+                            lambda p, logp: calls.append(len(p)) or check(p, logp))
+        em, block = _em_row_case(8, 3, 4)
+        flag = membership_flag_mechanism(1.0, 0.1, marker=float(np.ravel(block.support.x)[0]))
+        for mech, per_call in ((em, 1), (flag, 1), (subsample_wrapper(em, 2), 2)):
+            calls.clear()
+            mech.law(block[0])
+            assert len(calls) == per_call
+            calls.clear()
+            mech.law_rows(block)
+            assert len(calls) == per_call and calls[-1] == len(block)
+
+    def test_hand_written_rows_are_checked(self):
+        space = FiniteHypothesisSpace(payloads=np.zeros((3, 1)), measure=np.ones(3))
+        bad = np.array([0.5, 0.4, 0.0])
+
+        def law_rows(block):
+            p = np.tile(bad, (len(block), 1))
+            with np.errstate(divide="ignore"):
+                return p, np.log(p)
+
+        mech = Mechanism(name="hand-written", law_rows=law_rows, space=space)
+        support = Dataset(x=np.array([0.0, 1.0]))
+        with pytest.raises(ValueError, match=r"sum to 0\.9"):
+            mech.law(support)
+        with pytest.raises(ValueError, match=r"sum to 0\.9"):
+            mech.law_rows(DatasetBlock(support, [[0, 1], [1, 1]]))
+        with pytest.raises(ValueError, match=r"sum to 0\.9"):
+            mech.sample(support, 3)
 
     @pytest.mark.parametrize("bad_p, bad_logp", [
         ([0.5, -0.1, 0.6], [-1.0, -1.0, -1.0]),
