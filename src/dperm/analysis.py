@@ -286,7 +286,11 @@ def stability_audit(
         raise ValueError("stability audit needs a mechanism bound to a problem")
     p, _, left_rows, right_rows = _audit_laws(mechanism, pairs)
     step = max(1, AUDIT_BLOCK_CELLS // p.shape[1])
-    losses = mechanism.problem.loss_matrix(mechanism.space.payloads, probe_points)
+    # C order fixes the summation order of the products below, whatever
+    # layout loss_matrix returns.
+    losses = np.ascontiguousarray(
+        mechanism.problem.loss_matrix(mechanism.space.payloads, probe_points)
+    )
     worst = 0.0
     for first in range(0, len(left_rows), step):
         block = slice(first, first + step)

@@ -133,6 +133,20 @@ class ExperimentOutcome:
         return sum(1 for r in self.rows if r.passed is not None)
 
 
+def _at_cell_precision(value):
+    """``value`` with every float rounded to the 12 significant digits of a
+    CSV cell (:func:`_cell`), inside dicts and lists.  The digits past those
+    depend on the BLAS and the Python version, not on the run, so a
+    manifest's witnesses reproduce where its CSV does."""
+    if isinstance(value, dict):
+        return {key: _at_cell_precision(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_at_cell_precision(v) for v in value]
+    if isinstance(value, (float, np.floating)):
+        return float("%.12g" % float(value))
+    return value
+
+
 def _finish(experiment: str, rows: list[Row], witnesses: list[dict]) -> ExperimentOutcome:
     failures = [
         f"{r.metric}: value={_cell(r.value)} bound={_cell(r.bound)}"
@@ -144,7 +158,7 @@ def _finish(experiment: str, rows: list[Row], witnesses: list[dict]) -> Experime
         rows=rows,
         passed=not failures,
         failures=failures,
-        witnesses=witnesses,
+        witnesses=_at_cell_precision(witnesses),
     )
 
 

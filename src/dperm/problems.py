@@ -198,9 +198,13 @@ class Problem:
 
     ``loss_matrix(payloads, dataset)`` returns the (k, n) losses of the k
     hypotheses whose parameter vectors are the rows of the (k, dimension)
-    array ``payloads``; ``reg_vector(n, payloads)`` returns their k
-    regularizer values at sample size n.  ``zeta(n)`` is sup over hypotheses
-    of the regularizer magnitude at sample size n.
+    array ``payloads``, in any memory layout (the threshold loss is
+    F-ordered); a reader whose float result depends on the order of its
+    sums fixes the layout itself, as :func:`population_risk_vector` and
+    the stability audit do with ``np.ascontiguousarray``.
+    ``reg_vector(n, payloads)`` returns their k regularizer values at
+    sample size n.  ``zeta(n)`` is sup over hypotheses of the regularizer
+    magnitude at sample size n.
     """
 
     name: str
@@ -395,10 +399,16 @@ def erm(problem: Problem, space: FiniteHypothesisSpace, dataset: Dataset) -> int
 def population_risk_vector(
     problem: Problem, space: FiniteHypothesisSpace, distribution: DataDistribution
 ) -> np.ndarray:
-    """Exact population risk of every hypothesis (discrete distributions)."""
+    """Exact population risk of every hypothesis (discrete distributions).
+
+    The loss table is taken in C order first, so the float sums of the
+    product with ``probs`` run in one order whatever layout
+    ``loss_matrix`` returns.
+    """
     if not distribution.discrete:
         raise ValueError("exact population risk needs an enumerable support")
-    return problem.loss_matrix(space.payloads, distribution.support) @ distribution.probs
+    losses = np.ascontiguousarray(problem.loss_matrix(space.payloads, distribution.support))
+    return losses @ distribution.probs
 
 
 # ---------------------------------------------------------------------------
@@ -480,8 +490,11 @@ def threshold_classification(
     space = discretize_box(GridSpec((domain[0],), (domain[1],), (resolution,)))
 
     def loss_matrix(payloads, dataset):
-        pred = dataset.x[None, :] > payloads[:, 0, None]
-        return (pred != (dataset.y[None, :] > 0.5)).astype(float)
+        # Hypothesis-major: the comparisons run along the k hypotheses (65,536
+        # against 3 points in the counterexample sweep), and the (k, n)
+        # result is the transpose, F-ordered.
+        pred = dataset.x[:, None] > payloads[:, 0]
+        return (pred != (dataset.y[:, None] > 0.5)).astype(float).T
 
     problem = Problem(
         name="threshold_classification", dimension=1, loss_matrix=loss_matrix

@@ -1,13 +1,23 @@
 """Row formatting, and the replay of the shipped results."""
 
 import collections
+import csv
+import io
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dperm.config import parse_config_file
-from dperm.experiments import CSV_COLUMNS, Row, _cell, rows_to_csv, run_experiment
+from dperm.experiments import (
+    CSV_COLUMNS,
+    Row,
+    _at_cell_precision,
+    _cell,
+    rows_to_csv,
+    run_experiment,
+)
 from dperm.problems import Dataset
 
 REPO = Path(__file__).resolve().parent.parent
@@ -82,3 +92,24 @@ def test_shipped_config_reproduces_its_csv(conf, monkeypatch):
     assert text.encode("utf-8") == (REPO / config.output).read_bytes()
     if conf.stem in TRIAL_BLOCK_BUILDS:
         assert built == TRIAL_BLOCK_BUILDS[conf.stem]
+
+
+def test_witness_floats_are_at_cell_precision():
+    assert _at_cell_precision({"a": [0.6427692060063804, 3, True], "b": "x"}) == \
+        {"a": [0.642769206006, 3, True], "b": "x"}
+    assert type(_at_cell_precision(np.float64(1 / 3))) is float
+
+
+def test_counterexample_witness_gaps_are_its_csv_cells():
+    # The digits of a gap past the twelfth depend on the BLAS and the
+    # Python version, so the witness keeps the twelve the CSV keeps, and the
+    # committed manifest holds the witness a rerun writes.
+    config = parse_config_file(str(REPO / "scripts" / "counterexample.conf"))
+    outcome = run_experiment(config)
+    cells = {row["metric"]: float(row["value"])
+             for row in csv.DictReader(io.StringIO(rows_to_csv(outcome.rows)))}
+    (witness,) = outcome.witnesses
+    assert witness["gaps"] == [cells[f"max_aerm_gap[grid={g}]"]
+                               for g in witness["resolutions"]]
+    manifest = json.loads((REPO / (config.output + ".manifest.json")).read_text())
+    assert manifest["witnesses"] == outcome.witnesses
