@@ -51,6 +51,11 @@ from .spaces import SizeLimitError, sublevel_set
 AUDIT_TOL = 1e-9
 NEIGHBOR_PAIR_CAP = 2 * 10**5
 ENUMERATION_CAP = 10**6
+# Random neighbor pairs of the stability audit when the exhaustive ones
+# pass NEIGHBOR_PAIR_CAP.
+STABILITY_SAMPLES = 200
+# Expected count below which chi_square_gof pools a bin.
+GOF_MIN_EXPECTED = 5.0
 # Pairs per audit block times |H|: bounds the audits' working arrays.
 AUDIT_BLOCK_CELLS = 2**16
 # Monte Carlo trials whose laws and risks are built as the rows of one
@@ -67,36 +72,39 @@ def _neighbor_pair_bound(u: int, n: int) -> int:
     return math.comb(n + u - 1, n) * min(n, u) * (u - 1)
 
 
-def exhaustive_neighbor_pairs(
-    universe: Dataset, n: int, cap: int = NEIGHBOR_PAIR_CAP
-) -> Iterator[tuple[Dataset, Dataset]]:
+def _multisets(u: int, n: int) -> np.ndarray:
+    """Every size-n multiset over u atoms as one (rows, n) array: the
+    ascending id rows of ``itertools.combinations_with_replacement``, in its
+    order."""
+    return np.array(list(itertools.combinations_with_replacement(range(u), n)), dtype=np.intp)
+
+
+def exhaustive_neighbor_pairs(universe: Dataset, n: int) -> Iterator[tuple[Dataset, Dataset]]:
     """All ordered neighbor pairs of size-n datasets over a finite universe.
 
     Datasets are enumerated as multisets of universe atoms, which is lossless
     for the mechanisms in this package (their laws ignore point order).  For
     every multiset and every atom it contains, one occurrence is replaced by
     each other atom; iterating all multisets therefore produces each ordered
-    pair exactly once in each direction.  The multisets are the ascending id
-    rows of ``itertools.combinations_with_replacement``, in its order; the
-    first occurrence of each atom is replaced, by each other atom in
-    ascending order.  The left and the right id rows of every pair are built
-    as two arrays and checked once, as two :class:`DatasetBlock` s; each
-    pair is an item of each, and a multiset's run of pairs shares one left
-    dataset.
+    pair exactly once in each direction.  The multisets are the rows of
+    :func:`_multisets`, in order; the first occurrence of each atom is
+    replaced, by each other atom in ascending order.  The left and the right
+    id rows of every pair are built as two arrays and checked once, as two
+    :class:`DatasetBlock` s; each pair is an item of each, and a multiset's
+    run of pairs shares one left dataset.
 
-    Raises SizeLimitError when the ordered-pair count would exceed ``cap``,
-    before any array is built.
+    Raises SizeLimitError when the ordered-pair count would exceed
+    ``NEIGHBOR_PAIR_CAP``, before any array is built.
     """
     u = universe.n
     if n < 1 or u < 2:
         raise ValueError("need n >= 1 and a universe of at least two atoms")
     bound = _neighbor_pair_bound(u, n)
-    if bound > cap:
+    if bound > NEIGHBOR_PAIR_CAP:
         raise SizeLimitError(
-            f"up to {bound} ordered neighbor pairs exceeds the cap of {cap}"
+            f"up to {bound} ordered neighbor pairs exceeds the cap of {NEIGHBOR_PAIR_CAP}"
         )
-    multisets = np.array(list(itertools.combinations_with_replacement(range(u), n)),
-                         dtype=np.intp)
+    multisets = _multisets(u, n)
     first = np.ones(multisets.shape, dtype=bool)
     first[:, 1:] = multisets[:, 1:] != multisets[:, :-1]
     # One pair per first occurrence and other atom: u - 1 in a row.
@@ -435,20 +443,6 @@ class GapReport:
         return self.decomposition_ok and self.generalization_ok
 
 
-def _multiset_weights(
-    probs: np.ndarray, n: int
-) -> Iterator[tuple[tuple[int, ...], float]]:
-    """Multisets of atom indices with their sampling probabilities."""
-    u = len(probs)
-    for ms in itertools.combinations_with_replacement(range(u), n):
-        counts = np.bincount(ms, minlength=u)
-        coef = math.factorial(n)
-        for c in counts:
-            coef //= math.factorial(int(c))
-        weight = float(coef) * float(np.prod(probs**counts))
-        yield ms, weight
-
-
 def consistency_suite(
     mechanism: Mechanism,
     distribution: DataDistribution,
@@ -456,20 +450,26 @@ def consistency_suite(
     mode: str = "exact",
     trials: int = 200,
     seed: int = 0,
-    enumeration_cap: int = ENUMERATION_CAP,
-    stability_pair_cap: int = NEIGHBOR_PAIR_CAP,
-    stability_samples: int = 200,
 ) -> GapReport:
     """Measure the chain from stability to excess risk on one configuration.
 
-    Exact mode enumerates every size-n multiset over the distribution's atoms
-    and checks, to 1e-9:
+    Both modes take the excess, generalization and AERM gaps of each dataset
+    from one ``law_rows`` and one ``risk_rows`` call per block of
+    ``TRIAL_BLOCK`` datasets, each gap from the dot products of
+    :meth:`MechanismDistribution.expectation`.
+
+    Exact mode reads every size-n multiset over the distribution's atoms
+    (:func:`_multisets`, refused past ``ENUMERATION_CAP``), weights each by
+    its exact multinomial probability, rounded once, sums weight x gap one
+    multiset at a time in enumeration order, and checks, to 1e-9:
 
         excess <= generalization + aerm    and    |generalization| <= stability.
 
-    Monte Carlo mode averages the same per-dataset quantities over sampled
-    datasets and allows a 4-SE margin on each check.  Both modes require a
-    discrete distribution so population risks are exact sums.
+    Monte Carlo mode averages the same gaps over ``trials`` sampled datasets
+    and allows a 4-SE margin on each check.  Both modes require a discrete
+    distribution so population risks are exact sums.  The stability gap is
+    exact over every neighbor pair up to ``NEIGHBOR_PAIR_CAP``, and over
+    ``STABILITY_SAMPLES`` random pairs past it.
     """
     if mechanism.problem is None or mechanism.space is None or mechanism.law is None:
         raise ValueError("the consistency suite needs a problem-bound mechanism with a law")
@@ -479,70 +479,73 @@ def consistency_suite(
         raise ValueError(f"mode must be 'exact' or 'mc', got {mode!r}")
     problem, space = mechanism.problem, mechanism.space
     universe = distribution.support
-    probs = np.asarray(distribution.probs, dtype=float)
     pop = population_risk_vector(problem, space, distribution)
     best_pop = float(pop.min())
-    def dataset_gaps(p: np.ndarray, emp: np.ndarray) -> tuple[float, float, float]:
-        # The dot products of MechanismDistribution.expectation.
-        mean_pop = float(p @ pop)
-        mean_emp = float(p @ emp)
-        return (
-            mean_pop - best_pop,
-            mean_pop - mean_emp,
-            mean_emp - float(emp.min()),
-        )
 
     if mode == "exact":
-        if math.comb(n + universe.n - 1, n) > enumeration_cap:
+        if math.comb(n + universe.n - 1, n) > ENUMERATION_CAP:
             raise SizeLimitError(
                 "multiset enumeration exceeds the cap; use mode='mc'"
             )
-        excess = gen = aerm = 0.0
-        mass = 0.0
-        multisets = _multiset_weights(probs, n)
-        while chunk := list(itertools.islice(multisets, TRIAL_BLOCK)):
-            ids, weights = zip(*chunk)
-            datasets = DatasetBlock(universe, ids)
-            p = mechanism.law_rows(datasets)[0]
-            emp = risk_rows(problem, space, datasets)
-            # Summed one multiset at a time, in enumeration order.
-            for row, weight in enumerate(weights):
-                e, g, a = dataset_gaps(p[row], emp[row])
-                excess += weight * e
-                gen += weight * g
-                aerm += weight * a
-                mass += weight
+        multisets = _multisets(universe.n, n)
+        count = len(multisets)
+
+        def block_at(rows: range) -> DatasetBlock:
+            return DatasetBlock(universe, multisets[rows.start:rows.stop])
+    else:
+        if trials < 2:
+            raise ValueError(f"mc mode needs trials >= 2, got {trials}")
+        count = trials
+
+        def block_at(rows: range) -> DatasetBlock:
+            # distribution.sample(n, trial_rng(seed, t)) for each trial t.
+            return distribution.datasets_at(
+                uniform_rows(spawn_seeds(seed, np.arange(rows.start, rows.stop)), n))
+
+    gaps = np.empty((count, 3))  # excess, generalization, aerm
+    for start in range(0, count, TRIAL_BLOCK):
+        rows = range(start, min(start + TRIAL_BLOCK, count))
+        block = block_at(rows)
+        p = mechanism.law_rows(block)[0]
+        emp = risk_rows(problem, space, block)
+        for i, t in enumerate(rows):
+            mean_pop = float(p[i] @ pop)
+            mean_emp = float(p[i] @ emp[i])
+            gaps[t] = mean_pop - best_pop, mean_pop - mean_emp, mean_emp - float(emp[i].min())
+
+    if mode == "exact":
+        # The weight of counts c is the float of n! prod_i p_i^c_i / c_i!,
+        # each p_i = num_i / den_i its exact binary value: int / int rounds
+        # once, where a float coefficient overflows past n = 170 and 0.5^n
+        # underflows past n = 1074.
+        ratios = [p.as_integer_ratio() for p in distribution.probs.tolist()]
+        counts = DatasetBlock(universe, multisets).counts().tolist()
+        excess = gen = aerm = mass = 0.0
+        # Summed one multiset at a time, in enumeration order.
+        for c, (e, g, a) in zip(counts, gaps.tolist()):
+            weight = (math.factorial(n) * math.prod(num**k for (num, _), k in zip(ratios, c))
+                      / math.prod(math.factorial(k) * den**k for (_, den), k in zip(ratios, c)))
+            excess += weight * e
+            gen += weight * g
+            aerm += weight * a
+            mass += weight
         if abs(mass - 1.0) > 1e-9:
             raise AssertionError(f"multiset weights sum to {mass}, not 1")
         se_e = se_g = se_a = 0.0
         trials_used = 0
         margin_e = margin_g = AUDIT_TOL
     else:
-        if trials < 2:
-            raise ValueError(f"mc mode needs trials >= 2, got {trials}")
-        samples = np.empty((trials, 3))
-        for start in range(0, trials, TRIAL_BLOCK):
-            block = range(start, min(start + TRIAL_BLOCK, trials))
-            # distribution.sample(n, trial_rng(seed, t)) for each trial t.
-            datasets = distribution.datasets_at(
-                uniform_rows(spawn_seeds(seed, np.arange(block.start, block.stop)), n))
-            p = mechanism.law_rows(datasets)[0]
-            emp = risk_rows(problem, space, datasets)
-            for row, t in enumerate(block):
-                samples[t] = dataset_gaps(p[row], emp[row])
-        means = samples.mean(axis=0)
-        ses = samples.std(axis=0, ddof=1) / math.sqrt(trials)
-        excess, gen, aerm = (float(v) for v in means)
-        se_e, se_g, se_a = (float(v) for v in ses)
+        excess, gen, aerm = gaps.mean(axis=0).tolist()
+        se_e, se_g, se_a = (gaps.std(axis=0, ddof=1) / math.sqrt(trials)).tolist()
         trials_used = trials
         margin_e = 4.0 * math.hypot(se_e, se_a) + AUDIT_TOL
         margin_g = 4.0 * se_g + AUDIT_TOL
 
-    if _neighbor_pair_bound(universe.n, n) <= stability_pair_cap:
-        pairs = exhaustive_neighbor_pairs(universe, n, cap=stability_pair_cap)
+    if _neighbor_pair_bound(universe.n, n) <= NEIGHBOR_PAIR_CAP:
+        pairs = exhaustive_neighbor_pairs(universe, n)
     else:
         pairs = sampled_neighbor_pairs(
-            universe, n, stability_samples, spawn_seed(seed, 2**31)
+            universe, n, STABILITY_SAMPLES, spawn_seed(seed, 2**31)
         )
     stability = stability_audit(mechanism, pairs, universe)
 
@@ -755,12 +758,10 @@ class GofResult:
     bins: int
 
 
-def chi_square_gof(
-    probabilities: np.ndarray, counts: np.ndarray, min_expected: float = 5.0
-) -> GofResult:
+def chi_square_gof(probabilities: np.ndarray, counts: np.ndarray) -> GofResult:
     """Pearson goodness-of-fit of observed counts against an exact law.
 
-    Bins whose expected count falls below ``min_expected`` are pooled,
+    Bins whose expected count falls below ``GOF_MIN_EXPECTED`` are pooled,
     largest-expectation bins kept as-is, so the chi-square approximation
     stays honest.  Needs at least two effective bins after pooling.
     """
@@ -775,13 +776,13 @@ def chi_square_gof(
     order = np.argsort(expected)[::-1]
     exp_sorted = expected[order]
     obs_sorted = c[order]
-    keep = int(np.searchsorted(-exp_sorted, -min_expected, side="right"))
+    keep = int(np.searchsorted(-exp_sorted, -GOF_MIN_EXPECTED, side="right"))
     if keep < len(exp_sorted):
         pooled_exp = float(exp_sorted[keep:].sum())
         pooled_obs = float(obs_sorted[keep:].sum())
         exp_eff = np.append(exp_sorted[:keep], pooled_exp)
         obs_eff = np.append(obs_sorted[:keep], pooled_obs)
-        if pooled_exp < min_expected and keep >= 1:
+        if pooled_exp < GOF_MIN_EXPECTED and keep >= 1:
             exp_eff[keep - 1] += exp_eff[-1]
             obs_eff[keep - 1] += obs_eff[-1]
             exp_eff, obs_eff = exp_eff[:-1], obs_eff[:-1]

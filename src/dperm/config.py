@@ -64,6 +64,9 @@ class Field:
 
 
 POSITIVE = "(0, inf)"
+# Every privacy level; shipped configs use at most 2, and e^epsilon stays
+# far inside the float range (math.exp overflows past about 709).
+EPSILON = "(0, 100]"
 FINITE = "(-inf, inf)"
 PROBABILITY = "(0, 1)"
 AT_LEAST_1 = "[1, inf)"
@@ -91,7 +94,7 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "universe": Field("int", 4, "number of data atoms", "[2, 6]"),
         "n": Field("int", 3, "dataset size for neighbor enumeration", AT_LEAST_1),
         "epsilon": Field(
-            "floats", (0.5, 1.0, 2.0), "privacy levels to audit", POSITIVE
+            "floats", (0.5, 1.0, 2.0), "privacy levels to audit", EPSILON
         ),
         "subsample_m": Field(
             "int", 2, "fixed subsample size for amplification rows", AT_LEAST_1
@@ -111,13 +114,13 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         ),
         "universe": Field("int", 4, "number of data atoms", "[2, 6]"),
         "n": Field("int", 3, "dataset size for neighbor enumeration", AT_LEAST_1),
-        "epsilon": Field("floats", (0.25, 0.5, 1.0, 2.0), "privacy levels", POSITIVE),
+        "epsilon": Field("floats", (0.25, 0.5, 1.0, 2.0), "privacy levels", EPSILON),
     },
     "aerm": {
         "cells": Field("int", 8, "cell count of the support problem", CELLS),
         "subset_size": Field("int", 3, "max support size", SUBSET),
         "n_grid": Field("ints", (50, 200), "dataset sizes", AT_LEAST_2),
-        "epsilon": Field("floats", (0.5, 1.0), "privacy levels", POSITIVE),
+        "epsilon": Field("floats", (0.5, 1.0), "privacy levels", EPSILON),
         "trials": Field("int", 40, "datasets per (n, epsilon) cell", AT_LEAST_2),
     },
     "utility-tail": {
@@ -128,7 +131,7 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "cells": Field("int", 8, "cell count (finite-support problem)", CELLS),
         "subset_size": Field("int", 3, "max support size", SUBSET),
         "n": Field("int", 60, "dataset size", AT_LEAST_1),
-        "epsilon": Field("float", 1.0, "privacy level", POSITIVE),
+        "epsilon": Field("float", 1.0, "privacy level", EPSILON),
         "t_count": Field("int", 20, "number of tail thresholds", AT_LEAST_1),
         "t_min": Field("float", 0.01, "smallest tail threshold", POSITIVE),
         "t_max": Field("float", 0.5, "largest tail threshold", POSITIVE),
@@ -136,12 +139,12 @@ SCHEMAS: dict[str, dict[str, Field]] = {
     "consistency": {
         "mode": Field("str", "exact", "exact or mc"),
         "n": Field("int", 3, "dataset size", AT_LEAST_1),
-        "epsilon": Field("float", 1.0, "privacy level of the learner", POSITIVE),
+        "epsilon": Field("float", 1.0, "privacy level of the learner", EPSILON),
         "trials": Field("int", 200, "datasets in mc mode", AT_LEAST_2),
         "resolution": Field("int", 16, "hypothesis grid size", AT_LEAST_1),
     },
     "counterexample": {
-        "epsilon": Field("float", 1.0, "privacy level of the learner", POSITIVE),
+        "epsilon": Field("float", 1.0, "privacy level of the learner", EPSILON),
         "n": Field("int", 3, "dataset size of the packed family", AT_LEAST_1),
         "resolutions": Field(
             "ints", tuple(2**k for k in range(1, 17)), "grid sizes to sweep", AT_LEAST_1
@@ -167,9 +170,9 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "skew": Field("float", 0.7, "cell i carries probability ~ skew^i", "(0, 1]"),
         "n": Field("int", 600, "dataset size", AT_LEAST_1),
         "base_epsilon": Field(
-            "float", 2.0, "privacy level of the base learner", POSITIVE
+            "float", 2.0, "privacy level of the base learner", EPSILON
         ),
-        "epsilon": Field("float", 2.0, "privacy level of the selection step", POSITIVE),
+        "epsilon": Field("float", 2.0, "privacy level of the selection step", EPSILON),
         "delta": Field("floats", (0.05, 0.2), "confidence targets", PROBABILITY),
         "trials": Field("int", 500, "measurement datasets per target", AT_LEAST_2),
         "calibration_trials": Field(

@@ -50,7 +50,6 @@ from .mechanisms import (
     subsample_wrapper,
 )
 from .problems import (
-    DataDistribution,
     Dataset,
     discrete_points,
     finite_support_estimation,
@@ -180,8 +179,7 @@ def _audit_problem(config: RunConfig):
     universe_size = config["universe"]
     if kind == "threshold":
         problem, space = threshold_classification(resolution=config["resolution"])
-        xs = (np.arange(universe_size) + 0.5) / universe_size
-        universe = Dataset(x=xs, y=(xs > 0.5).astype(float))
+        universe = labeled_threshold(0.5, support_size=universe_size).support
     elif kind == "finite-support":
         cells = config["cells"]
         problem, space = _support_space(config)
@@ -476,6 +474,8 @@ def run_phase(config: RunConfig) -> ExperimentOutcome:
     """Excess risk of ERM on a size-ceil(n^(1-r)) subsample: learning keeps
     improving at r = 1/2 and stalls at r = 1."""
     trials = config["trials"]
+    if len(set(config["n_grid"])) < len(config["n_grid"]):
+        raise ConfigError(f"n_grid must not repeat a size, got {config['n_grid']}")
     rows_out: list[Row] = []
     phase_rows = phase_transition_experiment(
         rates=config["rates"],
@@ -615,8 +615,16 @@ def run_rates(config: RunConfig) -> ExperimentOutcome:
     rows: list[Row] = []
     means = []
     for ni, n in enumerate(n_grid):
-        eps = float(n) ** (-exponent)
-        scale = 2.0 / (eps * n)
+        try:
+            eps = float(n) ** (-exponent)
+        except OverflowError:
+            eps = math.inf
+        scale = 2.0 / (eps * n) if eps > 0 else math.inf
+        if not (0.0 < eps < math.inf and 0.0 < scale < math.inf):
+            raise ConfigError(
+                f"epsilon_exponent = {exponent!r} gives epsilon(n) = {eps!r} and noise "
+                f"scale {scale!r} at n = {n}; both must be finite and positive"
+            )
         root = spawn_seed(config.seed, ni)
         chunk = max(1, min(trials, 10**6 // n))
         excesses = np.empty(trials)
@@ -670,12 +678,7 @@ def run_sublevel(config: RunConfig) -> ExperimentOutcome:
     kind = config["problem"]
     if kind == "logistic":
         problem, space = linear_logistic(d=1, resolution=config["resolution"])
-        distribution = DataDistribution(
-            kind="uniform-box",
-            lower=np.array([0.0]),
-            upper=np.array([1.0]),
-            theta=0.5,
-        )
+        distribution = labeled_threshold(0.5)
     elif kind == "finite-support":
         problem, space, distribution = _support_problem(config)
     else:

@@ -52,6 +52,7 @@ LOG_UNDERFLOW = -740.0
 FLOAT_MIN = float(np.finfo(np.float64).min)
 SUBSAMPLE_EXACT_CAP = 10**5
 BOOST_LAW_CAP = 2 * 10**5
+FLAG_TOL = 1e-9
 
 
 def logsumexp(a: np.ndarray) -> float:
@@ -265,12 +266,6 @@ SampleManyFn = Callable[[Union[Dataset, DatasetBlock], Sequence[int]], np.ndarra
 BudgetFn = Callable[[int], PrivacyBudget]
 
 
-def _check_block(block) -> None:
-    if not isinstance(block, DatasetBlock):
-        raise TypeError("law_rows takes one DatasetBlock (law takes one Dataset), "
-                        f"got {type(block).__name__}")
-
-
 def _one_row(dataset: Dataset) -> DatasetBlock:
     """A dataset's one-row block: its ids over its support, or its own points."""
     if dataset.atom_ids is None:
@@ -300,13 +295,14 @@ class Mechanism:
 
     ``law_rows(block)`` is the one law a factory gives: the laws of a
     block's datasets as the rows of (T, |H|) probability and log-probability
-    arrays.  It takes one :class:`dperm.problems.DatasetBlock`; any other
-    data raises ``TypeError``.  It is None when the mechanism gives no law
-    (a boost whose candidate tuples pass its cap, or a wrapper of such a
-    base), and so is ``law``.  The given ``law_rows`` is wrapped so that
-    every call ends in one :func:`check_law_rows`; factories do not check
-    their own rows.  ``law(dataset)`` is derived: row 0 of ``law_rows`` on
-    the dataset's one-row block (:func:`_one_row`), not checked again.
+    arrays.  It takes one :class:`dperm.problems.DatasetBlock`.  It is None
+    when the mechanism gives no law (a boost whose candidate tuples pass its
+    cap, or a wrapper of such a base), and so is ``law``.  The given
+    ``law_rows`` is wrapped so that every call starts with the one type
+    check, raising ``TypeError`` on any data but a block, and ends in one
+    :func:`check_law_rows`; factories check neither.  ``law(dataset)`` is
+    derived: row 0 of ``law_rows`` on the dataset's one-row block
+    (:func:`_one_row`), not checked again.
 
     ``sample_many(data, seeds)`` is the one draw primitive.  It takes one
     :class:`dperm.problems.Dataset` or one :class:`dperm.problems.DatasetBlock`
@@ -337,6 +333,9 @@ class Mechanism:
             given = self.law_rows
 
             def law_rows(block: DatasetBlock) -> tuple[np.ndarray, np.ndarray]:
+                if not isinstance(block, DatasetBlock):
+                    raise TypeError("law_rows takes one DatasetBlock (law takes one "
+                                    f"Dataset), got {type(block).__name__}")
                 p, logp = given(block)
                 check_law_rows(p, logp)
                 return p, logp
@@ -440,6 +439,7 @@ def laplace_icdf(u: float, scale: float) -> float:
 _UNIT_ROUNDOFF = 2.0**-53
 _SMALLEST_SUBNORMAL = 2.0**-1074
 ERM_BLOCK_CELLS = 2**17
+ERM_TOL = 1e-10
 ERM_NEWTON_PASSES = 64
 
 
@@ -536,15 +536,13 @@ def _certified_guards(
     return left, right
 
 
-def pth_power_erm_batch(
-    x: np.ndarray, p: int = 10, tol: float = 1e-10
-) -> np.ndarray:
+def pth_power_erm_batch(x: np.ndarray, p: int = 10) -> np.ndarray:
     """Row-wise exact minimizer of sum_i |x_i - h|^p over h, for even p >= 2,
     on a (trials, n) batch of samples.
 
     The derivative p * G(h), G(h) = sum_i sign(h - x_i)|h - x_i|^(p-1), is
     continuous and increasing, so bisection on [min x, max x] pins the root.
-    The result is the float of a fixed bisection: ceil(log2(R / tol)) + 2
+    The result is the float of a fixed bisection: ceil(log2(R / ERM_TOL)) + 2
     halvings (R the widest row range of the batch), each keeping the half
     where the float expression ``_bisection_gradient`` changes sign.  The
     bracket certifies the tolerance; this kernel returns that float bit for
@@ -611,8 +609,8 @@ def pth_power_erm_batch(
             f"row {row} spans {float(span[row])!r}: the sum of its "
             f"{n} terms |x - h|^{p - 1} overflows float64"
         )
-    # 60 halvings shrink any unit-length bracket far below tol = 1e-10.
-    iters = max(1, math.ceil(math.log2(max(float(span.max()), tol) / tol)) + 2)
+    # 60 halvings shrink any unit-length bracket far below ERM_TOL = 1e-10.
+    iters = max(1, math.ceil(math.log2(max(float(span.max()), ERM_TOL) / ERM_TOL)) + 2)
     block = max(1, ERM_BLOCK_CELLS // n)
     d = np.empty((min(block, trials), n))
     t = np.empty_like(d)
@@ -635,12 +633,10 @@ def pth_power_erm_batch(
     return 0.5 * (lo + hi)
 
 
-def membership_flag_mechanism(
-    epsilon: float, delta: float, marker: float, tol: float = 1e-9
-) -> Mechanism:
+def membership_flag_mechanism(epsilon: float, delta: float, marker: float) -> Mechanism:
     """A deliberately minimal (epsilon, delta) mechanism used as an audit
     target: it releases a randomized-response bit that says whether any data
-    point sits at the marker value.
+    point sits within ``FLAG_TOL`` of the marker value.
 
     With probability 1 - delta the true bit passes through randomized
     response at level epsilon; with probability delta it is released as-is.
@@ -662,9 +658,8 @@ def membership_flag_mechanism(
     laws = np.array([[p_same, p_flip], [p_flip, p_same]])  # row b: the true bit is b
 
     def law_rows(block: DatasetBlock) -> tuple[np.ndarray, np.ndarray]:
-        _check_block(block)
         x = block.support.x if block.support.x.ndim == 1 else block.support.x[:, 0]
-        bits = (np.abs(x - marker) <= tol)[block.atom_ids].any(axis=1)
+        bits = (np.abs(x - marker) <= FLAG_TOL)[block.atom_ids].any(axis=1)
         return normalized_probability_rows(laws[bits.astype(np.intp)])
 
     return Mechanism(
@@ -767,11 +762,7 @@ def _sub_multiset_terms(
     return row, kept, atoms
 
 
-def subsample_wrapper(
-    base: Mechanism,
-    m: Union[int, str],
-    exact_cap: int = SUBSAMPLE_EXACT_CAP,
-) -> Mechanism:
+def subsample_wrapper(base: Mechanism, m: Union[int, str]) -> Mechanism:
     """Run ``base`` on a uniform size-m subsample drawn without replacement.
 
     ``m`` is either a fixed positive integer or the string ``"sqrt"`` for
@@ -793,9 +784,10 @@ def subsample_wrapper(
     (:func:`_sub_multiset_terms`, each row in lexicographic order), takes
     each weight from Python ints, builds the base laws of the distinct ones
     over the whole block in one ``base.law_rows`` call, and sums each row's
-    mixture in enumeration order.  Past ``exact_cap`` distinct sub-multisets
-    of one row (reached only by datasets of mostly distinct points) it
-    raises SizeLimitError naming the mechanism.
+    mixture in enumeration order.  Past ``SUBSAMPLE_EXACT_CAP`` distinct
+    sub-multisets of one row (reached only by datasets of mostly distinct
+    points) it raises SizeLimitError naming the mechanism; the cap is read
+    when the law is built.
     """
     sqrt_rule = m == "sqrt"
     if not sqrt_rule:
@@ -827,11 +819,10 @@ def subsample_wrapper(
         return amplify_approx(claimed.epsilon, claimed.delta, gamma)
 
     def law_rows(block: DatasetBlock) -> tuple[np.ndarray, np.ndarray]:
-        _check_block(block)
         n = block.n
         size = subsample_size(n)
         counts = block.counts()
-        row, kept, atoms = _sub_multiset_terms(counts, size, exact_cap, name)
+        row, kept, atoms = _sub_multiset_terms(counts, size, SUBSAMPLE_EXACT_CAP, name)
         # Each term's weight prod_i C(c_i, s_i) / C(n, m), from Python ints.
         have = counts[row[:, None], atoms]
         combs = np.array([[math.comb(c, s) for s in range(size + 1)]
@@ -895,7 +886,6 @@ def boost_high_confidence(
     space: FiniteHypothesisSpace,
     delta_target: float,
     epsilon: float,
-    law_cap: int = BOOST_LAW_CAP,
 ) -> Mechanism:
     """Confidence boosting: run the base on a = ceil(ln(3/delta)) disjoint
     parts, then privately select among the candidates by validation risk.
@@ -909,7 +899,8 @@ def boost_high_confidence(
     the size of one part, n // (a+1).
 
     The exact law enumerates candidate tuples and is materialized only while
-    |H|^a stays within ``law_cap``; past that the mechanism is sample-only.
+    |H|^a stays within ``BOOST_LAW_CAP`` when the mechanism is built; past
+    that the mechanism is sample-only.
     """
     if not (0.0 < delta_target < 3.0):
         raise ValueError(
@@ -940,7 +931,6 @@ def boost_high_confidence(
         return parts, block.columns(validation)
 
     def law_rows(block: DatasetBlock) -> tuple[np.ndarray, np.ndarray]:
-        _check_block(block)
         parts, validation = split(block)
         part_laws = base.law_rows(parts)[0].reshape(len(block), a, space.size)
         val_risks = risk_rows(problem, space, validation)
@@ -985,7 +975,7 @@ def boost_high_confidence(
         pick = categorical(sel, first_uniforms(sub[:, a]))
         return candidates[np.arange(len(seeds)), pick]
 
-    has_law = base.law_rows is not None and space.size**a <= law_cap
+    has_law = base.law_rows is not None and space.size**a <= BOOST_LAW_CAP
     return Mechanism(
         name=f"boost({base.name},delta={delta_target:g},eps={epsilon:g})",
         sample_many=sample_many,
@@ -1015,6 +1005,10 @@ class RandomWalkSampler:
     space is continuous.  Convergence is approximate, so this object is not a
     Mechanism and makes no privacy claim; compare its empirical law against a
     matched finite-grid mechanism to quantify the gap.
+
+    The chain runs ``burn_in`` = max(1000, steps // 10) tuning steps before
+    its ``steps`` kept ones, from the initial proposal scale ``step_size``,
+    an eighth of the box's mean side; both are set at construction.
     """
 
     problem: Problem
@@ -1022,8 +1016,8 @@ class RandomWalkSampler:
     upper: np.ndarray
     epsilon: float
     steps: int
-    step_size: Optional[float] = None
-    burn_in: Optional[int] = None
+    step_size: float = field(init=False)
+    burn_in: int = field(init=False)
 
     def __post_init__(self) -> None:
         self.lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
@@ -1041,12 +1035,8 @@ class RandomWalkSampler:
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         if not isinstance(self.steps, (int, np.integer)) or self.steps < 1:
             raise ValueError(f"steps must be a positive integer, got {self.steps}")
-        if self.burn_in is None:
-            self.burn_in = max(1000, self.steps // 10)
-        if self.step_size is None:
-            self.step_size = float(np.mean(self.upper - self.lower)) / 8.0
-        if not (self.step_size > 0):
-            raise ValueError("step_size must be positive")
+        self.burn_in = max(1000, self.steps // 10)
+        self.step_size = float(np.mean(self.upper - self.lower)) / 8.0
 
     def run(self, dataset: Dataset, seed: int) -> ChainResult:
         rng = np.random.default_rng(seed)

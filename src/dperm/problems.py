@@ -51,7 +51,8 @@ __all__ = [
     "finite_support_estimation",
 ]
 
-DEFAULT_PACKING_CAP = 10**6
+PACKING_CAP = 10**6
+LOGISTIC_LAM = 0.1
 
 
 def _atom_ids(support: "Dataset", ids) -> np.ndarray:
@@ -425,10 +426,9 @@ class PackedFamily:
     count: int
 
 
-def packed_datasets(
-    epsilon: float, n: int, max_count: int = DEFAULT_PACKING_CAP
-) -> PackedFamily:
-    """K = ceil(e^(eps*n)) labeled datasets packed into [0,1].
+def packed_datasets(epsilon: float, n: int) -> PackedFamily:
+    """K = ceil(e^(eps*n)) labeled datasets packed into [0,1], refused with
+    SizeLimitError past ``PACKING_CAP`` (or past the float range).
 
     With eta = 1/K, threshold i sits at (i + 1/2) * eta; dataset i holds
     floor(n/2) copies of h_i - eta/6 labeled 0 and ceil(n/2) copies of
@@ -439,11 +439,14 @@ def packed_datasets(
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    count_exact = math.exp(epsilon * n)
-    if count_exact > max_count:
+    try:
+        count_exact = math.exp(epsilon * n)
+    except OverflowError:
+        count_exact = math.inf
+    if count_exact > PACKING_CAP:
         raise SizeLimitError(
             f"packing needs ceil(e^(eps*n)) = ceil({count_exact:.3g}) datasets, "
-            f"above the cap of {max_count}"
+            f"above the cap of {PACKING_CAP}"
         )
     k = math.ceil(count_exact)
     eta = 1.0 / k
@@ -483,11 +486,9 @@ def _unit_points(rng, m):
     return Dataset(x=rng.uniform(0.0, 1.0, size=m))
 
 
-def threshold_classification(
-    resolution: int = 32, domain: tuple[float, float] = (0.0, 1.0)
-) -> tuple[Problem, FiniteHypothesisSpace]:
-    """0-1 loss threshold classifiers h(x) = 1(x > h) on a 1-d grid."""
-    space = discretize_box(GridSpec((domain[0],), (domain[1],), (resolution,)))
+def threshold_classification(resolution: int = 32) -> tuple[Problem, FiniteHypothesisSpace]:
+    """0-1 loss threshold classifiers h(x) = 1(x > h) on a grid of [0, 1]."""
+    space = discretize_box(GridSpec((0.0,), (1.0,), (resolution,)))
 
     def loss_matrix(payloads, dataset):
         # Hypothesis-major: the comparisons run along the k hypotheses (65,536
@@ -503,16 +504,15 @@ def threshold_classification(
         problem,
         space,
         lambda rng, m: Dataset(
-            x=rng.uniform(*domain, size=m), y=rng.integers(0, 2, size=m)
+            x=rng.uniform(0.0, 1.0, size=m), y=rng.integers(0, 2, size=m)
         ),
     )
     return problem, space
 
 
-def linear_logistic(
-    d: int = 1, resolution: int = 16, lam: float = 0.1
-) -> tuple[Problem, FiniteHypothesisSpace]:
-    """Logistic loss of linear scores w.x on the weight box [-1,1]^d.
+def linear_logistic(d: int = 1, resolution: int = 16) -> tuple[Problem, FiniteHypothesisSpace]:
+    """Logistic loss of linear scores w.x on the weight box [-1,1]^d, with
+    the regularizer ``LOGISTIC_LAM`` |w|^2 / sqrt(n).
 
     The raw loss log(1 + exp(-(2y-1) w.x)) over x in [0,1]^d is divided by
     its exact maximum log(1 + exp(d)), so values stay in (0, 1] and the
@@ -531,14 +531,14 @@ def linear_logistic(
         return np.logaddexp(0.0, -sign * scores) / scale
 
     def reg_vector(n, payloads):
-        return lam * np.sum(payloads**2, axis=1) / math.sqrt(n)
+        return LOGISTIC_LAM * np.sum(payloads**2, axis=1) / math.sqrt(n)
 
     problem = Problem(
         name="linear_logistic",
         dimension=d,
         loss_matrix=loss_matrix,
         reg_vector=reg_vector,
-        zeta=lambda n: lam * max_norm2 / math.sqrt(n),
+        zeta=lambda n: LOGISTIC_LAM * max_norm2 / math.sqrt(n),
     )
     _probe_unit_range(
         problem,

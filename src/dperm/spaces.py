@@ -27,7 +27,7 @@ __all__ = [
 
 REL_MEASURE_TOL = 1e-12
 SUBLEVEL_TOL = 1e-12
-DEFAULT_GRID_CAP = 10**7
+GRID_CAP = 10**7
 
 
 class SizeLimitError(ValueError):
@@ -117,9 +117,7 @@ class SublevelReport:
     ratio: float
 
 
-def discretize_box(
-    grid: GridSpec, max_size: int = DEFAULT_GRID_CAP
-) -> FiniteHypothesisSpace:
+def discretize_box(grid: GridSpec) -> FiniteHypothesisSpace:
     """Enumerate the cell centers of ``grid`` as a hypothesis space.
 
     Cell ``(i_1, ..., i_d)`` maps to the point with coordinate
@@ -128,11 +126,11 @@ def discretize_box(
     always yields the bitwise-identical payload array.  Every hypothesis
     has weight 1 (counting measure).
 
-    Raises SizeLimitError when the cell count exceeds ``max_size``.
+    Raises SizeLimitError when the cell count exceeds ``GRID_CAP``.
     """
-    if grid.size > max_size:
+    if grid.size > GRID_CAP:
         raise SizeLimitError(
-            f"grid holds {grid.size} cells, above the cap of {max_size}"
+            f"grid holds {grid.size} cells, above the cap of {GRID_CAP}"
         )
     axes = [
         lo + (np.arange(r) + 0.5) * ((hi - lo) / r)
@@ -149,12 +147,10 @@ def discretize_box(
 
 
 def sublevel_set(
-    space: FiniteHypothesisSpace,
-    objective_values: np.ndarray,
-    t: float,
-    tol: float = SUBLEVEL_TOL,
+    space: FiniteHypothesisSpace, objective_values: np.ndarray, t: float
 ) -> SublevelReport:
-    """Measure of ``{h : F(h) <= min F + t}`` with an absolute boundary tolerance.
+    """Measure of ``{h : F(h) <= min F + t}`` with the absolute boundary
+    tolerance ``SUBLEVEL_TOL``.
 
     ``ratio`` is total measure over sublevel measure; it is finite because the
     minimizer itself always belongs to the set.
@@ -168,7 +164,7 @@ def sublevel_set(
         raise ValueError("objective values must be finite")
     if t < 0:
         raise ValueError(f"threshold t must be >= 0, got {t}")
-    cutoff = values.min() + t + tol
+    cutoff = values.min() + t + SUBLEVEL_TOL
     mask = values <= cutoff
     member_measure = float(space.measure[mask].sum())
     return SublevelReport(

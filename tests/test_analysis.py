@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -43,6 +44,8 @@ from dperm.problems import (
     erm,
     labeled_threshold,
     objective_vector,
+    population_risk_vector,
+    risk_vector,
 )
 from dperm.seeding import spawn_seed, trial_rng
 from dperm.spaces import SizeLimitError
@@ -103,7 +106,7 @@ class TestNeighborPairs:
     def test_cap(self):
         universe = Dataset(x=(np.arange(6) + 0.5) / 6, y=np.zeros(6))
         with pytest.raises(SizeLimitError):
-            list(exhaustive_neighbor_pairs(universe, 14, cap=200_000))
+            list(exhaustive_neighbor_pairs(universe, 14))
 
     @pytest.mark.parametrize("u,n", [(2, 1), (2, 4), (3, 3), (4, 2), (5, 4), (6, 5)])
     def test_pairs_equal_the_itertools_enumerator(self, u, n):
@@ -341,7 +344,8 @@ class TestConsistencySuite:
         assert report.excess_se > 0
         assert report.all_ok
 
-    def test_exact_mode_size_cap(self):
+    def test_exact_mode_size_cap(self, monkeypatch):
+        monkeypatch.setattr(analysis, "ENUMERATION_CAP", 10)
         problem, space = PROBLEM_BUILDERS["threshold"](resolution=4)
         mech = exponential_mechanism(problem, space, 1.0)
         dist = discrete_points(
@@ -349,7 +353,73 @@ class TestConsistencySuite:
             probs=np.array([0.5, 0.5]),
         )
         with pytest.raises(SizeLimitError):
-            consistency_suite(mech, dist, n=40, mode="exact", enumeration_cap=10)
+            consistency_suite(mech, dist, n=40, mode="exact")
+
+    @staticmethod
+    def per_dataset_gaps(mech, dist, dataset):
+        """Excess, generalization and AERM gap of one dataset, from its own
+        law and risk_vector."""
+        pop = population_risk_vector(mech.problem, mech.space, dist)
+        p = mech.law(dataset).probabilities
+        emp = risk_vector(mech.problem, mech.space, dataset)
+        return (float(p @ pop) - float(pop.min()), float(p @ pop) - float(p @ emp),
+                float(p @ emp) - float(emp.min()))
+
+    def multinomial_oracle(self, mech, dist, n):
+        """The exact-mode sums from a loop over itertools multisets, each
+        weighted by the float of its exact Fraction probability."""
+        sums = [0.0, 0.0, 0.0]
+        weights = []
+        for ids in itertools.combinations_with_replacement(range(dist.support.n), n):
+            counts = np.bincount(ids, minlength=dist.support.n)
+            weight = Fraction(math.factorial(n))
+            for p, c in zip(dist.probs.tolist(), counts.tolist()):
+                weight *= Fraction(p) ** c / math.factorial(c)
+            weights.append(float(weight))
+            gaps = self.per_dataset_gaps(mech, dist, Dataset.of_atoms(dist.support, ids))
+            sums = [s + weights[-1] * g for s, g in zip(sums, gaps)]
+        return sums, weights
+
+    def test_exact_mode_across_a_block_boundary(self):
+        # 3 atoms, n = 15: 136 multisets, past one TRIAL_BLOCK of 128.
+        assert math.comb(15 + 2, 15) == 136 > analysis.TRIAL_BLOCK
+        problem, space = PROBLEM_BUILDERS["threshold"](resolution=8)
+        mech = exponential_mechanism(problem, space, 1.0)
+        dist = discrete_points(np.array([0.2, 0.5, 0.8]), y=np.array([0.0, 1.0, 1.0]),
+                               probs=np.array([0.2, 0.3, 0.5]))
+        report = consistency_suite(mech, dist, n=15, mode="exact")
+        (excess, gen, aerm), _ = self.multinomial_oracle(mech, dist, 15)
+        assert report.trials == 0
+        assert (report.excess_risk, report.generalization_gap, report.aerm_gap) == (
+            excess, gen, aerm)
+
+    def test_exact_weights_past_the_float_range_of_their_terms(self):
+        # At n = 1100 the multinomial coefficient overflows a float and 0.5^n
+        # underflows; each weight is still the float of its exact rational.
+        problem, space = PROBLEM_BUILDERS["threshold"](resolution=4)
+        mech = exponential_mechanism(problem, space, 1.0)
+        dist = discrete_points(np.array([0.3, 0.7]), y=np.array([0.0, 1.0]))
+        report = consistency_suite(mech, dist, n=1100, mode="exact")
+        (excess, gen, aerm), weights = self.multinomial_oracle(mech, dist, 1100)
+        assert len(weights) == 1101
+        assert sum(weights) == pytest.approx(1.0, abs=1e-12)
+        assert (report.excess_risk, report.generalization_gap, report.aerm_gap) == (
+            excess, gen, aerm)
+
+    def test_mc_mode_equals_the_per_trial_oracle(self):
+        # 300 trials: two full blocks of 128 and one of 44.
+        problem, space = PROBLEM_BUILDERS["threshold"](resolution=8)
+        mech = exponential_mechanism(problem, space, 1.0)
+        dist = discrete_points(np.array([0.2, 0.5, 0.8]), y=np.array([0.0, 1.0, 1.0]),
+                               probs=np.array([0.2, 0.3, 0.5]))
+        report = consistency_suite(mech, dist, n=7, mode="mc", trials=300, seed=11)
+        gaps = np.array([self.per_dataset_gaps(mech, dist, dist.sample(7, trial_rng(11, t)))
+                         for t in range(300)])
+        assert report.trials == 300
+        assert [report.excess_risk, report.generalization_gap, report.aerm_gap] == (
+            gaps.mean(axis=0).tolist())
+        assert [report.excess_se, report.generalization_se, report.aerm_se] == (
+            (gaps.std(axis=0, ddof=1) / math.sqrt(300)).tolist())
 
     @pytest.mark.parametrize("mode", ["exact", "mc"])
     def test_mechanism_without_law_rejected(self, mode):

@@ -84,7 +84,7 @@ class TestRun:
     @pytest.mark.parametrize(
         "body, message",
         [
-            ("epsilon = -1", "line 2: epsilon must lie in (0, inf)"),
+            ("epsilon = -1", "line 2: epsilon must lie in (0, 100]"),
             # Each key is in range; together they are not.
             ("problem = finite-support\ncells = 3\nsubset_size = 4",
              "subset_size must be <= cells"),
@@ -110,6 +110,38 @@ class TestRun:
         conf = write(tmp_path / "bad.conf", f"{text}\n")
         assert main(["run", conf]) == 1
         assert capsys.readouterr().err.startswith(f"config-error: {message}")
+
+    @pytest.mark.parametrize(
+        "text, prefix",
+        [
+            # e^epsilon past the float range: each epsilon key has a ceiling.
+            ("experiment = audit\nepsilon = 800",
+             "config-error: line 2: epsilon must lie in (0, 100]"),
+            ("experiment = stability\nepsilon = 800",
+             "config-error: line 2: epsilon must lie in (0, 100]"),
+            ("experiment = consistency\nepsilon = 800",
+             "config-error: line 2: epsilon must lie in (0, 100]"),
+            ("experiment = boost\nepsilon = 800",
+             "config-error: line 2: epsilon must lie in (0, 100]"),
+            ("experiment = counterexample\nepsilon = 300\nn = 3",
+             "config-error: line 2: epsilon must lie in (0, 100]"),
+            # Inside the ceiling, e^(epsilon n) still overflows at n = 8.
+            ("experiment = counterexample\nepsilon = 100\nn = 8\nresolutions = 16",
+             "size-limit: packing needs ceil(e^(eps*n)) = ceil(inf) datasets"),
+            ("experiment = rates\nepsilon_exponent = -400",
+             "config-error: epsilon_exponent = -400.0 gives epsilon(n) = inf and noise "
+             "scale 0.0 at n = 100"),
+            ("experiment = rates\nepsilon_exponent = 400",
+             "config-error: epsilon_exponent = 400.0 gives epsilon(n) = 0.0 and noise "
+             "scale inf at n = 100"),
+            ("experiment = phase\nn_grid = 100, 100, 1000",
+             "config-error: n_grid must not repeat a size"),
+        ],
+    )
+    def test_values_past_float_arithmetic_exit_1(self, tmp_path, capsys, text, prefix):
+        conf = write(tmp_path / "bad.conf", f"{text}\n")
+        assert main(["run", conf]) == 1
+        assert capsys.readouterr().err.startswith(prefix)
 
     @pytest.mark.parametrize("below", [(), ("file",)], ids=["directory", "below-a-file"])
     def test_unusable_output_exits_1_before_the_run(self, tmp_path, capsys, monkeypatch, below):

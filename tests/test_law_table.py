@@ -26,6 +26,7 @@ from dperm.mechanisms import (
     membership_flag_mechanism,
     subsample_wrapper,
 )
+from dperm import mechanisms
 from dperm.problems import Dataset, threshold_classification
 from dperm.spaces import SizeLimitError
 
@@ -312,7 +313,7 @@ def test_subsample_law_of_a_dataset_without_ids_is_its_of_atoms_twin():
 # Exactness
 
 
-def test_sampled_law_is_marked_inexact():
+def test_sampled_law_is_marked_inexact(monkeypatch):
     # Four distinct points hold C(4, 3) = 4 sub-multisets of size 3, past the
     # cap of 2: the law raises naming the mechanism rather than being sampled.
     # Repeated points hold one sub-multiset, and the default cap admits all 4.
@@ -323,21 +324,24 @@ def test_sampled_law_is_marked_inexact():
     )
     distinct = Dataset.of_atoms(support, [0, 1, 2, 3])
     repeated = Dataset.of_atoms(support, [1, 1, 1, 1])
-    wrapped = subsample_wrapper(base, 3, exact_cap=2)
+    wrapped = subsample_wrapper(base, 3)
+    monkeypatch.setattr(mechanisms, "SUBSAMPLE_EXACT_CAP", 2)
     with pytest.raises(SizeLimitError, match=re.escape(repr(wrapped.name))):
         wrapped.law(distinct)
     assert wrapped.law(repeated).probabilities.sum() == pytest.approx(1.0)
-    law = subsample_wrapper(base, 3).law(distinct)
+    monkeypatch.undo()
+    law = wrapped.law(distinct)
     assert law.probabilities.sum() == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("audit", ["pure", "approx", "stability"])
-def test_audits_refuse_sampled_laws(audit):
+def test_audits_refuse_sampled_laws(audit, monkeypatch):
     # The multiset of all four atoms has C(4, 3) = 4 sub-multisets, past the
     # cap of 2, so its law is refused instead of being estimated.
     problem, space = threshold_classification(resolution=4)
     base = exponential_mechanism(problem, space, 1.0)
-    wrapped = subsample_wrapper(base, 3, exact_cap=2)
+    monkeypatch.setattr(mechanisms, "SUBSAMPLE_EXACT_CAP", 2)
+    wrapped = subsample_wrapper(base, 3)
     universe = threshold_universe(4)
     pairs = exhaustive_neighbor_pairs(universe, 4)
     with pytest.raises(SizeLimitError, match=re.escape(repr(wrapped.name))):
@@ -349,14 +353,15 @@ def test_audits_refuse_sampled_laws(audit):
             stability_audit(wrapped, pairs, universe)
 
 
-def test_boost_over_a_capped_subsample_is_refused():
+def test_boost_over_a_capped_subsample_is_refused(monkeypatch):
     # A boost with one part runs its base on the first n // 2 points (the
     # audit's law rows put them in sorted order).  Four distinct points
     # there pass the subsample's cap, so the boost has no exact law for
     # them, and its audit must say so.
     problem, space = threshold_classification(resolution=4)
     em = exponential_mechanism(problem, space, 1.0)
-    sub = subsample_wrapper(em, 3, exact_cap=2)
+    monkeypatch.setattr(mechanisms, "SUBSAMPLE_EXACT_CAP", 2)
+    sub = subsample_wrapper(em, 3)
     boost = boost_high_confidence(sub, space, 2.0, 1.0)
     assert boost.info["parts"] == 1
     distinct = Dataset.of_atoms(threshold_universe(4), [0, 1, 2, 3, 3, 3, 3, 3])

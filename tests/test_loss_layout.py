@@ -29,6 +29,7 @@ from dperm.problems import (
     threshold_classification,
 )
 from dperm.seeding import trial_rng
+from dperm.spaces import GridSpec, discretize_box
 
 
 def point_minor_losses(payloads, dataset):
@@ -84,7 +85,9 @@ class TestKernel:
     @settings(max_examples=60, deadline=None)
     def test_values_equal_the_point_minor_expression(self, case):
         resolution, domain, n, on_grid, seed = case
-        problem, space = threshold_classification(resolution=resolution, domain=domain)
+        # The grid lives on the random domain; the loss takes any payloads.
+        problem, _ = threshold_classification(resolution=1)
+        space = discretize_box(GridSpec((domain[0],), (domain[1],), (resolution,)))
         rng = trial_rng(seed, 0)
         x = rng.uniform(*domain, size=n)
         x[:on_grid] = space.payloads[rng.integers(0, space.size, size=on_grid), 0]

@@ -434,7 +434,7 @@ class TestSubsampling:
         subsample_wrapper(spy, m=3).sample(data, seed=5)
         assert seen == [3]
 
-    def test_sampled_law_mode_kicks_in(self):
+    def test_sampled_law_mode_kicks_in(self, monkeypatch):
         # Past the cap, where a sampled law once stood in, the law is
         # refused; under the cap it is built.
         problem, space = PROBLEM_BUILDERS["threshold"](resolution=4)
@@ -442,9 +442,26 @@ class TestSubsampling:
         data = labeled_threshold(0.5, support_size=8).sample(6, trial_rng(1, 0))
         law = subsample_wrapper(base, m=3).law(data)
         assert law.probabilities.sum() == pytest.approx(1.0)
-        capped = subsample_wrapper(base, m=3, exact_cap=2)
+        monkeypatch.setattr(mechanisms, "SUBSAMPLE_EXACT_CAP", 2)
+        capped = subsample_wrapper(base, m=3)
         with pytest.raises(SizeLimitError, match=re.escape(repr(capped.name))):
             capped.law(data)
+
+    def test_exact_cap_is_read_when_the_law_is_built(self, monkeypatch):
+        # The cap is a module constant read by law_rows at call time, so a
+        # wrapper built under the default cap refuses once it is lowered.
+        problem, space = PROBLEM_BUILDERS["threshold"](resolution=4)
+        support = labeled_threshold(0.5, support_size=4).support
+        block = DatasetBlock(support, [[0, 1, 2, 3]])  # C(4, 2) = 6 sub-multisets
+        wrapped = subsample_wrapper(exponential_mechanism(problem, space, 1.0), 2)
+        built = wrapped.law_rows(block)[0]
+        monkeypatch.setattr(mechanisms, "SUBSAMPLE_EXACT_CAP", 5)
+        with pytest.raises(SizeLimitError, match="more than 5 distinct size-2"):
+            wrapped.law_rows(block)
+        with pytest.raises(SizeLimitError, match=re.escape(repr(wrapped.name))):
+            wrapped.law(block[0])
+        monkeypatch.setattr(mechanisms, "SUBSAMPLE_EXACT_CAP", 6)
+        assert np.array_equal(wrapped.law_rows(block)[0], built)
 
 
 def sub_multisets_oracle(counts, m):
@@ -509,7 +526,7 @@ class TestSubMultisetTerms:
                 expected.append((r, tuple(full[atoms].tolist())))
         assert list(zip(row.tolist(), map(tuple, kept.tolist()))) == expected
 
-    def test_cap_refuses_exactly_one_past_it(self):
+    def test_cap_refuses_exactly_one_past_it(self, monkeypatch):
         # Four distinct points hold C(4, 2) = 6 sub-multisets of size 2: a
         # cap of 6 builds the law, a cap of 5 refuses it, naming the
         # mechanism, also when the row sits below rows under the cap.
@@ -517,17 +534,19 @@ class TestSubMultisetTerms:
         base = exponential_mechanism(problem, space, 1.0)
         support = labeled_threshold(0.5, support_size=4).support
         block = DatasetBlock(support, [[0, 0, 0, 1], [1, 1, 2, 2], [0, 1, 2, 3]])
-        exact = subsample_wrapper(base, 2, exact_cap=6)
-        assert exact.law_rows(block)[0].shape == (3, space.size)
-        capped = subsample_wrapper(base, 2, exact_cap=5)
-        message = re.escape(f"mechanism {capped.name!r}: 4 points hold more than 5 "
+        wrapped = subsample_wrapper(base, 2)
+        monkeypatch.setattr(mechanisms, "SUBSAMPLE_EXACT_CAP", 6)
+        exact = wrapped.law_rows(block)[0]
+        assert exact.shape == (3, space.size)
+        monkeypatch.setattr(mechanisms, "SUBSAMPLE_EXACT_CAP", 5)
+        message = re.escape(f"mechanism {wrapped.name!r}: 4 points hold more than 5 "
                             "distinct size-2 sub-multisets")
         with pytest.raises(SizeLimitError, match=message):
-            capped.law_rows(block)
+            wrapped.law_rows(block)
         with pytest.raises(SizeLimitError, match=message):
-            capped.law(block[2])
-        assert np.array_equal(capped.law_rows(DatasetBlock(support, block.atom_ids[:2]))[0],
-                              exact.law_rows(block)[0][:2])
+            wrapped.law(block[2])
+        assert np.array_equal(wrapped.law_rows(DatasetBlock(support, block.atom_ids[:2]))[0],
+                              exact[:2])
 
 
 def _which_kept_mechanism(size):
@@ -914,21 +933,21 @@ def _subsample_exact():
     return subsample_wrapper(base, m=3), data
 
 
-def _boost(**kwargs):
+def _boost():
     problem, space = PROBLEM_BUILDERS["finite-support"](cells=3, max_subset_size=1)
     data = discrete_points(
         np.array([0.1, 0.5, 0.9]), probs=np.array([0.6, 0.3, 0.1])
     ).sample(12, trial_rng(0, 0))
     base = exponential_mechanism(problem, space, 1.0)
-    mech = boost_high_confidence(
-        base, space, delta_target=0.5, epsilon=1.0, **kwargs
-    )
+    mech = boost_high_confidence(base, space, delta_target=0.5, epsilon=1.0)
     return mech, data
 
 
 def _boost_sample_only():
     # 4 hypotheses and 2 parts give 16 candidate tuples, past a cap of 15.
-    mech, data = _boost(law_cap=15)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mechanisms, "BOOST_LAW_CAP", 15)
+        mech, data = _boost()
     assert mech.law is None
     return mech, data
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dperm import spaces
 from dperm.problems import PROBLEM_BUILDERS, labeled_threshold
 from dperm.spaces import (
     FiniteHypothesisSpace,
@@ -36,9 +37,10 @@ class TestGrid:
         assert np.allclose(space.payloads[1], [0.25, 1.0])
         assert np.allclose(space.payloads[3], [0.75, 1.0 / 3.0])
 
-    def test_size_cap(self):
+    def test_size_cap(self, monkeypatch):
+        monkeypatch.setattr(spaces, "GRID_CAP", 99)
         with pytest.raises(SizeLimitError):
-            discretize_box(unit_grid(100), max_size=99)
+            discretize_box(unit_grid(100))
 
     def test_bad_axis_rejected(self):
         with pytest.raises(ValueError):
