@@ -35,6 +35,7 @@ laws.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
@@ -50,9 +51,14 @@ PROB_SUM_TOL = 1e-12
 LOG_CONSISTENCY_TOL = 1e-10
 LOG_UNDERFLOW = -740.0
 FLOAT_MIN = float(np.finfo(np.float64).min)
+FLOAT_TINY = float(np.finfo(np.float64).tiny)
 SUBSAMPLE_EXACT_CAP = 10**5
 BOOST_LAW_CAP = 2 * 10**5
 FLAG_TOL = 1e-9
+# From this many entries up, a single row takes logsumexp_rows' row-wise
+# steps, which allocate fewer temporaries and cost less than the scalar ones
+# there (microbenchmark in BENCH_mh.json).
+ROWWISE_MIN_WIDTH = 32_768
 
 
 def logsumexp(a: np.ndarray) -> float:
@@ -79,11 +85,12 @@ def logsumexp(a: np.ndarray) -> float:
 def logsumexp_rows(a: np.ndarray) -> np.ndarray:
     """:func:`logsumexp` of each row of a 2-d array, by the same steps.
 
-    A single row takes :func:`logsumexp` itself, whose scalar steps cost
-    less than the row-wise ones.
+    A single row of fewer than ROWWISE_MIN_WIDTH entries takes
+    :func:`logsumexp` itself, whose scalar steps cost less than the
+    row-wise ones there.
     """
     a = np.asarray(a, dtype=float)
-    if a.shape[0] == 1:
+    if a.shape[0] == 1 and a.shape[1] < ROWWISE_MIN_WIDTH:
         return np.array([logsumexp(a[0])])
     a_max = a.max(axis=1)
     top = a == a_max[:, None]
@@ -158,7 +165,9 @@ def check_law_rows(p: np.ndarray, logp: np.ndarray) -> None:
 
     Each linear row must be finite, nonnegative and sum to one within
     PROB_SUM_TOL, and agree with its log row to within LOG_CONSISTENCY_TOL
-    on every entry of positive mass.
+    on every entry of positive mass: the log of a normal entry lies within
+    the tolerance of its log-probability, and a subnormal entry lies between
+    exp of its log-probability minus and plus the tolerance.
     """
     total = p.sum(axis=1)
     off = np.abs(total - 1.0)
@@ -179,7 +188,16 @@ def check_law_rows(p: np.ndarray, logp: np.ndarray) -> None:
     if not logp_pos.max() <= 1e-12 or np.isnan(off_support):
         raise ValueError("log-probabilities must be <= 0 and not NaN")
     if np.abs(np.log(p[pos]) - logp_pos).max() > LOG_CONSISTENCY_TOL:
-        raise ValueError("linear and log probabilities disagree beyond tolerance")
+        # A subnormal p keeps fewer bits than its log-probability resolves,
+        # so its own log may sit far off: there p must be what exp rounds
+        # to at some log within the tolerance of logp.  Only a failed first
+        # test pays for this second one.
+        q = p[pos]
+        far = np.abs(np.log(q) - logp_pos) > LOG_CONSISTENCY_TOL
+        q, logq = q[far], logp_pos[far]
+        if not ((q < FLOAT_TINY) & (np.exp(logq - LOG_CONSISTENCY_TOL) <= q)
+                & (q <= np.exp(logq + LOG_CONSISTENCY_TOL))).all():
+            raise ValueError("linear and log probabilities disagree beyond tolerance")
     # exp underflows to 0.0 just below log of the smallest subnormal
     # (about -744.4), so a zero linear entry is consistent with any
     # log-probability under that floor, not only with -inf.
@@ -1041,42 +1059,52 @@ class RandomWalkSampler:
     def run(self, dataset: Dataset, seed: int) -> ChainResult:
         rng = np.random.default_rng(seed)
         d = len(self.lower)
+        # Each step draws standard_normal(d), then random() only for a
+        # proposal inside the box.  The step works on locals and Python
+        # floats: the box test compares the proposal's list against the
+        # bounds' lists (inclusive, so NaN fails as with the array test), and
+        # add.reduce / n is the IEEE sum and division that .mean() runs on a
+        # 1-d row.
+        normal, uniform, log = rng.standard_normal, rng.random, math.log
+        loss_matrix, reg_vector = self.problem.loss_matrix, self.problem.reg_vector
+        add, le = np.add.reduce, operator.le
+        lower, upper = self.lower.tolist(), self.upper.tolist()
+        n = dataset.n
 
         def objective_at(h: np.ndarray) -> float:
             row = h[None, :]
-            loss = float(self.problem.loss_matrix(row, dataset)[0].mean())
-            return loss + float(self.problem.reg_vector(dataset.n, row)[0])
+            return float(add(loss_matrix(row, dataset)[0]) / n) + float(reg_vector(n, row)[0])
 
-        scale = em_scale(self.epsilon, dataset.n)
+        scale = em_scale(self.epsilon, n)
         sigma = float(self.step_size)
         width = float(np.min(self.upper - self.lower))
         state = 0.5 * (self.lower + self.upper)
         energy = objective_at(state)
 
+        burn_in = self.burn_in
         kept = np.empty((self.steps, d))
         accepted = 0
         window_accepts = 0
-        total = self.burn_in + self.steps
-        for t in range(total):
-            proposal = state + sigma * rng.standard_normal(d)
-            ok = bool((proposal >= self.lower).all() and (proposal <= self.upper).all())
-            if ok:
+        for t in range(burn_in + self.steps):
+            proposal = state + sigma * normal(d)
+            box = proposal.tolist()
+            if all(map(le, lower, box)) and all(map(le, box, upper)):
                 new_energy = objective_at(proposal)
                 # 1 - U keeps the draw strictly positive before the log.
-                if math.log(1.0 - rng.random()) < -scale * (new_energy - energy):
+                if log(1.0 - uniform()) < -scale * (new_energy - energy):
                     state, energy = proposal, new_energy
-                    if t >= self.burn_in:
+                    if t >= burn_in:
                         accepted += 1
                     else:
                         window_accepts += 1
-            if t < self.burn_in and (t + 1) % 50 == 0:
+            if t >= burn_in:
+                kept[t - burn_in] = state
+            elif (t + 1) % 50 == 0:
                 rate = window_accepts / 50.0
                 sigma = float(
                     np.clip(sigma * math.exp(0.5 * (rate - 0.4)), 1e-6 * width, width)
                 )
                 window_accepts = 0
-            if t >= self.burn_in:
-                kept[t - self.burn_in] = state
 
         samples = kept[:, 0] if d == 1 else kept
         return ChainResult(
@@ -1085,10 +1113,6 @@ class RandomWalkSampler:
             step_size=sigma,
             scale=scale,
         )
-
-    def sample(self, dataset: Dataset, seed: int):
-        final = self.run(dataset, seed).samples
-        return float(final[-1]) if final.ndim == 1 else final[-1]
 
 
 # Metropolis sampler for the continuous exponential-mechanism density of a

@@ -19,8 +19,8 @@ from dperm.analysis import _audit_laws, exhaustive_neighbor_pairs
 from dperm.config import parse_config_text
 from dperm.experiments import _audit_problem
 from dperm.mechanisms import exponential_mechanism
-from dperm.problems import (PROBLEM_BUILDERS, Problem, discrete_points, labeled_threshold,
-                            risk_vector)
+from dperm.problems import (PROBLEM_BUILDERS, Dataset, Problem, discrete_points,
+                            labeled_threshold, risk_vector)
 from dperm.seeding import trial_rng
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -117,6 +117,28 @@ def test_traced_sample_is_one_span_per_draw(perfbench):
     spans = [tracer.names[i] for i in tracer.name_id]
     assert spans.count("mechanisms.sample") == 1
     assert spans.count("mechanisms.boost_sample") == 1
+
+
+def test_traced_chain_is_one_mh_span(perfbench):
+    # perfbench wraps RandomWalkSampler.run as the mechanisms.mh span and
+    # counts burn_in + steps per call as mechanisms.mh.steps, so its step_us
+    # is the self time of one run per step: the whole chain must run inside
+    # that one method call, with no traced span below it.
+    tracing, _ = perfbench
+    mechanisms = importlib.import_module("dperm.mechanisms")
+    problem, _ = PROBLEM_BUILDERS["pth-power"]()
+    data = Dataset(x=trial_rng(3, 1).uniform(0.2, 0.8, 40))
+    sampler = mechanisms.logconcave_sampler(problem, 0.0, 1.0, 2.0, 2000)
+    expected = sampler.run(data, 11)
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer):
+        chain = sampler.run(data, 11)
+    assert np.array_equal(chain.samples, expected.samples)
+    assert [tracer.names[i] for i in tracer.name_id] == ["mechanisms.mh"]
+    metrics = tracing.layer_metrics(tracer, 0, tracer.span_count(), 0.0, tracer.extra,
+                                    tracer.audit_laws)
+    assert metrics["mechanisms.mh.calls"] == 1
+    assert metrics["mechanisms.mh.steps"] == sampler.burn_in + sampler.steps == 3000
 
 
 def _dotted(node):

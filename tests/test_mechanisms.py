@@ -19,7 +19,9 @@ from scipy.stats import laplace as scipy_laplace
 
 from dperm import mechanisms
 from dperm.mechanisms import (
+    LOG_CONSISTENCY_TOL,
     LOG_UNDERFLOW,
+    ChainResult,
     Mechanism,
     MechanismDistribution,
     PrivacyBudget,
@@ -36,6 +38,7 @@ from dperm.mechanisms import (
     logsumexp,
     logsumexp_rows,
     membership_flag_mechanism,
+    normalized_logit_rows,
     pth_power_erm_batch,
     subsample_wrapper,
 )
@@ -116,6 +119,33 @@ class TestDistribution:
         assert law.log_probabilities[1] == pytest.approx(-800.0)
         assert law.log_probabilities[1] < LOG_UNDERFLOW
 
+    @pytest.mark.parametrize("gap", [735.0, 738.5, 740.0, 742.0, 744.0])
+    def test_accepts_subnormal_mass(self, gap):
+        # exp(-gap) is subnormal: it keeps so few bits that its own log sits
+        # beyond the tolerance of the exact log-probability.
+        p, logp = normalized_logit_rows(np.array([[0.0, -gap]]))
+        assert 0 < p[0, 1] < np.finfo(float).tiny
+        assert abs(np.log(p[0, 1]) - logp[0, 1]) > LOG_CONSISTENCY_TOL
+        check_law_rows(p, logp)
+        MechanismDistribution(two_point_space(), p[0], logp[0])
+
+    def test_em_law_with_subnormal_mass(self):
+        # The two-point closed form at a logit gap of 740: eps * n / 4.
+        problem, _ = PROBLEM_BUILDERS["threshold"](resolution=2)
+        data = Dataset(x=np.array([0.9]), y=np.array([1.0]))
+        law = exponential_mechanism(problem, two_point_space(), 4 * 740.0).law(data)
+        assert 0 < law.probabilities[1] < np.finfo(float).tiny
+
+    @pytest.mark.parametrize("entry, shift", [((1, 1), 1e-9), ((1, 1), -1e-9),
+                                              ((0, 1), 1.0), ((0, 1), -1.0)])
+    def test_refuses_log_mismatch_of_normal_and_subnormal_mass(self, entry, shift):
+        # Row 0 has a subnormal entry, row 1 only normal ones.
+        p, logp = normalized_logit_rows(np.array([[0.0, -740.0], [0.0, -3.0]]))
+        check_law_rows(p, logp)
+        logp[entry] += shift
+        with pytest.raises(ValueError, match="disagree beyond tolerance"):
+            check_law_rows(p, logp)
+
     def test_sampling_and_expectation(self):
         space = two_point_space()
         law = MechanismDistribution.from_probabilities(space, np.array([0.25, 0.75]))
@@ -137,15 +167,18 @@ class TestDistribution:
 
 
 def logsumexp_cases():
-    """Inputs for the kernel-versus-scipy checks: sizes 1 to 20,000, ties at
-    the maximum, rounded inputs with many ties, -inf entries, an all -inf
-    input, and magnitudes up to 1e308."""
+    """Inputs for the kernel-versus-scipy checks: sizes 1 to 65,536 (a single
+    row on both sides of ROWWISE_MIN_WIDTH), ties at the maximum, rounded
+    inputs with many ties, -inf entries, an all -inf input, and magnitudes
+    up to 1e308."""
     rng = np.random.default_rng(20)
     cases = [np.zeros(1), np.array([-3.5]), np.full(7, 2.25), np.full(4, -np.inf)]
     cases.append(np.array([0.0, -np.inf, 1.0, -np.inf]))
     cases.append(np.array([1e308, -1e308, 1e308]))
     cases.append(np.array([1e308, 1e308 * (1 - 1e-15), 1.0]))
-    for size in (1, 2, 3, 7, 8, 9, 16, 17, 100, 484, 1000, 4099, 20_000):
+    cut = mechanisms.ROWWISE_MIN_WIDTH
+    for size in (1, 2, 3, 7, 8, 9, 16, 17, 100, 484, 1000, 4099, 20_000,
+                 cut - 1, cut, cut + 1, 65_536):
         for scale in (1e-3, 1.0, 30.0, 700.0, 1e6, 1e300):
             x = scale * rng.standard_normal(size)
             cases.append(x)
@@ -905,6 +938,114 @@ class TestRandomWalk:
         problem, _ = PROBLEM_BUILDERS["pth-power"]()
         with pytest.raises(ValueError):
             logconcave_sampler(problem, [0.0, 0.0], [1.0], 1.0, steps=100)
+
+    @pytest.mark.parametrize("case", ["pth-power", "logistic-2d", "short", "tight-box"])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_run_equals_the_oracle_bit_for_bit(self, case, seed, monkeypatch):
+        sampler, data = _chain_case(case)
+        expected = _oracle_run(sampler, data, seed)
+        draws = []
+
+        def counted(s):
+            # Passes every draw through; counts them by kind.
+            return _CountingGenerator(np.random.Generator(np.random.PCG64(s)), draws)
+
+        monkeypatch.setattr(np.random, "default_rng", counted)
+        result = sampler.run(data, seed)
+        monkeypatch.undo()
+        assert np.array_equal(result.samples, expected.samples)
+        assert result.samples.dtype == expected.samples.dtype
+        assert result.samples.shape == expected.samples.shape
+        assert result.acceptance_rate == expected.acceptance_rate
+        assert result.step_size == expected.step_size
+        assert result.scale == expected.scale
+        # One standard_normal(d) per step, one random() per in-box proposal.
+        total = sampler.burn_in + sampler.steps
+        assert draws.count("normal") == total
+        if case == "tight-box":
+            assert draws.count("uniform") < 0.6 * total
+
+
+class _CountingGenerator:
+    def __init__(self, rng, draws):
+        self.rng, self.draws = rng, draws
+
+    def standard_normal(self, size):
+        self.draws.append("normal")
+        return self.rng.standard_normal(size)
+
+    def random(self):
+        self.draws.append("uniform")
+        return self.rng.random()
+
+
+def _chain_case(case):
+    """A sampler and a dataset: pth-power on [0, 1] (d = 1, no regularizer),
+    logistic on [-1, 1]^2 (labels and a regularizer), a run shorter than its
+    burn-in, and a box so tight that about half the proposals leave it."""
+    pth, _ = PROBLEM_BUILDERS["pth-power"]()
+    points = uniform_box([0.0], [1.0]).sample(40, trial_rng(7, 0))
+    if case == "pth-power":
+        return logconcave_sampler(pth, [0.0], [1.0], 2.0, steps=2000), points
+    if case == "short":
+        return logconcave_sampler(pth, [0.0], [1.0], 2.0, steps=300), points
+    if case == "tight-box":
+        return logconcave_sampler(pth, [0.3], [0.31], 2.0, steps=2000), points
+    logistic, _ = PROBLEM_BUILDERS["logistic"](d=2)
+    rng = np.random.default_rng(5)
+    labeled = Dataset(x=rng.uniform(0.0, 1.0, (30, 2)), y=rng.integers(0, 2, 30))
+    return logconcave_sampler(logistic, [-1.0, -1.0], [1.0, 1.0], 2.0, steps=1500), labeled
+
+
+def _oracle_run(self, dataset, seed):
+    """RandomWalkSampler.run as first written: array box test, the loss row's
+    .mean(), and attribute lookups in the step."""
+    rng = np.random.default_rng(seed)
+    d = len(self.lower)
+
+    def objective_at(h: np.ndarray) -> float:
+        row = h[None, :]
+        loss = float(self.problem.loss_matrix(row, dataset)[0].mean())
+        return loss + float(self.problem.reg_vector(dataset.n, row)[0])
+
+    scale = em_scale(self.epsilon, dataset.n)
+    sigma = float(self.step_size)
+    width = float(np.min(self.upper - self.lower))
+    state = 0.5 * (self.lower + self.upper)
+    energy = objective_at(state)
+
+    kept = np.empty((self.steps, d))
+    accepted = 0
+    window_accepts = 0
+    total = self.burn_in + self.steps
+    for t in range(total):
+        proposal = state + sigma * rng.standard_normal(d)
+        ok = bool((proposal >= self.lower).all() and (proposal <= self.upper).all())
+        if ok:
+            new_energy = objective_at(proposal)
+            # 1 - U keeps the draw strictly positive before the log.
+            if math.log(1.0 - rng.random()) < -scale * (new_energy - energy):
+                state, energy = proposal, new_energy
+                if t >= self.burn_in:
+                    accepted += 1
+                else:
+                    window_accepts += 1
+        if t < self.burn_in and (t + 1) % 50 == 0:
+            rate = window_accepts / 50.0
+            sigma = float(
+                np.clip(sigma * math.exp(0.5 * (rate - 0.4)), 1e-6 * width, width)
+            )
+            window_accepts = 0
+        if t >= self.burn_in:
+            kept[t - self.burn_in] = state
+
+    samples = kept[:, 0] if d == 1 else kept
+    return ChainResult(
+        samples=samples,
+        acceptance_rate=accepted / self.steps,
+        step_size=sigma,
+        scale=scale,
+    )
 
 
 def _threshold_case():
