@@ -50,9 +50,10 @@ from .spaces import SizeLimitError, sublevel_set
 
 AUDIT_TOL = 1e-9
 NEIGHBOR_PAIR_CAP = 2 * 10**5
-ENUMERATION_CAP = 10**6
-# Random neighbor pairs of the stability audit when the exhaustive ones
-# pass NEIGHBOR_PAIR_CAP.
+# Id cells (rows x n) of exact consistency's multisets or of exhaustive pairs.
+ENUMERATION_CAP = 10**7
+# Random neighbor pairs of the stability audit when exhaustive_neighbor_pairs
+# refuses the exhaustive ones.
 STABILITY_SAMPLES = 200
 # Expected count below which chi_square_gof pools a bin.
 GOF_MIN_EXPECTED = 5.0
@@ -67,9 +68,16 @@ TRIAL_BLOCK = 128
 # Neighbor enumeration
 
 
-def _neighbor_pair_bound(u: int, n: int) -> int:
-    """Most ordered neighbor pairs of size-n multisets over u atoms."""
-    return math.comb(n + u - 1, n) * min(n, u) * (u - 1)
+def _pair_refusal(u: int, n: int) -> Optional[str]:
+    """Why :func:`exhaustive_neighbor_pairs` refuses size-n multisets over
+    u atoms, or None: past ``NEIGHBOR_PAIR_CAP`` ordered pairs, or past
+    ``ENUMERATION_CAP`` id cells in their rows."""
+    bound = math.comb(n + u - 1, n) * min(n, u) * (u - 1)
+    if bound > NEIGHBOR_PAIR_CAP:
+        return f"up to {bound} ordered neighbor pairs exceeds the cap of {NEIGHBOR_PAIR_CAP}"
+    if bound * n > ENUMERATION_CAP:
+        return f"up to {bound * n} id cells of neighbor pairs exceeds the cap of {ENUMERATION_CAP}"
+    return None
 
 
 def _multisets(u: int, n: int) -> np.ndarray:
@@ -94,16 +102,15 @@ def exhaustive_neighbor_pairs(universe: Dataset, n: int) -> Iterator[tuple[Datas
     run of pairs shares one left dataset.
 
     Raises SizeLimitError when the ordered-pair count would exceed
-    ``NEIGHBOR_PAIR_CAP``, before any array is built.
+    ``NEIGHBOR_PAIR_CAP``, or their id cells ``ENUMERATION_CAP``, before
+    any array is built.
     """
     u = universe.n
     if n < 1 or u < 2:
         raise ValueError("need n >= 1 and a universe of at least two atoms")
-    bound = _neighbor_pair_bound(u, n)
-    if bound > NEIGHBOR_PAIR_CAP:
-        raise SizeLimitError(
-            f"up to {bound} ordered neighbor pairs exceeds the cap of {NEIGHBOR_PAIR_CAP}"
-        )
+    refusal = _pair_refusal(u, n)
+    if refusal:
+        raise SizeLimitError(refusal)
     multisets = _multisets(u, n)
     first = np.ones(multisets.shape, dtype=bool)
     first[:, 1:] = multisets[:, 1:] != multisets[:, :-1]
@@ -459,8 +466,8 @@ def consistency_suite(
     :meth:`MechanismDistribution.expectation`.
 
     Exact mode reads every size-n multiset over the distribution's atoms
-    (:func:`_multisets`, refused past ``ENUMERATION_CAP``), weights each by
-    its exact multinomial probability, rounded once, sums weight x gap one
+    (:func:`_multisets`, at most ``ENUMERATION_CAP`` id cells), weights each
+    by its exact multinomial probability, rounded once, sums weight x gap one
     multiset at a time in enumeration order, and checks, to 1e-9:
 
         excess <= generalization + aerm    and    |generalization| <= stability.
@@ -468,8 +475,8 @@ def consistency_suite(
     Monte Carlo mode averages the same gaps over ``trials`` sampled datasets
     and allows a 4-SE margin on each check.  Both modes require a discrete
     distribution so population risks are exact sums.  The stability gap is
-    exact over every neighbor pair up to ``NEIGHBOR_PAIR_CAP``, and over
-    ``STABILITY_SAMPLES`` random pairs past it.
+    exact over every neighbor pair while :func:`exhaustive_neighbor_pairs`
+    takes them, and over ``STABILITY_SAMPLES`` random pairs past its caps.
     """
     if mechanism.problem is None or mechanism.space is None or mechanism.law is None:
         raise ValueError("the consistency suite needs a problem-bound mechanism with a law")
@@ -483,10 +490,10 @@ def consistency_suite(
     best_pop = float(pop.min())
 
     if mode == "exact":
-        if math.comb(n + universe.n - 1, n) > ENUMERATION_CAP:
-            raise SizeLimitError(
-                "multiset enumeration exceeds the cap; use mode='mc'"
-            )
+        cells = math.comb(n + universe.n - 1, n) * n
+        if cells > ENUMERATION_CAP:
+            raise SizeLimitError(f"multiset enumeration of {cells} id cells exceeds "
+                                 f"the cap of {ENUMERATION_CAP}; use mode='mc'")
         multisets = _multisets(universe.n, n)
         count = len(multisets)
 
@@ -541,7 +548,7 @@ def consistency_suite(
         margin_e = 4.0 * math.hypot(se_e, se_a) + AUDIT_TOL
         margin_g = 4.0 * se_g + AUDIT_TOL
 
-    if _neighbor_pair_bound(universe.n, n) <= NEIGHBOR_PAIR_CAP:
+    if _pair_refusal(universe.n, n) is None:
         pairs = exhaustive_neighbor_pairs(universe, n)
     else:
         pairs = sampled_neighbor_pairs(

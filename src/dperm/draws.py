@@ -18,7 +18,8 @@ array operations:
 
 Below ``KERNEL_MIN_SEEDS`` seeds, and for any seed that is not an integer in
 [0, 2^64), the seeds go through ``default_rng`` one by one, which keeps its
-result or its error.
+result or its error.  This fork and ``GUIDE_MIN_DRAWS`` are the kernels'
+only size-selected paths, each kept for the traffic named at its constant.
 
 The same seeding gives each seed's PCG64 (state, inc) right after
 ``default_rng(seed)`` builds it.  ``reseeded_generators(seeds)`` sets one
@@ -59,9 +60,13 @@ import numpy as np
 SUM_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
 # Below this many uniforms, or below one per atom, building and reading the
 # table costs more than binary search (microbenchmark in BENCH_draws.json).
+# perfbench's fresh-data pass sends 86 datasets_at blocks (1,040-400,000
+# uniforms) through it, about 35 ms faster a pass (BENCH_forks.json).
 GUIDE_MIN_DRAWS = 1000
 # Below this many seeds, building one generator per seed costs less than the
 # fixed cost of the array kernel (microbenchmark in BENCH_seeds.json).
+# perfbench's repeated-data pass makes 3,000 calls on 1 or 3 seeds (one-row
+# boost draws), which the kernel would slow by about 0.26 s (BENCH_forks.json).
 KERNEL_MIN_SEEDS = 12
 
 _M32 = 0xFFFFFFFF
@@ -107,10 +112,6 @@ def categorical(p: np.ndarray, u):
     if p.ndim == 2:
         if u.shape != (len(p),):
             raise ValueError(f"expected {len(p)} uniforms, one per row, got shape {u.shape}")
-        if len(p) == 1:
-            # One row is the 1-d call on a 1-element u, whose scalar checks
-            # cost less than the row-wise ones.
-            p = p[0]
     total = p.sum(axis=-1)
     miss = abs(total - 1.0)
     # One test passes every valid law: it fails on NaN, on a negative entry

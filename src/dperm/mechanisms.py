@@ -55,43 +55,19 @@ FLOAT_TINY = float(np.finfo(np.float64).tiny)
 SUBSAMPLE_EXACT_CAP = 10**5
 BOOST_LAW_CAP = 2 * 10**5
 FLAG_TOL = 1e-9
-# From this many entries up, a single row takes logsumexp_rows' row-wise
-# steps, which allocate fewer temporaries and cost less than the scalar ones
-# there (microbenchmark in BENCH_mh.json).
-ROWWISE_MIN_WIDTH = 32_768
-
-
-def logsumexp(a: np.ndarray) -> float:
-    """log(sum(exp(a))) of a real 1-d array with no NaN and no +inf.
-
-    The steps are those of scipy.special.logsumexp on real input, so the
-    result is the same to the last bit: the m entries at the maximum are
-    taken out of the sum, the rest are summed as exp(a - max), that sum is
-    divided by m, and the result is log1p(s) + log(m) + max.  An all -inf
-    input gives -inf.
-    """
-    a = np.asarray(a, dtype=float)
-    a_max = a.max()
-    if a_max == -np.inf:
-        return a_max
-    top = a == a_max
-    m = float(np.count_nonzero(top))
-    s = np.exp(np.where(top, -np.inf, a) - a_max).sum()
-    if s != 0:
-        s = s / m
-    return np.log1p(s) + np.log(m) + a_max
 
 
 def logsumexp_rows(a: np.ndarray) -> np.ndarray:
-    """:func:`logsumexp` of each row of a 2-d array, by the same steps.
+    """log(sum(exp(row))) of each row of a real 2-d array with no NaN and
+    no +inf.
 
-    A single row of fewer than ROWWISE_MIN_WIDTH entries takes
-    :func:`logsumexp` itself, whose scalar steps cost less than the
-    row-wise ones there.
+    The steps are those of scipy.special.logsumexp on real input, so each
+    result is the same to the last bit: the m entries at the row's maximum
+    are taken out of the sum, the rest are summed as exp(a - max), that sum
+    is divided by m, and the result is log1p(s) + log(m) + max.  An all
+    -inf row gives -inf.
     """
     a = np.asarray(a, dtype=float)
-    if a.shape[0] == 1 and a.shape[1] < ROWWISE_MIN_WIDTH:
-        return np.array([logsumexp(a[0])])
     a_max = a.max(axis=1)
     top = a == a_max[:, None]
     m = top.sum(axis=1)
@@ -148,8 +124,7 @@ def normalized_logit_rows(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def normalized_probability_rows(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Probabilities and log-probabilities of each row of a 2-d array of
-    nonnegative weights, each row divided by its sum;
-    :meth:`MechanismDistribution.from_probabilities` is its one-row case."""
+    nonnegative weights, each row divided by its sum."""
     total = weights.sum(axis=1)
     if not (np.isfinite(total).all() and (total > 0).all()):
         raise ValueError("probabilities must have positive finite mass")
@@ -261,15 +236,6 @@ class MechanismDistribution:
                 f"expected {space.size} logits, got shape {logits.shape}"
             )
         p, logp = normalized_logit_rows(logits[None])
-        return cls(space=space, probabilities=p[0], log_probabilities=logp[0])
-
-    @classmethod
-    def from_probabilities(
-        cls, space: FiniteHypothesisSpace, probabilities: np.ndarray
-    ) -> "MechanismDistribution":
-        """Wrap an explicit probability vector, e.g. a mixture of laws (the
-        one-row case of :func:`normalized_probability_rows`)."""
-        p, logp = normalized_probability_rows(np.asarray(probabilities, dtype=float)[None])
         return cls(space=space, probabilities=p[0], log_probabilities=logp[0])
 
     def expectation(self, values: np.ndarray) -> float:

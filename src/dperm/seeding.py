@@ -7,7 +7,8 @@ draws of earlier trials, and every trial is reproducible in isolation.
 ``spawn_seed`` derives one seed; ``spawn_seeds`` derives a block of them as
 uint64 array arithmetic, element for element the same, so a Monte Carlo
 block takes its trial seeds (and the seeds of their sub-draws) without a
-Python call per trial.
+Python call per trial.  It has that one path at every size, one seed
+included; ``mix64`` is its scalar form and the tests' reference.
 """
 
 from __future__ import annotations
@@ -18,10 +19,6 @@ _MASK = (1 << 64) - 1
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MUL_1, _MUL_2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
 _SHIFT_1, _SHIFT_2, _SHIFT_3 = np.uint64(30), np.uint64(27), np.uint64(31)
-# Below this many seeds, mix64 on Python ints (about 1 us a seed) costs less
-# than the fixed cost of the array operations (8-14 us a call), both
-# measured on a 2 vCPU Xeon (BENCH_blocks.json).
-ARRAY_MIN_SEEDS = 10
 
 
 def mix64(x: int) -> int:
@@ -64,17 +61,16 @@ def spawn_seeds(roots, indices) -> np.ndarray:
     """``spawn_seed(root, i)`` for every pair of the broadcast ``roots`` and
     ``indices``, as a uint64 array of the broadcast shape.
 
-    From ``ARRAY_MIN_SEEDS`` seeds up, splitmix64 runs on uint64 lanes,
-    whose products wrap mod 2^64 as the scalar code's ``& _MASK`` does;
-    fewer seeds go through :func:`mix64` one by one.  A negative index
-    raises ``spawn_seed``'s ``ValueError``."""
+    Splitmix64 runs on uint64 lanes, whose products wrap mod 2^64 as the
+    scalar code's ``& _MASK`` does.  A 0-d call runs on one lane: numpy
+    scalar products would warn on that overflow.  A negative index raises
+    ``spawn_seed``'s ``ValueError``."""
     x = _words(roots) ^ _words(indices, "stream index")
-    if x.size < ARRAY_MIN_SEEDS:
-        return np.array([mix64(v) for v in x.ravel().tolist()], dtype=np.uint64).reshape(x.shape)
-    x = x + _GAMMA
+    shape = x.shape
+    x = x.reshape(-1) + _GAMMA
     x = (x ^ (x >> _SHIFT_1)) * _MUL_1
     x = (x ^ (x >> _SHIFT_2)) * _MUL_2
-    return x ^ (x >> _SHIFT_3)
+    return (x ^ (x >> _SHIFT_3)).reshape(shape)
 
 
 def trial_rng(root: int, i: int) -> np.random.Generator:

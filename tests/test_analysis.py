@@ -134,6 +134,16 @@ class TestNeighborPairs:
         with pytest.raises(SizeLimitError, match="exceeds the cap of 200000"):
             next(exhaustive_neighbor_pairs(universe, 40))
 
+    def test_cell_budget_is_checked_before_any_array_is_built(self, monkeypatch):
+        def built(*args, **kwargs):
+            raise AssertionError("an array was built before the cell budget check")
+
+        monkeypatch.setattr(analysis.itertools, "combinations_with_replacement", built)
+        monkeypatch.setattr(analysis, "DatasetBlock", built)
+        # 100,002 pairs pass the pair cap; their 5e9 id cells do not.
+        with pytest.raises(SizeLimitError, match="id cells of neighbor pairs exceeds"):
+            next(exhaustive_neighbor_pairs(two_atom_universe(), 50_000))
+
     def test_sampled_pairs_come_in_both_orders(self):
         universe = two_atom_universe()
         pairs = list(sampled_neighbor_pairs(universe, 5, count=3, seed=1))
@@ -354,6 +364,33 @@ class TestConsistencySuite:
         )
         with pytest.raises(SizeLimitError):
             consistency_suite(mech, dist, n=40, mode="exact")
+
+    def test_exact_mode_refuses_past_the_cell_budget_before_any_array(self, monkeypatch):
+        def built(*args, **kwargs):
+            raise AssertionError("an array was built before the cell budget check")
+
+        monkeypatch.setattr(analysis.itertools, "combinations_with_replacement", built)
+        problem, space = PROBLEM_BUILDERS["threshold"](resolution=4)
+        mech = exponential_mechanism(problem, space, 1.0)
+        dist = discrete_points(np.array([0.3, 0.7]), y=np.array([0.0, 1.0]))
+        # 50,001 multisets, within a cap on rows, hold 2.5e9 id cells.
+        with pytest.raises(SizeLimitError, match="id cells exceeds"):
+            consistency_suite(mech, dist, n=50_000, mode="exact")
+
+    # At 2 atoms and n = 25 the exhaustive pairs hold 2 x 26 x 25 id cells.
+    @pytest.mark.parametrize("budget,sampled", [(1299, True), (1300, False)])
+    def test_mc_mode_past_the_cell_budget_takes_sampled_pairs(
+            self, monkeypatch, budget, sampled):
+        calls = {"exhaustive_neighbor_pairs": [], "sampled_neighbor_pairs": []}
+        monkeypatch.setattr(analysis, "ENUMERATION_CAP", budget)
+        for name, made in calls.items():
+            monkeypatch.setattr(analysis, name, _counting(getattr(analysis, name), made))
+        problem, space = PROBLEM_BUILDERS["threshold"](resolution=8)
+        mech = exponential_mechanism(problem, space, 1.0)
+        dist = discrete_points(np.array([0.3, 0.7]), y=np.array([0.0, 1.0]))
+        report = consistency_suite(mech, dist, n=25, mode="mc", trials=60)
+        assert [len(made) for made in calls.values()] == ([0, 1] if sampled else [1, 0])
+        assert report.all_ok
 
     @staticmethod
     def per_dataset_gaps(mech, dist, dataset):
