@@ -6,6 +6,8 @@
 # and the README and ROADMAP must say so before this line changes.
 #
 # Runs the package from src/ of this checkout; extra arguments go to pytest.
+# --durations=10 lists the ten slowest tests, so each run shows where the
+# suite spends its time.
 set -u
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
@@ -13,7 +15,7 @@ expected="tests/test_acceptance.py::test_c08_gap_growth_monotone"
 
 report="$(mktemp)"
 trap 'rm -f "$report"' EXIT
-python3 -m pytest -q --continue-on-collection-errors -rfE "$@" | tee "$report"
+python3 -m pytest -q --continue-on-collection-errors -rfE --durations=10 "$@" | tee "$report"
 
 # Short-summary lines read "FAILED <id> - <message>" or "ERROR <id> ...".
 failed="$(awk '/^(FAILED|ERROR) / {

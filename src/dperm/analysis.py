@@ -154,10 +154,10 @@ def sampled_neighbor_pairs(
 
 def _audit_laws(
     mechanism: Mechanism, pairs: Iterable[tuple[Dataset, Dataset]]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, Dataset]:
     """Read ``pairs`` once and return the law matrix of their multisets, as
     (probabilities, log-probabilities), with the left and right row of
-    every pair.
+    every pair and the support their datasets share.
 
     Every dataset must carry atom ids (:meth:`Dataset.of_atoms`) into one
     support and have one size.  A multiset is then its vector of atom
@@ -194,7 +194,7 @@ def _audit_laws(
     vectors, rows = _unique_rows(counts)
     atoms = np.repeat(np.tile(np.arange(support.n), len(vectors)), vectors.ravel())
     p, logp = mechanism.law_rows(DatasetBlock(support, atoms.reshape(len(vectors), -1)))
-    return p, logp, rows[run], rows[len(lefts):]
+    return p, logp, rows[run], rows[len(lefts):], support
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +229,7 @@ def audit_pure_dp(
     infinite ratio and is reported as such; zero-zero entries carry no
     evidence and are skipped.
     """
-    p, logp, left_rows, right_rows = _audit_laws(mechanism, pairs)
+    p, logp, left_rows, right_rows, _ = _audit_laws(mechanism, pairs)
     step = max(1, AUDIT_BLOCK_CELLS // p.shape[1])
     worst = 0.0
     witness: Optional[dict] = None
@@ -271,7 +271,7 @@ def audit_approx_dp(
     """
     if not (math.isfinite(epsilon) and epsilon >= 0):
         raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
-    p, _, left_rows, right_rows = _audit_laws(mechanism, pairs)
+    p, _, left_rows, right_rows, _ = _audit_laws(mechanism, pairs)
     step = max(1, AUDIT_BLOCK_CELLS // p.shape[1])
     factor = math.exp(epsilon)
     worst = -1.0
@@ -288,23 +288,21 @@ def audit_approx_dp(
 
 
 def stability_audit(
-    mechanism: Mechanism,
-    pairs: Iterable[tuple[Dataset, Dataset]],
-    probe_points: Dataset,
+    mechanism: Mechanism, pairs: Iterable[tuple[Dataset, Dataset]]
 ) -> float:
     """Exact replace-one stability: the largest shift in expected loss at any
-    probe point when one dataset point is swapped.
+    point z of the pairs' support when one dataset point is swapped.
 
-    Returns sup over pairs and probes of |E_P loss(h, z) - E_Q loss(h, z)|.
+    Returns sup over pairs and atoms z of |E_P loss(h, z) - E_Q loss(h, z)|.
     """
     if mechanism.problem is None or mechanism.space is None:
         raise ValueError("stability audit needs a mechanism bound to a problem")
-    p, _, left_rows, right_rows = _audit_laws(mechanism, pairs)
+    p, _, left_rows, right_rows, support = _audit_laws(mechanism, pairs)
     step = max(1, AUDIT_BLOCK_CELLS // p.shape[1])
     # C order fixes the summation order of the products below, whatever
     # layout loss_matrix returns.
     losses = np.ascontiguousarray(
-        mechanism.problem.loss_matrix(mechanism.space.payloads, probe_points)
+        mechanism.problem.loss_matrix(mechanism.space.payloads, support)
     )
     worst = 0.0
     for first in range(0, len(left_rows), step):
@@ -445,10 +443,6 @@ class GapReport:
     decomposition_ok: bool
     generalization_ok: bool
 
-    @property
-    def all_ok(self) -> bool:
-        return self.decomposition_ok and self.generalization_ok
-
 
 def consistency_suite(
     mechanism: Mechanism,
@@ -554,7 +548,7 @@ def consistency_suite(
         pairs = sampled_neighbor_pairs(
             universe, n, STABILITY_SAMPLES, spawn_seed(seed, 2**31)
         )
-    stability = stability_audit(mechanism, pairs, universe)
+    stability = stability_audit(mechanism, pairs)
 
     budget = mechanism.claimed_budget(n)
     stability_claim = math.expm1(budget.epsilon) + budget.delta

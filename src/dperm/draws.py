@@ -16,9 +16,11 @@ array operations:
   and steps again; ``random()`` steps once more, takes the XSL-RR output x
   and returns ``(x >> 11) * 2**-53``.
 
-Below ``KERNEL_MIN_SEEDS`` seeds, and for any seed that is not an integer in
-[0, 2^64), the seeds go through ``default_rng`` one by one, which keeps its
-result or its error.  This fork and ``GUIDE_MIN_DRAWS`` are the kernels'
+The kernel takes a uint64 array of seeds, the form
+:func:`dperm.seeding.spawn_seeds` gives every block.  Below
+``KERNEL_MIN_SEEDS`` seeds, and for seeds in any other form, the seeds go
+through ``default_rng`` one by one, which gives the same bits, or its
+error.  This fork and ``GUIDE_MIN_DRAWS`` are the kernels'
 only size-selected paths, each kept for the traffic named at its constant.
 
 The same seeding gives each seed's PCG64 (state, inc) right after
@@ -143,28 +145,20 @@ def categorical(p: np.ndarray, u):
 
 
 def _kernel_words(seeds) -> np.ndarray | None:
-    """The seeds as uint64 words when the array kernel takes them: from
-    ``KERNEL_MIN_SEEDS`` seeds up, a uint64 array as it is, or ints and
-    numpy integers that all lie in [0, 2^64).  Otherwise None."""
-    if len(seeds) < KERNEL_MIN_SEEDS:
-        return None
-    if isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64:
+    """The seeds when the array kernel takes them, a uint64 array of at
+    least ``KERNEL_MIN_SEEDS`` seeds; otherwise None."""
+    if (len(seeds) >= KERNEL_MIN_SEEDS and isinstance(seeds, np.ndarray)
+            and seeds.dtype == np.uint64):
         return seeds
-    if all(issubclass(t, (int, np.integer)) for t in set(map(type, seeds))):
-        try:
-            return np.fromiter(map(int, seeds), dtype=np.uint64, count=len(seeds))
-        except OverflowError:  # a seed outside [0, 2^64)
-            pass
     return None
 
 
 def first_uniforms(seeds: Sequence[int]) -> np.ndarray:
     """``np.random.default_rng(s).random()`` for each seed, bit for bit.
 
-    From ``KERNEL_MIN_SEEDS`` seeds up, when the seeds are a uint64 array or
-    all ints or numpy integers in [0, 2^64), the block is hashed and stepped
-    as arrays; otherwise each seed gets its own ``default_rng``, which keeps
-    its result or its error."""
+    A uint64 array of ``KERNEL_MIN_SEEDS`` seeds or more is hashed and
+    stepped as arrays; any other seeds each get their own ``default_rng``,
+    which gives the same bits, or its error."""
     words = _kernel_words(seeds)
     if words is None:
         return np.array([np.random.default_rng(s).random() for s in seeds])

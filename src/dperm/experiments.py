@@ -39,7 +39,6 @@ from .analysis import (
 from .config import ConfigError, RunConfig
 from .draws import uniform_rows
 from .mechanisms import (
-    amplify_approx,
     amplify_pure,
     boost_high_confidence,
     erm_mechanism,
@@ -49,12 +48,13 @@ from .mechanisms import (
     pth_power_erm_batch,
     subsample_wrapper,
 )
+from . import problems
 from .problems import (
+    PROBLEM_BUILDERS,
     Dataset,
     discrete_points,
     finite_support_estimation,
     labeled_threshold,
-    linear_logistic,
     population_risk_vector,
     pth_power_mean,
     risk_rows,
@@ -173,35 +173,38 @@ def _support_space(config: RunConfig):
     return finite_support_estimation(cells, size)
 
 
-def _audit_problem(config: RunConfig):
-    """Problem, space, and data-atom universe for the audit experiments."""
-    kind = config["problem"]
-    universe_size = config["universe"]
-    if kind == "threshold":
-        problem, space = threshold_classification(resolution=config["resolution"])
-        universe = labeled_threshold(0.5, support_size=universe_size).support
-    elif kind == "finite-support":
-        cells = config["cells"]
-        problem, space = _support_space(config)
-        size = min(universe_size, cells)
-        if size < 2:
-            raise ConfigError(
-                f"the audit universe needs >= 2 atoms, got min(universe, cells) = {size}"
-            )
-        universe = Dataset(x=(np.arange(size) + 0.5) / cells)
-    else:
-        raise ConfigError(
-            f"problem must be 'threshold' or 'finite-support', got {kind!r}"
-        )
-    return problem, space, universe
-
-
-def _support_problem(config: RunConfig):
-    """Finite-support problem with the uniform distribution on its cells."""
+def _cell_law(config: RunConfig):
+    """The uniform law on the cell centers of the finite-support problem."""
     cells = config["cells"]
-    problem, space = _support_space(config)
-    distribution = discrete_points(x=(np.arange(cells) + 0.5) / cells)
-    return problem, space, distribution
+    return discrete_points(x=(np.arange(cells) + 0.5) / cells)
+
+
+def _configured_problem(config: RunConfig, kinds: tuple[str, str]):
+    """The kind the ``problem`` key names, one of the driver's ``kinds``,
+    with its problem and space: finite-support from :func:`_support_space`,
+    any other kind from ``PROBLEM_BUILDERS`` at the configured resolution."""
+    kind = config["problem"]
+    if kind not in kinds:
+        raise ConfigError(f"problem must be {' or '.join(map(repr, kinds))}, got {kind!r}")
+    if kind == "finite-support":
+        return kind, *_support_space(config)
+    return kind, *PROBLEM_BUILDERS[kind](resolution=config["resolution"])
+
+
+def _audit_problem(config: RunConfig):
+    """Problem, space, and data-atom universe for the audit experiments: the
+    problem of :func:`_configured_problem`, and ``universe`` atoms of the
+    labeled threshold law or the centers of that many cells."""
+    kind, problem, space = _configured_problem(config, ("threshold", "finite-support"))
+    if kind == "threshold":
+        return problem, space, labeled_threshold(0.5, support_size=config["universe"]).support
+    cells = config["cells"]
+    size = min(config["universe"], cells)
+    if size < 2:
+        raise ConfigError(
+            f"the audit universe needs >= 2 atoms, got min(universe, cells) = {size}"
+        )
+    return problem, space, Dataset(x=(np.arange(size) + 0.5) / cells)
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +218,9 @@ def run_audit(config: RunConfig) -> ExperimentOutcome:
     after subsampling."""
     problem, space, universe = _audit_problem(config)
     n = config["n"]
+    m = config["subsample_m"]
+    if not 1 <= m <= n:
+        raise ConfigError(f"subsample_m must lie in 1..n, got {m}")
     pairs = list(exhaustive_neighbor_pairs(universe, n))
     seed = config.seed
     rows: list[Row] = []
@@ -231,13 +237,9 @@ def run_audit(config: RunConfig) -> ExperimentOutcome:
         if not ok and report.witness:
             wits.append({"epsilon": eps, **report.witness})
 
-        m = config["subsample_m"]
-        if not 1 <= m <= n:
-            raise ConfigError(f"subsample_m must lie in 1..n, got {m}")
-        gamma = m / n
         wrapped = subsample_wrapper(mech, m)
         tight = wrapped.claimed_budget(n).epsilon
-        relaxed = amplify_pure(eps, gamma).relaxed
+        relaxed = amplify_pure(eps, m / n).relaxed
         sub_report = audit_pure_dp(wrapped, pairs)
         sub_ok = sub_report.max_log_ratio <= tight + AUDIT_TOL
         rows.append(
@@ -279,9 +281,8 @@ def run_audit(config: RunConfig) -> ExperimentOutcome:
             "approx_realized_delta", flag_report.realized_delta, None,
             flag_delta, flag_ok)
     )
-    m = config["subsample_m"]
     sub_flag = subsample_wrapper(flag, m)
-    amplified = amplify_approx(flag_eps, flag_delta, m / n)
+    amplified = sub_flag.claimed_budget(n)
     sub_flag_report = audit_approx_dp(sub_flag, pairs, epsilon=amplified.epsilon)
     sub_flag_ok = sub_flag_report.realized_delta <= amplified.delta + AUDIT_TOL
     rows.append(
@@ -305,7 +306,7 @@ def run_stability(config: RunConfig) -> ExperimentOutcome:
     rows: list[Row] = []
     for eps in config["epsilon"]:
         mech = exponential_mechanism(problem, space, eps)
-        gap = stability_audit(mech, pairs, universe)
+        gap = stability_audit(mech, pairs)
         bound = math.expm1(eps)
         rows.append(
             Row("stability", mech.name, problem.name, n, eps, 0.0, config.seed,
@@ -323,7 +324,8 @@ def run_stability(config: RunConfig) -> ExperimentOutcome:
 def run_aerm(config: RunConfig) -> ExperimentOutcome:
     """Mean exact AERM gap of the private learner against the universal
     suboptimality bound, per (n, epsilon) cell."""
-    problem, space, distribution = _support_problem(config)
+    problem, space = _support_space(config)
+    distribution = _cell_law(config)
     trials = config["trials"]
     rows: list[Row] = []
     cell = 0
@@ -365,18 +367,10 @@ def run_aerm(config: RunConfig) -> ExperimentOutcome:
 def run_utility_tail(config: RunConfig) -> ExperimentOutcome:
     """Pointwise tail bound on the realized objective of the private learner,
     checked on a geometric grid of thresholds."""
-    kind = config["problem"]
     n = config["n"]
     eps = config["epsilon"]
-    if kind == "threshold":
-        problem, space = threshold_classification(resolution=config["resolution"])
-        distribution = labeled_threshold(0.5, support_size=64)
-    elif kind == "finite-support":
-        problem, space, distribution = _support_problem(config)
-    else:
-        raise ConfigError(
-            f"problem must be 'threshold' or 'finite-support', got {kind!r}"
-        )
+    kind, problem, space = _configured_problem(config, ("threshold", "finite-support"))
+    distribution = labeled_threshold(0.5, support_size=64) if kind == "threshold" else _cell_law(config)
     if config["t_max"] < config["t_min"]:
         raise ConfigError("need t_min <= t_max")
     t_grid = np.geomspace(config["t_min"], config["t_max"], config["t_count"])
@@ -521,7 +515,7 @@ def run_boost(config: RunConfig) -> ExperimentOutcome:
     """Confidence boosting: calibrate the constant in the excess-risk ceiling
     on one block of datasets, then measure the failure frequency on a fresh
     block and hold it to the confidence target plus 3 binomial SEs."""
-    problem, space, _uniform = _support_problem(config)
+    problem, space = _support_space(config)
     cells = config["cells"]
     skew = config["skew"]
     # A skewed cell law gives the support problem a unique optimum, so the
@@ -591,6 +585,14 @@ def run_boost(config: RunConfig) -> ExperimentOutcome:
     return _finish("boost", rows, [])
 
 
+def _location_risk(h: np.ndarray) -> np.ndarray:
+    """Population risk of estimates h under the uniform law on [0, 1] and the
+    loss |x - h|^p of :func:`dperm.problems.pth_power_mean`, in closed form:
+    (h^(p+1) + (1-h)^(p+1)) / (p+1), p = ``PTH_POWER`` read at call time."""
+    q = problems.PTH_POWER + 1
+    return (h**q + (1.0 - h) ** q) / q
+
+
 def run_rates(config: RunConfig) -> ExperimentOutcome:
     """Excess population risk of the noisy-ERM location learner at the
     privacy schedule epsilon(n) = n^(-exponent), with a log-log slope fit
@@ -598,8 +600,8 @@ def run_rates(config: RunConfig) -> ExperimentOutcome:
 
     Per trial the data stream draws the n sample points and then one uniform
     for the noise quantile, so trials are reproducible independent of the
-    chunked evaluation order.  Population risk of an estimate h under the
-    uniform data law has the closed form (h^11 + (1-h)^11) / 11.
+    chunked evaluation order.  Population risk of an estimate comes in
+    closed form from :func:`_location_risk`.
     """
     problem, _ = pth_power_mean(resolution=2)  # naming and loss conventions only
     n_grid = list(config["n_grid"])
@@ -607,11 +609,7 @@ def run_rates(config: RunConfig) -> ExperimentOutcome:
     if len(n_grid) < 2:
         raise ConfigError("n_grid needs >= 2 sizes")
     exponent = config["epsilon_exponent"]
-
-    def population_risk(h: np.ndarray) -> np.ndarray:
-        return (h**11 + (1.0 - h) ** 11) / 11.0
-
-    best = float(population_risk(np.array([0.5]))[0])
+    best = float(_location_risk(np.array([0.5]))[0])
     rows: list[Row] = []
     means = []
     for ni, n in enumerate(n_grid):
@@ -636,7 +634,7 @@ def run_rates(config: RunConfig) -> ExperimentOutcome:
             erms = pth_power_erm_batch(u[:, :n])
             noise = np.array([laplace_icdf(u_j, scale) for u_j in u[:, n].tolist()])
             outputs = np.clip(erms + noise, 0.0, 1.0)
-            excesses[done : done + size] = population_risk(outputs) - best
+            excesses[done : done + size] = _location_risk(outputs) - best
             done += size
         mean = float(excesses.mean())
         se = float(excesses.std(ddof=1) / math.sqrt(trials))
@@ -675,16 +673,8 @@ def run_sublevel(config: RunConfig) -> ExperimentOutcome:
     regressing log mean mass ratios on log(1/t); on a finite space with
     counting measure every ratio is at most the space size, which is the
     checked claim."""
-    kind = config["problem"]
-    if kind == "logistic":
-        problem, space = linear_logistic(d=1, resolution=config["resolution"])
-        distribution = labeled_threshold(0.5)
-    elif kind == "finite-support":
-        problem, space, distribution = _support_problem(config)
-    else:
-        raise ConfigError(
-            f"problem must be 'logistic' or 'finite-support', got {kind!r}"
-        )
+    kind, problem, space = _configured_problem(config, ("logistic", "finite-support"))
+    distribution = labeled_threshold(0.5) if kind == "logistic" else _cell_law(config)
     if config["t_max"] <= config["t_min"]:
         raise ConfigError("need t_min < t_max")
     t_grid = np.geomspace(config["t_min"], config["t_max"], config["t_count"])

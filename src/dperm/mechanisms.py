@@ -41,6 +41,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
+from . import problems
 from .draws import categorical, first_uniforms
 from .problems import (Dataset, DatasetBlock, Problem, _unique_rows, objective_rows,
                        risk_rows)
@@ -520,9 +521,11 @@ def _certified_guards(
     return left, right
 
 
-def pth_power_erm_batch(x: np.ndarray, p: int = 10) -> np.ndarray:
-    """Row-wise exact minimizer of sum_i |x_i - h|^p over h, for even p >= 2,
-    on a (trials, n) batch of samples.
+def pth_power_erm_batch(x: np.ndarray) -> np.ndarray:
+    """Row-wise exact minimizer of sum_i |x_i - h|^p over h, on a
+    (trials, n) batch of samples, with p = ``dperm.problems.PTH_POWER``
+    read at call time.  The kernel holds for every even p >= 2 and refuses
+    any other p.
 
     The derivative p * G(h), G(h) = sum_i sign(h - x_i)|h - x_i|^(p-1), is
     continuous and increasing, so bisection on [min x, max x] pins the root.
@@ -570,6 +573,7 @@ def pth_power_erm_batch(x: np.ndarray, p: int = 10) -> np.ndarray:
     ValueError naming it: there the expression overflows to inf - inf and
     the halvings would follow NaN.
     """
+    p = problems.PTH_POWER
     if p < 2 or p % 2 != 0:
         raise ValueError(f"p must be an even integer >= 2, got {p}")
     x = np.asarray(x, dtype=float)

@@ -42,7 +42,6 @@ __all__ = [
     "erm",
     "population_risk_vector",
     "packed_datasets",
-    "uniform_box",
     "discrete_points",
     "labeled_threshold",
     "threshold_classification",
@@ -53,6 +52,10 @@ __all__ = [
 
 PACKING_CAP = 10**6
 LOGISTIC_LAM = 0.1
+# The exponent p of the location loss |x - h|^p: pth_power_mean's loss, the
+# rates learner's ERM (mechanisms.pth_power_erm_batch) and its closed-form
+# population risk all read it at call time.
+PTH_POWER = 10
 
 
 def _atom_ids(support: "Dataset", ids) -> np.ndarray:
@@ -277,18 +280,7 @@ class DataDistribution:
         x = rng.uniform(self.lower, self.upper, size=(n, len(self.lower)))
         if x.shape[1] == 1:
             x = x[:, 0]
-        if self.theta is not None:
-            return Dataset(x=x, y=(x > self.theta).astype(float))
-        return Dataset(x=x)
-
-
-def uniform_box(lower, upper) -> DataDistribution:
-    """Uniform distribution on an axis-aligned box (continuous)."""
-    lo = np.atleast_1d(np.asarray(lower, dtype=float))
-    hi = np.atleast_1d(np.asarray(upper, dtype=float))
-    if lo.shape != hi.shape or not np.all(lo < hi):
-        raise ValueError("box bounds must satisfy lower < upper per axis")
-    return DataDistribution(kind="uniform-box", lower=lo, upper=hi)
+        return Dataset(x=x, y=(x > self.theta).astype(float))
 
 
 def discrete_points(x, y=None, probs=None) -> DataDistribution:
@@ -467,14 +459,13 @@ def packed_datasets(epsilon: float, n: int) -> PackedFamily:
 # shipped problems
 
 
-def _probe_unit_range(
-    problem: Problem, space: FiniteHypothesisSpace, draw_points, trials: int = 64
-) -> None:
-    # Constructor-time A1 check on every pair of seeded random hypotheses and
-    # seeded random points; draw_points(rng, m) returns a dataset of m points.
+def _probe_unit_range(problem: Problem, space: FiniteHypothesisSpace, draw_points) -> None:
+    # Constructor-time A1 check on every pair of 64 seeded random hypotheses
+    # and 64 seeded random points; draw_points(rng, m) returns a dataset of m
+    # points.
     rng = np.random.default_rng(12345)
-    ids = rng.integers(0, space.size, size=trials)
-    losses = problem.loss_matrix(space.payloads[ids], draw_points(rng, trials))
+    ids = rng.integers(0, space.size, size=64)
+    losses = problem.loss_matrix(space.payloads[ids], draw_points(rng, 64))
     outside = ~((losses >= 0.0) & (losses <= 1.0 + 1e-12))
     if outside.any():
         raise ValueError(
@@ -551,11 +542,12 @@ def linear_logistic(d: int = 1, resolution: int = 16) -> tuple[Problem, FiniteHy
 
 
 def pth_power_mean(resolution: int = 64) -> tuple[Problem, FiniteHypothesisSpace]:
-    """Location estimation on [0,1] with loss |x - h|^10 (no regularizer)."""
+    """Location estimation on [0,1] with loss |x - h|^p, p = ``PTH_POWER``
+    read at call time (no regularizer)."""
     space = discretize_box(GridSpec((0.0,), (1.0,), (resolution,)))
 
     def loss_matrix(payloads, dataset):
-        return np.abs(dataset.x[None, :] - payloads[:, 0, None]) ** 10
+        return np.abs(dataset.x[None, :] - payloads[:, 0, None]) ** PTH_POWER
 
     problem = Problem(name="pth_power_mean", dimension=1, loss_matrix=loss_matrix)
     _probe_unit_range(problem, space, _unit_points)

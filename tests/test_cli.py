@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from dperm import experiments
 from dperm.cli import main
 from dperm.experiments import CSV_COLUMNS, EXPERIMENTS
 
@@ -104,12 +105,31 @@ class TestRun:
             ("experiment = stability\nproblem = finite-support\ncells = 1\nsubset_size = 1",
              "the audit universe needs >= 2 atoms"),
             ("experiment = consistency\nmode = bogus", "mode must be 'exact' or 'mc'"),
+            # Each driver names the problems it takes.
+            ("experiment = audit\nproblem = logistic",
+             "problem must be 'threshold' or 'finite-support', got 'logistic'"),
+            ("experiment = stability\nproblem = pth-power",
+             "problem must be 'threshold' or 'finite-support', got 'pth-power'"),
+            ("experiment = utility-tail\nproblem = logistic",
+             "problem must be 'threshold' or 'finite-support', got 'logistic'"),
+            ("experiment = sublevel\nproblem = threshold",
+             "problem must be 'logistic' or 'finite-support', got 'threshold'"),
         ],
     )
     def test_mistake_found_by_the_driver_exits_1(self, tmp_path, capsys, text, message):
         conf = write(tmp_path / "bad.conf", f"{text}\n")
         assert main(["run", conf]) == 1
         assert capsys.readouterr().err.startswith(f"config-error: {message}")
+
+    def test_subsample_m_past_n_exits_1_before_any_audit(self, tmp_path, capsys, monkeypatch):
+        def audit(*args, **kwargs):
+            raise AssertionError("an audit ran before subsample_m was checked")
+
+        monkeypatch.setattr(experiments, "audit_pure_dp", audit)
+        conf = write(tmp_path / "bad.conf", "experiment = audit\nn = 3\nsubsample_m = 4\n")
+        assert main(["run", conf]) == 1
+        assert capsys.readouterr().err.startswith(
+            "config-error: subsample_m must lie in 1..n, got 4")
 
     @pytest.mark.parametrize(
         "text, prefix",

@@ -217,14 +217,14 @@ def kernel(seeds):
 
 
 def test_spawned_seeds():
-    seeds = [spawn_seed(20150226, i) for i in range(10**5)]
-    assert _same_bits(kernel(seeds), _reference(seeds))
+    seeds = spawn_seeds(20150226, np.arange(10**5))
+    assert _same_bits(kernel(seeds), _reference(seeds.tolist()))
 
 
 def test_edge_seeds():
     # Seeds of one and of two 32-bit words, and the top bit of each word.
     batch = EDGE_SEEDS * -(-KERNEL_MIN_SEEDS // len(EDGE_SEEDS))
-    assert _same_bits(kernel(batch), _reference(batch))
+    assert _same_bits(kernel(np.array(batch, dtype=np.uint64)), _reference(batch))
     for s in EDGE_SEEDS:
         assert _same_bits(first_uniforms([s]), _reference([s]))
 
@@ -232,19 +232,21 @@ def test_edge_seeds():
 @given(st.lists(st.integers(0, 2**64 - 1), min_size=KERNEL_MIN_SEEDS, max_size=300))
 @settings(max_examples=200, deadline=None)
 def test_any_seed_below_2_to_the_64(seeds):
-    assert _same_bits(kernel(seeds), _reference(seeds))
+    assert _same_bits(kernel(np.array(seeds, dtype=np.uint64)), _reference(seeds))
 
 
 @pytest.mark.parametrize("dtype", [np.uint64, np.int64, np.uint32, np.int32, np.uint8])
 def test_numpy_integer_seeds(dtype):
+    # Only a uint64 array takes the kernel; seeds in any other form take
+    # default_rng one by one, which gives the same bits.
     top = int(np.iinfo(dtype).max)
     seeds = np.array([0, top] + [spawn_seed(11, i) & top for i in range(KERNEL_MIN_SEEDS)],
                      dtype=dtype)
     want = _reference(seeds)
-    assert _same_bits(kernel(seeds), want)
-    assert _same_bits(kernel(list(seeds)), want)
+    assert _same_bits((kernel if dtype is np.uint64 else first_uniforms)(seeds), want)
+    assert _same_bits(first_uniforms(list(seeds)), want)
     mixed = [int(s) if i % 2 else s for i, s in enumerate(seeds)]
-    assert _same_bits(kernel(mixed), want)
+    assert _same_bits(first_uniforms(mixed), want)
 
 
 @pytest.mark.parametrize("size", [1, KERNEL_MIN_SEEDS - 1, KERNEL_MIN_SEEDS,
@@ -255,10 +257,11 @@ def test_both_sides_of_the_crossover(size):
 
 
 def test_crossover_picks_the_path():
-    seeds = [spawn_seed(8, i) for i in range(KERNEL_MIN_SEEDS)]
+    seeds = spawn_seeds(8, np.arange(KERNEL_MIN_SEEDS))
     kernel(seeds)
-    with pytest.raises(AssertionError, match="kernel path"):
-        kernel(seeds[:-1])
+    for other in (seeds[:-1], seeds.tolist(), np.arange(KERNEL_MIN_SEEDS)):
+        with pytest.raises(AssertionError, match="kernel path"):
+            kernel(other)
 
 
 @pytest.mark.parametrize("size", [1, KERNEL_MIN_SEEDS])

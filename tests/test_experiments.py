@@ -9,15 +9,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dperm import problems
 from dperm.config import parse_config_file
 from dperm.experiments import (
     CSV_COLUMNS,
     Row,
     _at_cell_precision,
     _cell,
+    _location_risk,
     rows_to_csv,
     run_experiment,
 )
+from dperm.mechanisms import pth_power_erm_batch
 from dperm.problems import Dataset
 
 REPO = Path(__file__).resolve().parent.parent
@@ -113,3 +116,25 @@ def test_counterexample_witness_gaps_are_its_csv_cells():
                                for g in witness["resolutions"]]
     manifest = json.loads((REPO / (config.output + ".manifest.json")).read_text())
     assert manifest["witnesses"] == outcome.witnesses
+
+
+@pytest.mark.parametrize("power", [problems.PTH_POWER, 4])
+def test_rates_risk_and_erm_use_the_loss_exponent(monkeypatch, power):
+    # pth_power_mean's loss, the rates learner's ERM and its closed-form
+    # population risk each read problems.PTH_POWER; an exponent written
+    # into any one of them fails at one of these two powers.
+    monkeypatch.setattr(problems, "PTH_POWER", power)
+    problem, _ = problems.pth_power_mean()
+
+    def mean_loss(h, x):
+        return problem.loss_matrix(np.asarray(h, float)[:, None], Dataset(x=x)).mean(axis=1)
+
+    h = np.array([0.0, 0.1, 0.37, 0.5, 0.9])
+    # The midpoint rule on 200,000 cells for the mean loss over x ~ U[0, 1].
+    cells = (np.arange(200_000) + 0.5) / 200_000
+    assert np.allclose(_location_risk(h), mean_loss(h, cells), rtol=1e-8, atol=0)
+    # The ERM minimizes the mean loss: no step of 1e-3 either way lowers it.
+    x = np.array([0.0, 0.1, 0.2, 1.0])
+    erm = pth_power_erm_batch(x[None, :])[0]
+    risks = mean_loss([erm - 1e-3, erm, erm + 1e-3], x)
+    assert risks[1] < min(risks[0], risks[2])

@@ -175,7 +175,7 @@ def test_stability_audit_matches_oracle(u, n):
         for eps in (0.5, 2.0):
             mech = exponential_mechanism(problem, space, eps)
             seen = [0]
-            got = stability_audit(mech, counting(pairs, seen), universe)
+            got = stability_audit(mech, counting(pairs, seen))
             assert seen[0] == len(pairs)
             assert got == oracle_stability(mech, pairs, universe)
 
@@ -259,7 +259,7 @@ def test_law_table_refuses_datasets_without_ids():
     plain = [(universe.take([0, 1]), universe.take([0, 2]))]
     for audit in (lambda pairs: audit_pure_dp(mech, pairs),
                   lambda pairs: audit_approx_dp(mech, pairs, 1.0),
-                  lambda pairs: stability_audit(mech, pairs, universe)):
+                  lambda pairs: stability_audit(mech, pairs)):
         with pytest.raises(ValueError, match=r"atom ids \(Dataset.of_atoms\)"):
             audit(plain)
 
@@ -281,7 +281,7 @@ def test_audits_refuse_datasets_of_mixed_sizes():
              (Dataset.of_atoms(universe, [0, 1, 3]), Dataset.of_atoms(universe, [0, 2, 3]))]
     for audit in (lambda pairs: audit_pure_dp(mech, pairs),
                   lambda pairs: audit_approx_dp(mech, pairs, 1.0),
-                  lambda pairs: stability_audit(mech, pairs, universe)):
+                  lambda pairs: stability_audit(mech, pairs)):
         with pytest.raises(ValueError, match=re.escape("one size, got sizes [2, 3]")):
             audit(pairs)
 
@@ -350,7 +350,7 @@ def test_audits_refuse_sampled_laws(audit, monkeypatch):
         elif audit == "approx":
             audit_approx_dp(wrapped, pairs, 1.0)
         else:
-            stability_audit(wrapped, pairs, universe)
+            stability_audit(wrapped, pairs)
 
 
 def test_boost_over_a_capped_subsample_is_refused(monkeypatch):

@@ -152,9 +152,8 @@ class TestReadersIgnoreTheLayout:
         atoms = threshold_universe(universe)
         pairs = list(exhaustive_neighbor_pairs(atoms, n))
         for eps in (0.25, 0.5, 1.0, 2.0):
-            got = stability_audit(exponential_mechanism(problem, space, eps), pairs, atoms)
-            want = stability_audit(exponential_mechanism(c_ordered(problem), space, eps),
-                                   pairs, atoms)
+            got = stability_audit(exponential_mechanism(problem, space, eps), pairs)
+            want = stability_audit(exponential_mechanism(c_ordered(problem), space, eps), pairs)
             assert repr(got) == repr(want), f"eps={eps}"
 
     def test_counterexample_gaps(self, monkeypatch):

@@ -9,6 +9,7 @@ import math
 import re
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp as scipy_logsumexp
 from scipy.stats import laplace as scipy_laplace
 
-from dperm import mechanisms
+from dperm import mechanisms, problems
 from dperm.mechanisms import (
     LOG_CONSISTENCY_TOL,
     LOG_UNDERFLOW,
@@ -51,7 +52,6 @@ from dperm.problems import (
     objective_vector,
     packed_datasets,
     risk_vector,
-    uniform_box,
 )
 from dperm.draws import categorical, uniform_rows
 from dperm.seeding import spawn_seed, spawn_seeds, trial_rng
@@ -253,7 +253,7 @@ class TestExponentialMechanism:
         # Regression: at n = 10^4 the exponent scale is eps*n/4 = 2500 and
         # off-optimal hypotheses underflow the linear representation.
         problem, space = PROBLEM_BUILDERS["finite-support"]()
-        data = uniform_box([0.0], [1.0]).sample(10_000, trial_rng(2, 0))
+        data = Dataset(x=trial_rng(2, 0).uniform(0.0, 1.0, 10_000))
         law = exponential_mechanism(problem, space, 1.0).law(data)
         assert law.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(np.isfinite(law.log_probabilities[law.probabilities > 0]))
@@ -461,7 +461,7 @@ class TestSubsampling:
         spy = Mechanism(
             name="spy", sample_many=spy_sample_many, budget=lambda n: PrivacyBudget(1.0)
         )
-        data = uniform_box([0.0], [1.0]).sample(12, trial_rng(0, 0))
+        data = Dataset(x=trial_rng(0, 0).uniform(0.0, 1.0, 12))
         subsample_wrapper(spy, m=3).sample(data, seed=5)
         assert seen == [3]
 
@@ -674,6 +674,12 @@ class TestLaplace:
         assert ours == pytest.approx(ref, rel=1e-9, abs=1e-9)
 
 
+def erm_at(x, p):
+    """pth_power_erm_batch with the loss exponent problems.PTH_POWER set to p."""
+    with mock.patch.object(problems, "PTH_POWER", p):
+        return pth_power_erm_batch(x)
+
+
 def bisection_oracle(x, p, tol=1e-10):
     """The fixed bisection that pth_power_erm_batch must reproduce bit for
     bit: one halving count for the whole batch, each halving decided by the
@@ -737,15 +743,15 @@ class TestPthPowerErm:
     def test_bit_identical_to_bisection(self, x, p):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = pth_power_erm_batch(x, p)
+            got = erm_at(x, p)
         assert np.array_equal(got, bisection_oracle(x, p))
 
     def test_halving_count_is_batch_wide(self):
         wide = np.array([[0.0, 1e6, 3e5], [0.2, 0.7, 0.3]])
-        batch = pth_power_erm_batch(wide, p=10)
-        assert np.array_equal(batch, bisection_oracle(wide, 10))
+        batch = pth_power_erm_batch(wide)
+        assert np.array_equal(batch, bisection_oracle(wide, problems.PTH_POWER))
         # alone, the narrow row stops after fewer halvings
-        assert batch[1] != pth_power_erm_batch(wide[1:], p=10)[0]
+        assert batch[1] != pth_power_erm_batch(wide[1:])[0]
 
     @given(
         st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
@@ -754,7 +760,7 @@ class TestPthPowerErm:
     @settings(max_examples=60, deadline=None)
     def test_root_within_tolerance_exactly(self, values, p):
         x = np.array([values])
-        out = pth_power_erm_batch(x, p)[0]
+        out = erm_at(x, p)[0]
         assert root_within(values, out, p, 1e-10)
         # planted: an output off by twice the tolerance fails the same check
         assert not root_within(values, out + 2e-10, p, 1e-10)
@@ -768,28 +774,28 @@ class TestPthPowerErm:
         rng = np.random.default_rng(0)
         for _ in range(5):
             x = rng.uniform(0, 1, size=7)
-            fast = pth_power_erm_batch(x[None, :], p=10)[0]
-            slow = self.brute_minimum(x, 10)
+            fast = pth_power_erm_batch(x[None, :])[0]
+            slow = self.brute_minimum(x, problems.PTH_POWER)
             assert fast == pytest.approx(slow, abs=1e-4)
 
     def test_p2_is_the_mean(self):
         x = np.array([0.1, 0.5, 0.6])
-        assert pth_power_erm_batch(x[None, :], p=2)[0] == pytest.approx(x.mean(), abs=1e-9)
+        assert erm_at(x[None, :], 2)[0] == pytest.approx(x.mean(), abs=1e-9)
 
     def test_batch_agrees_with_single(self):
         rng = np.random.default_rng(3)
         x = rng.uniform(0, 1, size=(6, 9))
-        batch = pth_power_erm_batch(x, p=10)
+        batch = pth_power_erm_batch(x)
         for row in range(6):
-            one = pth_power_erm_batch(x[row][None, :], p=10)[0]
+            one = pth_power_erm_batch(x[row][None, :])[0]
             assert batch[row] == pytest.approx(one, abs=1e-9)
 
     def test_constant_sample(self):
-        assert pth_power_erm_batch(np.array([[0.3, 0.3, 0.3]]), p=4)[0] == pytest.approx(0.3)
+        assert erm_at(np.array([[0.3, 0.3, 0.3]]), 4)[0] == pytest.approx(0.3)
 
     def test_odd_p_rejected(self):
         with pytest.raises(ValueError):
-            pth_power_erm_batch(np.array([[0.1, 0.2]]), p=3)
+            erm_at(np.array([[0.1, 0.2]]), 3)
 
     @pytest.mark.parametrize(
         "rows, bad",
@@ -910,14 +916,14 @@ class TestBoosting:
         base = exponential_mechanism(problem, space, 1.0)
         boosted = boost_high_confidence(base, space, delta_target=0.05, epsilon=1.0)
         assert boosted.law is None
-        data = uniform_box([0.0], [1.0]).sample(60, trial_rng(2, 0))
+        data = Dataset(x=trial_rng(2, 0).uniform(0.0, 1.0, 60))
         assert 0 <= boosted.sample(data, seed=1) < space.size
 
 
 class TestRandomWalk:
     def test_acceptance_tuned_and_in_box(self):
         problem, _ = PROBLEM_BUILDERS["pth-power"]()
-        data = uniform_box([0.0], [1.0]).sample(40, trial_rng(7, 0))
+        data = Dataset(x=trial_rng(7, 0).uniform(0.0, 1.0, 40))
         sampler = logconcave_sampler(problem, [0.0], [1.0], 2.0, steps=20_000)
         result = sampler.run(data, seed=11)
         assert 0.15 <= result.acceptance_rate <= 0.65
@@ -927,7 +933,7 @@ class TestRandomWalk:
 
     def test_deterministic_given_seed(self):
         problem, _ = PROBLEM_BUILDERS["pth-power"]()
-        data = uniform_box([0.0], [1.0]).sample(10, trial_rng(7, 1))
+        data = Dataset(x=trial_rng(7, 1).uniform(0.0, 1.0, 10))
         sampler = logconcave_sampler(problem, [0.0], [1.0], 1.0, steps=500)
         a = sampler.run(data, seed=3).samples
         b = sampler.run(data, seed=3).samples
@@ -983,7 +989,7 @@ def _chain_case(case):
     logistic on [-1, 1]^2 (labels and a regularizer), a run shorter than its
     burn-in, and a box so tight that about half the proposals leave it."""
     pth, _ = PROBLEM_BUILDERS["pth-power"]()
-    points = uniform_box([0.0], [1.0]).sample(40, trial_rng(7, 0))
+    points = Dataset(x=trial_rng(7, 0).uniform(0.0, 1.0, 40))
     if case == "pth-power":
         return logconcave_sampler(pth, [0.0], [1.0], 2.0, steps=2000), points
     if case == "short":
@@ -1134,7 +1140,7 @@ def _em_row_case(size, trials, n, seed=0):
     problem, space = PROBLEM_BUILDERS["pth-power"](resolution=size)
     assert space.size == size
     mech = exponential_mechanism(problem, space, 3.0)
-    atoms = discrete_points(uniform_box([0.0], [1.0]).sample(256, trial_rng(seed, 0)).x)
+    atoms = discrete_points(trial_rng(seed, 0).uniform(0.0, 1.0, 256))
     return mech, atoms.datasets_at(trial_rng(seed, n).random((trials, n)))
 
 
@@ -1292,7 +1298,7 @@ class TestLawRows:
         fine = exponential_mechanism(*PROBLEM_BUILDERS["threshold"](resolution=65536), 1.0)
         pth = exponential_mechanism(*PROBLEM_BUILDERS["pth-power"](), 1.0)
         for mech, dataset in ((fine, packed_datasets(1.0, 3).datasets[10]),
-                              (pth, uniform_box([0.0], [1.0]).sample(40, trial_rng(13, 0)))):
+                              (pth, Dataset(x=trial_rng(13, 0).uniform(0.0, 1.0, 40)))):
             assert dataset.atom_ids is None
             law, want = mech.law(dataset), loss_path(mech, dataset)
             assert np.array_equal(law.probabilities, want.probabilities)

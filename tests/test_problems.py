@@ -23,7 +23,6 @@ from dperm.problems import (
     population_risk_vector,
     risk_rows,
     risk_vector,
-    uniform_box,
 )
 from dperm.seeding import trial_rng
 from dperm.spaces import GridSpec, discretize_box
@@ -75,8 +74,8 @@ def point(data, i):
 FEEDERS = {
     "threshold": lambda n, rng: labeled_threshold(0.4, support_size=32).sample(n, rng),
     "logistic": lambda n, rng: labeled_threshold(0.5, support_size=32).sample(n, rng),
-    "pth-power": lambda n, rng: uniform_box([0.0], [1.0]).sample(n, rng),
-    "finite-support": lambda n, rng: uniform_box([0.0], [1.0]).sample(n, rng),
+    "pth-power": lambda n, rng: Dataset(x=rng.uniform(0.0, 1.0, n)),
+    "finite-support": lambda n, rng: Dataset(x=rng.uniform(0.0, 1.0, n)),
 }
 
 
@@ -219,11 +218,11 @@ class TestDataset:
         assert data.support is dist.support
         assert np.array_equal(data.x, dist.support.x[data.atom_ids])
         plain = [dist.atoms(), labeled_threshold(0.5).sample(6, trial_rng(5, 1)),
-                 uniform_box([0.0], [1.0]).sample(6, trial_rng(5, 2)),
+                 Dataset(x=trial_rng(5, 2).uniform(0.0, 1.0, 6)),
                  packed_datasets(1.0, 3).datasets[0], Dataset(x=data.x, y=data.y)]
         for d in plain:
             assert d.atom_ids is None and d.support is None
-        assert uniform_box([0.0], [1.0]).support is None
+        assert labeled_threshold(0.5).support is None
 
 
 class TestDistributions:
@@ -244,12 +243,6 @@ class TestDistributions:
         data = dist.sample(200, trial_rng(2, 0))
         assert np.array_equal(data.y, (data.x > 0.3).astype(float))
         assert data.x.min() >= 0.0 and data.x.max() <= 1.0
-
-    def test_uniform_box_bounds(self):
-        dist = uniform_box([0.25], [0.5])
-        data = dist.sample(100, trial_rng(4, 0))
-        assert data.x.min() >= 0.25 and data.x.max() <= 0.5
-        assert data.y is None
 
     @given(st.integers(1, 6))
     @settings(max_examples=20)
@@ -299,7 +292,7 @@ class TestDatasetAtUniforms:
 
     def test_continuous_law_has_no_uniform_step(self):
         with pytest.raises(ValueError, match="no finite support"):
-            uniform_box([0.0], [1.0]).dataset_at(np.array([0.5]))
+            labeled_threshold(0.5).dataset_at(np.array([0.5]))
         with pytest.raises(ValueError, match="no finite support"):
             labeled_threshold(0.5).datasets_at(np.full((2, 3), 0.5))
 
