@@ -456,8 +456,8 @@ def consistency_suite(
 
     Both modes take the excess, generalization and AERM gaps of each dataset
     from one ``law_rows`` and one ``risk_rows`` call per block of
-    ``TRIAL_BLOCK`` datasets, each gap from the dot products of
-    :meth:`MechanismDistribution.expectation`.
+    ``TRIAL_BLOCK`` datasets, each mean a dot product ``p @ values`` of a
+    law row (BLAS, as the committed CSVs were written).
 
     Exact mode reads every size-n multiset over the distribution's atoms
     (:func:`_multisets`, at most ``ENUMERATION_CAP`` id cells), weights each

@@ -114,23 +114,24 @@ def categorical(p: np.ndarray, u):
     if p.ndim == 2:
         if u.shape != (len(p),):
             raise ValueError(f"expected {len(p)} uniforms, one per row, got shape {u.shape}")
-    total = p.sum(axis=-1)
+    total = np.add.reduce(p, axis=-1)
     miss = abs(total - 1.0)
     # One test passes every valid law: it fails on NaN, on a negative entry
     # and on a sum off 1; the checks below then name the first that holds.
-    if not (miss <= SUM_ATOL if p.ndim == 1 else miss.max() <= SUM_ATOL) or p.min() < 0:
+    if (not (miss <= SUM_ATOL if p.ndim == 1 else np.maximum.reduce(miss) <= SUM_ATOL)
+            or np.minimum.reduce(p, axis=None) < 0):
         if np.isnan(total).any():
             raise ValueError("probabilities contain NaN")
         if p.min() < 0:
             raise ValueError("probabilities are not non-negative")
         first = total[miss > SUM_ATOL][0] if p.ndim == 2 else total
         raise ValueError(f"probabilities sum to {first!r}, not 1 within {SUM_ATOL:.3g}")
-    cdf = p.cumsum(axis=-1)
+    cdf = np.add.accumulate(p, axis=-1)
     if p.ndim == 2:
         cdf /= cdf[:, -1:]
         # A CDF row is nondecreasing, so the count of its entries <= u is
         # the row's searchsorted(u, side="right").
-        return (cdf <= u[:, None]).sum(axis=1)
+        return np.add.reduce(cdf <= u[:, None], axis=1)
     cdf /= cdf[-1]
     k = cdf.size
     if u.size < max(GUIDE_MIN_DRAWS, k):

@@ -337,8 +337,8 @@ def run_aerm(config: RunConfig) -> ExperimentOutcome:
             gaps = np.empty(trials)
             for start in range(0, trials, TRIAL_BLOCK):
                 # Trial t is aerm_gap(mech, distribution.sample(n,
-                # trial_rng(cell_seed, t))), with the dot product of
-                # MechanismDistribution.expectation.
+                # trial_rng(cell_seed, t))), but its mean is the BLAS p @ emp
+                # that aerm.csv was written with, not expectation's einsum.
                 seeds = spawn_seeds(cell_seed, np.arange(start, min(start + TRIAL_BLOCK, trials)))
                 block = distribution.datasets_at(uniform_rows(seeds, n))
                 p = mech.law_rows(block)[0]
@@ -603,7 +603,7 @@ def run_rates(config: RunConfig) -> ExperimentOutcome:
     chunked evaluation order.  Population risk of an estimate comes in
     closed form from :func:`_location_risk`.
     """
-    problem, _ = pth_power_mean(resolution=2)  # naming and loss conventions only
+    problem_name = pth_power_mean.__name__  # the name of its problem, not built
     n_grid = list(config["n_grid"])
     trials = config["trials"]
     if len(n_grid) < 2:
@@ -640,13 +640,13 @@ def run_rates(config: RunConfig) -> ExperimentOutcome:
         se = float(excesses.std(ddof=1) / math.sqrt(trials))
         means.append(mean)
         rows.append(
-            Row("rates", f"laplace-erm(eps=n^-{exponent:g})", problem.name, n,
+            Row("rates", f"laplace-erm(eps=n^-{exponent:g})", problem_name, n,
                 eps, 0.0, config.seed, "excess_mean", mean, se, None, None)
         )
     slope = float(np.polyfit(np.log(np.array(n_grid, float)), np.log(means), 1)[0])
     lo, hi = config["slope_lo"], config["slope_hi"]
     rows.append(
-        Row("rates", f"laplace-erm(eps=n^-{exponent:g})", problem.name, None,
+        Row("rates", f"laplace-erm(eps=n^-{exponent:g})", problem_name, None,
             None, 0.0, config.seed, "loglog_slope", slope, None, hi,
             lo <= slope <= hi)
     )

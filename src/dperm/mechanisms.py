@@ -69,16 +69,17 @@ def logsumexp_rows(a: np.ndarray) -> np.ndarray:
     -inf row gives -inf.
     """
     a = np.asarray(a, dtype=float)
-    a_max = a.max(axis=1)
-    top = a == a_max[:, None]
-    m = top.sum(axis=1)
+    a_max = np.maximum.reduce(a, axis=1, keepdims=True)
+    top = a == a_max
+    m = np.add.reduce(top, axis=1, dtype=float)
     # An all -inf row would make a - a_max NaN; the lowest float as its
     # shift keeps every entry at -inf.
-    e = np.where(top, -np.inf, a)
-    e -= np.maximum(a_max, FLOAT_MIN)[:, None]
-    # m >= 1, so a zero sum stays exactly 0 after the division.
-    s = np.exp(e, out=e).sum(axis=1) / m
-    return np.log1p(s) + np.log(m) + a_max
+    e = a - np.maximum(a_max, FLOAT_MIN)
+    np.exp(e, out=e)
+    # The maxima leave the sum as +0.0s; m >= 1 keeps a zero sum at 0.
+    e[top] = 0.0
+    s = np.add.reduce(e, axis=1) / m
+    return np.log1p(s) + np.log(m) + a_max[:, 0]
 
 
 @dataclass(frozen=True)
@@ -110,16 +111,16 @@ def normalized_logit_rows(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     log view is shifted by each row's ``math.log`` of that sum, not by
     ``np.log``, which may differ from it in the last bit.
     """
-    if not (logits < np.inf).all():
+    if not np.maximum.reduce(logits, axis=None) < np.inf:
         raise ValueError("logits must be < inf and not NaN")
     lse = logsumexp_rows(logits)
     if not all(map(math.isfinite, lse.tolist())):
         raise ValueError("logits carry no finite mass")
     logp = logits - lse[:, None]
     p = np.exp(logp)
-    total = p.sum(axis=1)
+    total = np.add.reduce(p, axis=1)
     p /= total[:, None]
-    logp -= np.array([math.log(t) for t in total.tolist()])[:, None]
+    logp -= np.array([[math.log(t)] for t in total.tolist()])
     return p, logp
 
 
@@ -145,32 +146,38 @@ def check_law_rows(p: np.ndarray, logp: np.ndarray) -> None:
     the tolerance of its log-probability, and a subnormal entry lies between
     exp of its log-probability minus and plus the tolerance.
     """
-    total = p.sum(axis=1)
+    total = np.add.reduce(p, axis=1)
     off = np.abs(total - 1.0)
+    low = np.minimum.reduce(p, axis=None)
     # One test passes every valid row: a NaN or inf entry puts its row sum
     # off 1, and p.min() is NaN when any entry is.
-    if not (off.max() <= PROB_SUM_TOL and p.min() >= 0):
-        if not (p.min() >= 0 and np.isfinite(p).all()):
+    if not (np.maximum.reduce(off) <= PROB_SUM_TOL and low >= 0):
+        if not (low >= 0 and np.isfinite(p).all()):
             raise ValueError("probabilities must be finite and nonnegative")
         row = int(np.argmax(off > PROB_SUM_TOL))
         raise ValueError(
             f"probabilities sum to {float(total[row])!r}, not 1 within {PROB_SUM_TOL}"
         )
-    # Every row sums to one, so every row has an entry of positive mass.
-    pos = p > 0
-    logp_pos = logp[pos]
-    # The largest log-probability off the support; NaN if any is NaN.
-    off_support = np.where(pos, -np.inf, logp).max()
-    if not logp_pos.max() <= 1e-12 or np.isnan(off_support):
+    # Every row sums to one, so every row has an entry of positive mass; q
+    # and logq are the entries of positive mass, every entry when none is 0.
+    if low > 0:
+        q, logq, off_support = p, logp, -np.inf
+    else:
+        pos = p > 0
+        q, logq = p[pos], logp[pos]
+        # The largest log-probability off the support; NaN if any is NaN.
+        off_support = np.where(pos, -np.inf, logp).max()
+    if not np.maximum.reduce(logq, axis=None) <= 1e-12 or math.isnan(off_support):
         raise ValueError("log-probabilities must be <= 0 and not NaN")
-    if np.abs(np.log(p[pos]) - logp_pos).max() > LOG_CONSISTENCY_TOL:
+    gap = np.log(q)
+    gap -= logq
+    if np.maximum.reduce(np.abs(gap, out=gap), axis=None) > LOG_CONSISTENCY_TOL:
         # A subnormal p keeps fewer bits than its log-probability resolves,
         # so its own log may sit far off: there p must be what exp rounds
         # to at some log within the tolerance of logp.  Only a failed first
         # test pays for this second one.
-        q = p[pos]
-        far = np.abs(np.log(q) - logp_pos) > LOG_CONSISTENCY_TOL
-        q, logq = q[far], logp_pos[far]
+        far = gap > LOG_CONSISTENCY_TOL
+        q, logq = q[far], logq[far]
         if not ((q < FLOAT_TINY) & (np.exp(logq - LOG_CONSISTENCY_TOL) <= q)
                 & (q <= np.exp(logq + LOG_CONSISTENCY_TOL))).all():
             raise ValueError("linear and log probabilities disagree beyond tolerance")
@@ -240,10 +247,12 @@ class MechanismDistribution:
         return cls(space=space, probabilities=p[0], log_probabilities=logp[0])
 
     def expectation(self, values: np.ndarray) -> float:
+        """The law's mean of one value per hypothesis, summed by ``einsum``,
+        not BLAS, whose float depends on its build and thread count."""
         values = np.asarray(values, dtype=float)
         if values.shape != (self.space.size,):
             raise ValueError("values must have one entry per hypothesis")
-        return float(self.probabilities @ values)
+        return float(np.einsum("i,i->", self.probabilities, values))
 
 
 LawRowsFn = Callable[[DatasetBlock], tuple[np.ndarray, np.ndarray]]
@@ -254,8 +263,8 @@ BudgetFn = Callable[[int], PrivacyBudget]
 def _one_row(dataset: Dataset) -> DatasetBlock:
     """A dataset's one-row block: its ids over its support, or its own points."""
     if dataset.atom_ids is None:
-        return DatasetBlock(dataset, np.arange(dataset.n)[None])
-    return DatasetBlock(dataset.support, dataset.atom_ids[None])
+        return DatasetBlock._of_checked_ids(dataset, np.arange(dataset.n)[None])
+    return DatasetBlock._of_checked_ids(dataset.support, dataset.atom_ids[None])
 
 
 def _block_for(data, seeds: Sequence[int]) -> DatasetBlock:
@@ -857,16 +866,14 @@ def subsample_wrapper(base: Mechanism, m: Union[int, str]) -> Mechanism:
     )
 
 
-def boost_parts(n: int, a: int) -> tuple[list[np.ndarray], np.ndarray]:
-    """Index split into a training parts plus a validation remainder."""
+def boost_parts(n: int, a: int) -> tuple[list[slice], slice]:
+    """Position split into a training parts plus a validation remainder, as slices."""
     part = n // (a + 1)
     if part < 1:
         raise ValueError(
             f"dataset of size {n} cannot be split into {a + 1} parts"
         )
-    train = [np.arange(j * part, (j + 1) * part) for j in range(a)]
-    validation = np.arange(a * part, n)
-    return train, validation
+    return [slice(j * part, (j + 1) * part) for j in range(a)], slice(a * part, n)
 
 
 def boost_high_confidence(
@@ -912,11 +919,11 @@ def boost_high_confidence(
         return PrivacyBudget(max(claimed.epsilon, epsilon), claimed.delta)
 
     def split(block: DatasetBlock) -> tuple[DatasetBlock, DatasetBlock]:
-        # The training parts, trial-major, and the validation columns.
+        # The training parts, trial-major, and the validation columns: views
+        # of the ids, but for the parts of a block of several rows (a copy).
         train, validation = boost_parts(block.n, a)
-        part = len(train[0])
-        parts = DatasetBlock(block.support, block.atom_ids[:, :a * part].reshape(-1, part))
-        return parts, block.columns(validation)
+        parts = block.atom_ids[:, :validation.start].reshape(-1, train[0].stop)
+        return DatasetBlock._of_checked_ids(block.support, parts), block.columns(validation)
 
     def law_rows(block: DatasetBlock) -> tuple[np.ndarray, np.ndarray]:
         parts, validation = split(block)
@@ -943,23 +950,22 @@ def boost_high_confidence(
     def sample_many(data, seeds: Sequence[int]) -> np.ndarray:
         # Draw i runs the base on part j under spawn_seed(seeds[i], j) and
         # selects under spawn_seed(seeds[i], a).  On one dataset the parts
-        # are the same for every seed, so each base law is built once; a
-        # block splits its id array, and one base call draws every part's
-        # candidate, with the parts trial-major.
+        # are the same for every seed, so each base law is built once, and
+        # its one validation row serves every draw; a block's parts are
+        # trial-major, and one base call draws every part's candidate.
         # Row i: the seeds of draw i's parts, then of its selection.
         sub = spawn_seeds(seeds, streams).T
         if isinstance(data, Dataset):
-            train, validation = boost_parts(data.n, a)
-            candidates = np.column_stack([base.sample_many(data.take(idx), sub[:, j])
-                                          for j, idx in enumerate(train)])
-            risks = risk_rows(problem, space, _one_row(data).columns(validation))
+            parts, validation = split(_one_row(data))
+            candidates = np.column_stack([base.sample_many(part, part_seeds)
+                                          for part, part_seeds in zip(parts, sub.T)])
         else:
             parts, validation = split(_block_for(data, seeds))
             candidates = base.sample_many(parts, sub[:, :a].ravel()).reshape(-1, a)
-            risks = risk_rows(problem, space, validation)
-        logits = -selection_scale(data.n) * np.take_along_axis(risks, candidates, axis=1)
+        risks = risk_rows(problem, space, validation)
+        logits = -selection_scale(data.n) * risks[np.arange(len(risks))[:, None], candidates]
         sel = np.exp(logits - logsumexp_rows(logits)[:, None])
-        sel /= sel.sum(axis=1, keepdims=True)
+        sel /= np.add.reduce(sel, axis=1, keepdims=True)
         pick = categorical(sel, first_uniforms(sub[:, a]))
         return candidates[np.arange(len(seeds)), pick]
 

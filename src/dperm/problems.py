@@ -104,13 +104,13 @@ class Dataset:
 
     @classmethod
     def _of_checked_atoms(cls, support: "Dataset", ids: np.ndarray) -> "Dataset":
-        """:meth:`of_atoms` on ids that :func:`_atom_ids` has already given.
+        """:meth:`of_atoms` on ids taken from checked ids, made read-only.
         The points are rows of ``support``, whose x and y are checked, so
         ``__post_init__`` is not run again."""
         data = cls.__new__(cls)
         data.x = support.x[ids]
         data.y = None if support.y is None else support.y[ids]
-        for a in (data.x, data.y):
+        for a in (data.x, data.y, ids):
             if a is not None:
                 a.flags.writeable = False
         data.atom_ids, data.support = ids, support
@@ -121,13 +121,12 @@ class Dataset:
         return len(self.x)
 
     def take(self, indices) -> "Dataset":
-        """Sub-dataset at the given positions (copy); a dataset with atom
-        ids keeps the ids at those positions and the same support."""
-        idx = np.asarray(indices)
+        """Sub-dataset at the given positions, an index array or a slice (copy);
+        a dataset with atom ids keeps the ids there and the same support."""
         if self.atom_ids is not None:
-            return Dataset.of_atoms(self.support, self.atom_ids[idx])
+            return Dataset._of_checked_atoms(self.support, self.atom_ids[indices])
         return Dataset(
-            x=self.x[idx].copy(), y=None if self.y is None else self.y[idx].copy()
+            x=self.x[indices].copy(), y=None if self.y is None else self.y[indices].copy()
         )
 
 
@@ -149,6 +148,15 @@ class DatasetBlock:
             raise ValueError(f"expected one row of atom ids per dataset, got shape {ids.shape}")
         self.support, self.atom_ids = support, ids
 
+    @classmethod
+    def _of_checked_ids(cls, support: Dataset, ids: np.ndarray) -> "DatasetBlock":
+        """The block of a 2-d array taken from checked ids (a row, slice,
+        reshape or columns of them), made read-only, not checked again."""
+        block = cls.__new__(cls)
+        ids.flags.writeable = False
+        block.support, block.atom_ids = support, ids
+        return block
+
     @property
     def n(self) -> int:
         """Points per dataset."""
@@ -164,13 +172,13 @@ class DatasetBlock:
         """The (T, ``support.n``) atom counts of every row, from one
         ``bincount`` (row i's ids offset by i * ``support.n``)."""
         t, k = len(self), self.support.n
-        keys = (self.atom_ids + (np.arange(t) * k)[:, None]).ravel()
-        return np.bincount(keys, minlength=t * k).reshape(t, k)
+        keys = self.atom_ids + np.arange(0, t * k, k)[:, None]
+        return np.bincount(keys.ravel(), minlength=t * k).reshape(t, k)
 
     def columns(self, indices) -> "DatasetBlock":
-        """Every dataset taken at the same positions: item i is
-        ``self[i].take(indices)``."""
-        return DatasetBlock(self.support, self.atom_ids[:, indices])
+        """Every dataset taken at the same positions, an index array or a
+        slice: item i is ``self[i].take(indices)``."""
+        return DatasetBlock._of_checked_ids(self.support, self.atom_ids[:, indices])
 
 
 def _unique_rows(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -326,8 +334,6 @@ def _loss_table(problem: Problem, space: FiniteHypothesisSpace, dataset: Dataset
         raise ValueError(
             f"loss matrix shape {losses.shape}, expected {(space.size, dataset.n)}"
         )
-    if not np.isfinite(losses).all():
-        raise ValueError("loss matrix contains non-finite entries")
     return losses
 
 
@@ -347,12 +353,15 @@ def risk_rows(problem: Problem, space: FiniteHypothesisSpace, block: DatasetBloc
         raise TypeError("risk_rows takes one DatasetBlock (risk_vector takes one Dataset), "
                         f"got {type(block).__name__}")
     support, counts = block.support, block.counts()
-    present = np.flatnonzero(counts.any(axis=0))
-    atoms = Dataset(x=support.x[present], y=None if support.y is None else support.y[present])
-    table = _loss_table(problem, space, atoms)
-    # A -0.0 entry is left to the loss path, where a sum of -0.0s keeps its
-    # sign.
-    if ((table == 1.0) | ((table == 0.0) & ~np.signbit(table))).all():
+    present = np.logical_or.reduce(counts, axis=0).nonzero()[0]
+    # The support's points are checked, so __post_init__ is not run again.
+    atoms = Dataset.__new__(Dataset)
+    atoms.x, atoms.y = support.x[present], None if support.y is None else support.y[present]
+    table = np.asarray(_loss_table(problem, space, atoms), dtype=float)
+    # +0.0 is the one float whose bits are all zero, so the table is 0/1 when
+    # every entry with a bit set is 1.0; a -0.0 entry is left to the loss
+    # path, where a sum of -0.0s keeps its sign.  A 0/1 table is finite.
+    if np.count_nonzero(table == 1.0) == np.count_nonzero(table.view(np.uint64)):
         return (counts[:, present].astype(float) @ table.T) / block.n
     return np.array([risk_vector(problem, space, d) for d in block])
 
@@ -360,13 +369,16 @@ def risk_rows(problem: Problem, space: FiniteHypothesisSpace, block: DatasetBloc
 def risk_vector(problem: Problem, space: FiniteHypothesisSpace, dataset: Dataset) -> np.ndarray:
     """Empirical risk of every hypothesis: the mean of ``loss_matrix`` over
     the dataset's points."""
-    return _loss_table(problem, space, dataset).mean(axis=1)
+    losses = _loss_table(problem, space, dataset)
+    if not np.isfinite(losses).all():
+        raise ValueError("loss matrix contains non-finite entries")
+    return losses.mean(axis=1)
 
 
 def _regularized(problem: Problem, space: FiniteHypothesisSpace, risks, n: int) -> np.ndarray:
     """The risks plus the regularizer at sample size n, checked finite."""
     risks += problem.reg_vector(n, space.payloads)
-    if not np.isfinite(risks).all():
+    if not np.logical_and.reduce(np.isfinite(risks), axis=None):
         raise ValueError("objective contains non-finite values")
     return risks
 

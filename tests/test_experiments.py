@@ -4,6 +4,9 @@ import collections
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -104,9 +107,9 @@ def test_witness_floats_are_at_cell_precision():
 
 
 def test_counterexample_witness_gaps_are_its_csv_cells():
-    # The digits of a gap past the twelfth depend on the BLAS and the
-    # Python version, so the witness keeps the twelve the CSV keeps, and the
-    # committed manifest holds the witness a rerun writes.
+    # The digits of a gap past the twelfth may depend on the numpy build and
+    # the Python version, so the witness keeps the twelve the CSV keeps, and
+    # the committed manifest holds the witness a rerun writes.
     config = parse_config_file(str(REPO / "scripts" / "counterexample.conf"))
     outcome = run_experiment(config)
     cells = {row["metric"]: float(row["value"])
@@ -125,6 +128,8 @@ def test_rates_risk_and_erm_use_the_loss_exponent(monkeypatch, power):
     # into any one of them fails at one of these two powers.
     monkeypatch.setattr(problems, "PTH_POWER", power)
     problem, _ = problems.pth_power_mean()
+    # run_rates names this problem by its builder, without building it.
+    assert problem.name == problems.pth_power_mean.__name__
 
     def mean_loss(h, x):
         return problem.loss_matrix(np.asarray(h, float)[:, None], Dataset(x=x)).mean(axis=1)
@@ -138,3 +143,26 @@ def test_rates_risk_and_erm_use_the_loss_exponent(monkeypatch, power):
     erm = pth_power_erm_batch(x[None, :])[0]
     risks = mean_loss([erm - 1e-3, erm, erm + 1e-3], x)
     assert risks[1] < min(risks[0], risks[2])
+
+
+GAPS_CHILD = """
+from dperm.analysis import counterexample_experiment
+from dperm.config import parse_config_file
+
+config = parse_config_file("scripts/counterexample.conf")
+result = counterexample_experiment(config["epsilon"], config["n"], config["resolutions"])
+print(" ".join(row.max_gap.hex() for row in result.rows))
+"""
+
+
+def test_counterexample_gaps_do_not_depend_on_blas_threads():
+    # Each gap's expectation is numpy's own sum, not a BLAS dot product,
+    # whose 65,536-wide sum OpenBLAS splits by its thread count.
+    gaps = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src"), "OPENBLAS_NUM_THREADS": threads}
+        child = subprocess.run([sys.executable, "-c", GAPS_CHILD], env=env, cwd=REPO,
+                               capture_output=True, text=True, timeout=300)
+        assert child.returncode == 0, child.stderr
+        gaps.append(child.stdout.split())
+    assert len(gaps[0]) == 4 and gaps[0] == gaps[1]

@@ -817,8 +817,9 @@ class TestPthPowerErm:
 class TestBoosting:
     def test_part_layout(self):
         train, validation = boost_parts(10, 3)
-        assert [t.tolist() for t in train] == [[0, 1], [2, 3], [4, 5]]
-        assert validation.tolist() == [6, 7, 8, 9]
+        positions = np.arange(10)
+        assert [positions[t].tolist() for t in train] == [[0, 1], [2, 3], [4, 5]]
+        assert positions[validation].tolist() == [6, 7, 8, 9]
 
     def test_too_small_to_split(self):
         with pytest.raises(ValueError):
@@ -1131,6 +1132,54 @@ def test_sample_is_the_one_row_case_of_sample_many(build):
         draws = [mech.sample(data, seed), int(mech.sample_many(data, [seed])[0]),
                  mech.sample(plain, seed), int(mech.sample_many(plain, [seed])[0])]
         assert draws == [draws[0]] * 4
+
+
+@pytest.mark.parametrize("build", [_em, _subsample_exact, _boost, _boost_sample_only])
+def test_one_row_draws_equal_the_dataset_and_block_paths(build):
+    # Over 200 seeds, sample equals sample_many on each seed's one-row
+    # block, on the dataset (one law, and for boost one validation row,
+    # shared by every seed) and on a block with the dataset in every row.
+    mech, data = build()
+    seeds = spawn_seeds(31, np.arange(200))
+    draws = [mech.sample(data, s) for s in seeds]
+    assert [int(mech.sample_many(DatasetBlock(data.support, data.atom_ids[None]), [s])[0])
+            for s in seeds] == draws
+    assert mech.sample_many(data, seeds).tolist() == draws
+    block = DatasetBlock(data.support, np.tile(data.atom_ids, (len(seeds), 1)))
+    assert mech.sample_many(block, seeds).tolist() == draws
+
+
+def test_derived_blocks_are_read_only(monkeypatch):
+    # The blocks a draw derives from checked ids skip the range check, so
+    # none may be writable: the one-row blocks, boost's parts (a copy for a
+    # block of several rows) and validation columns, and a block's columns.
+    mech, data = _boost()
+    seen = []
+
+    def recording(original):
+        def wrapped(problem, space, block):
+            seen.append(block)
+            return original(problem, space, block)
+        return wrapped
+
+    for name in ("risk_rows", "objective_rows"):
+        monkeypatch.setattr(mechanisms, name, recording(getattr(mechanisms, name)))
+    plain = Dataset(x=data.x, y=data.y)
+    block = DatasetBlock(data.support, np.stack([data.atom_ids, data.atom_ids[::-1]]))
+    mech.sample(data, 3)
+    mech.sample(plain, 3)
+    mech.sample_many(data, [3, 4])
+    mech.sample_many(block, [3, 4])
+    seen += [block.columns([0, 2]), block.columns(slice(1, 4)), data.take(slice(0, 5))]
+    assert len(seen) == 12
+    for item in seen:
+        ids = item.atom_ids
+        assert not ids.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            ids[(0,) * ids.ndim] = 0
+    # Ids edited outside a block are checked again.
+    with pytest.raises(ValueError, match=re.escape(f"[0, {data.support.n})")):
+        DatasetBlock(data.support, block.atom_ids + data.support.n)
 
 
 def _em_row_case(size, trials, n, seed=0):

@@ -472,6 +472,17 @@ class TestRiskRows:
         assert calls[1:] == [6]
         assert np.array_equal(np.signbit(risks), np.signbit(_loss_rows(negated, space, data)))
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_losses_are_refused(self, bad):
+        # A table that is not 0/1 goes to the loss path, which checks it.
+        problem, space = PROBLEM_BUILDERS["threshold"](resolution=4)
+        broken = Problem(name="broken", dimension=1, loss_matrix=lambda h, d: np.where(
+            problem.loss_matrix(h, d) == 0.0, 0.0, bad))
+        data = labeled_threshold(0.5, support_size=4).datasets_at(
+            trial_rng(11, 0).random((2, 6)))
+        with pytest.raises(ValueError, match="non-finite"):
+            risk_rows(broken, space, data)
+
     def test_objective_rows_add_each_datasets_regularizer(self):
         # The regularizer depends on n: each block adds the row at its size,
         # and one dataset, with or without atom ids, adds the row at its own.
