@@ -1,10 +1,12 @@
-"""Exact privacy audits, stability and risk-gap checks, and the
+"""Exact privacy audits, stability and risk-gap measurements, and the
 counterexample and phase-transition studies.
 
-The audit functions here treat a mechanism's claimed budget as a hypothesis
-and test it against the mechanism's exact output laws on enumerated (or
-sampled) neighboring datasets.  Neighbors differ in exactly one point drawn
-from a finite universe of atoms; each is ``Dataset.of_atoms(universe, ids)``.
+The functions here only measure; every verdict, and every claimed bound a
+measurement is held to, lives in the drivers of :mod:`dperm.experiments`.
+The audits measure the privacy loss of a mechanism's exact output laws on
+enumerated (or sampled) neighboring datasets.  Neighbors differ in exactly
+one point drawn from a finite universe of atoms; each is
+``Dataset.of_atoms(universe, ids)``.
 Every shipped mechanism's law depends on the dataset only through its
 multiset of points (objectives are averages), and a multiset over one
 universe is its vector of atom counts.  Each audit call reads its pairs
@@ -48,7 +50,6 @@ from .draws import reseeded_generators, uniform_rows
 from .seeding import spawn_seed, spawn_seeds
 from .spaces import SizeLimitError, sublevel_set
 
-AUDIT_TOL = 1e-9
 NEIGHBOR_PAIR_CAP = 2 * 10**5
 # Id cells (rows x n) of exact consistency's multisets or of exhaustive pairs.
 ENUMERATION_CAP = 10**7
@@ -372,14 +373,13 @@ class TailCheckRow:
     t: float
     tail_mass: float
     bound: float
-    margin: float
-    ok: bool
 
 
 def utility_tail_check(
     mechanism: Mechanism, dataset: Dataset, t_grid: Sequence[float]
 ) -> list[TailCheckRow]:
-    """Check P[objective(H) > min + 2t] <= ratio(t) * exp(-em_scale(eps, n) t).
+    """The tail mass P[objective(H) > min + 2t] at each t, and its bound
+    ratio(t) * exp(-em_scale(eps, n) t).
 
     ``ratio(t)`` is the inverse relative measure of the t-sublevel set of the
     realized objective, so both sides are computed exactly from the law.
@@ -400,16 +400,8 @@ def utility_tail_check(
             raise ValueError(f"t values must be positive, got {t}")
         report = sublevel_set(mechanism.space, values, float(t))
         tail = float(law.probabilities[values > best + 2.0 * t].sum())
-        bound = report.ratio * math.exp(-scale * float(t))
-        rows.append(
-            TailCheckRow(
-                t=float(t),
-                tail_mass=tail,
-                bound=bound,
-                margin=bound - tail,
-                ok=tail <= bound + 1e-12,
-            )
-        )
+        rows.append(TailCheckRow(t=float(t), tail_mass=tail,
+                                 bound=report.ratio * math.exp(-scale * float(t))))
     return rows
 
 
@@ -420,12 +412,10 @@ def utility_tail_check(
 @dataclass(frozen=True)
 class GapReport:
     """Stability, AERM, generalization, and excess-risk gaps for one
-    mechanism, dataset size, and sampling distribution, plus the claimed
-    bounds they are held to.
+    mechanism, dataset size, and sampling distribution.
 
     In exact mode every expectation is a finite sum over datasets and the
-    standard errors are zero; in Monte Carlo mode gaps carry standard errors
-    and the checks allow a 4-SE margin.
+    standard errors are zero; in Monte Carlo mode gaps carry standard errors.
     """
 
     mode: str
@@ -438,10 +428,6 @@ class GapReport:
     excess_se: float
     generalization_se: float
     aerm_se: float
-    stability_bound: float
-    aerm_bound: float
-    decomposition_ok: bool
-    generalization_ok: bool
 
 
 def consistency_suite(
@@ -461,16 +447,13 @@ def consistency_suite(
 
     Exact mode reads every size-n multiset over the distribution's atoms
     (:func:`_multisets`, at most ``ENUMERATION_CAP`` id cells), weights each
-    by its exact multinomial probability, rounded once, sums weight x gap one
-    multiset at a time in enumeration order, and checks, to 1e-9:
-
-        excess <= generalization + aerm    and    |generalization| <= stability.
-
-    Monte Carlo mode averages the same gaps over ``trials`` sampled datasets
-    and allows a 4-SE margin on each check.  Both modes require a discrete
-    distribution so population risks are exact sums.  The stability gap is
-    exact over every neighbor pair while :func:`exhaustive_neighbor_pairs`
-    takes them, and over ``STABILITY_SAMPLES`` random pairs past its caps.
+    by its exact multinomial probability, rounded once, and sums weight x gap
+    one multiset at a time in enumeration order.  Monte Carlo mode averages
+    the same gaps over ``trials`` sampled datasets, with standard errors.
+    Both modes require a discrete distribution so population risks are exact
+    sums.  The stability gap is exact over every neighbor pair while
+    :func:`exhaustive_neighbor_pairs` takes them, and over
+    ``STABILITY_SAMPLES`` random pairs past its caps.
     """
     if mechanism.problem is None or mechanism.space is None or mechanism.law is None:
         raise ValueError("the consistency suite needs a problem-bound mechanism with a law")
@@ -534,13 +517,10 @@ def consistency_suite(
             raise AssertionError(f"multiset weights sum to {mass}, not 1")
         se_e = se_g = se_a = 0.0
         trials_used = 0
-        margin_e = margin_g = AUDIT_TOL
     else:
         excess, gen, aerm = gaps.mean(axis=0).tolist()
         se_e, se_g, se_a = (gaps.std(axis=0, ddof=1) / math.sqrt(trials)).tolist()
         trials_used = trials
-        margin_e = 4.0 * math.hypot(se_e, se_a) + AUDIT_TOL
-        margin_g = 4.0 * se_g + AUDIT_TOL
 
     if _pair_refusal(universe.n, n) is None:
         pairs = exhaustive_neighbor_pairs(universe, n)
@@ -548,20 +528,6 @@ def consistency_suite(
         pairs = sampled_neighbor_pairs(
             universe, n, STABILITY_SAMPLES, spawn_seed(seed, 2**31)
         )
-    stability = stability_audit(mechanism, pairs)
-
-    budget = mechanism.claimed_budget(n)
-    stability_claim = math.expm1(budget.epsilon) + budget.delta
-    if budget.epsilon > 0 and n >= 2:
-        bound = aerm_bound(
-            n=n,
-            epsilon=budget.epsilon,
-            sublevel_k=space.size,
-            sublevel_rho=0.0,
-            zeta_n=problem.zeta(n),
-        )
-    else:
-        bound = math.inf
     return GapReport(
         mode=mode,
         n=n,
@@ -569,14 +535,10 @@ def consistency_suite(
         excess_risk=excess,
         generalization_gap=gen,
         aerm_gap=aerm,
-        stability_gap=stability,
+        stability_gap=stability_audit(mechanism, pairs),
         excess_se=se_e,
         generalization_se=se_g,
         aerm_se=se_a,
-        stability_bound=stability_claim,
-        aerm_bound=bound,
-        decomposition_ok=excess <= gen + aerm + margin_e,
-        generalization_ok=abs(gen) <= stability + margin_g,
     )
 
 
@@ -590,35 +552,23 @@ class CounterexampleRow:
     max_gap: float
     argmax_dataset: int
     ratio: float
-    must_exceed_half: bool
-    exceeds_half: bool
 
 
 @dataclass(frozen=True)
 class CounterexampleResult:
     """Worst-case AERM gaps of the private learner on the packed family,
-    swept over grid resolutions.
-
-    ``monotone`` asserts the nondecreasing reading of the sweep at an exact
-    1e-9 tolerance.  ``ratio`` is ln(resolution) / em_scale(epsilon, n);
-    once it reaches ``ratio_threshold`` the gap is required to exceed one
-    half.
-    """
+    swept over grid resolutions; each row's ``ratio`` is ln(resolution) /
+    em_scale(epsilon, n)."""
 
     epsilon: float
     n: int
     rows: tuple[CounterexampleRow, ...]
-    monotone: bool
-    final_exceeds_half: bool
-    threshold_ok: bool
-    ratio_threshold: float
 
 
 def counterexample_experiment(
     epsilon: float,
     n: int,
     resolutions: Sequence[int],
-    ratio_threshold: float = 14.0,
 ) -> CounterexampleResult:
     """Sweep grid resolutions and record the worst AERM gap over the packed
     dataset family for the exponential-mechanism threshold learner.
@@ -629,8 +579,8 @@ def counterexample_experiment(
     with the grid (K = ceil(e^(epsilon n)) datasets, 21 at the shipped
     epsilon = 1, n = 3), so the gap does not grow with resolution: it
     converges, there to 0.6427798, and wobbles around that value (0.6006 at
-    resolution 16, 0.6431 at 256, 0.6428 at 4096).  The ``monotone`` row of
-    the shipped sweep is therefore red by design, as is
+    resolution 16, 0.6431 at 256, 0.6428 at 4096).  The driver's monotone
+    row of the shipped sweep is therefore red by design, as is
     ``test_c08_gap_growth_monotone``.
     """
     if len(resolutions) < 1 or any(int(g) < 1 for g in resolutions):
@@ -646,29 +596,9 @@ def counterexample_experiment(
             gap = aerm_gap(mech, dataset)
             if gap > worst:
                 worst, arg = gap, i
-        ratio = math.log(g) / em_scale(epsilon, n)
-        rows.append(
-            CounterexampleRow(
-                resolution=g,
-                max_gap=worst,
-                argmax_dataset=arg,
-                ratio=ratio,
-                must_exceed_half=ratio >= ratio_threshold,
-                exceeds_half=worst > 0.5,
-            )
-        )
-    gaps = [r.max_gap for r in rows]
-    monotone = all(b >= a - AUDIT_TOL for a, b in zip(gaps, gaps[1:]))
-    threshold_ok = all(r.exceeds_half for r in rows if r.must_exceed_half)
-    return CounterexampleResult(
-        epsilon=epsilon,
-        n=n,
-        rows=tuple(rows),
-        monotone=monotone,
-        final_exceeds_half=rows[-1].exceeds_half,
-        threshold_ok=threshold_ok,
-        ratio_threshold=ratio_threshold,
-    )
+        rows.append(CounterexampleRow(resolution=g, max_gap=worst, argmax_dataset=arg,
+                                      ratio=math.log(g) / em_scale(epsilon, n)))
+    return CounterexampleResult(epsilon=epsilon, n=n, rows=tuple(rows))
 
 
 @dataclass(frozen=True)

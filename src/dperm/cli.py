@@ -165,6 +165,11 @@ def _cmd_summarize(paths: Sequence[str]) -> int:
                     f"{len(CSV_COLUMNS)}"
                 )
             row = dict(zip(CSV_COLUMNS, record))
+            if row["passed"] not in ("", "true", "false"):
+                raise ConfigError(
+                    f"{path!r}, line {reader.line_num}: passed cell "
+                    f"{row['passed']!r} is not true, false or empty"
+                )
             bucket = totals.setdefault(row["experiment"], [0, 0, 0])
             bucket[0] += 1
             if row["passed"] == "":

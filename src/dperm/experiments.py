@@ -8,8 +8,38 @@ perturbs another), which makes reruns byte-identical.
 
 Row semantics: ``value`` is the measured quantity, ``bound`` the value it is
 held against, and ``passed`` says whether the check came out as claimed; rows
-with ``passed`` empty are informational.  Most checks are value <= bound; the
-counterexample gap rows demand value > bound.
+with ``passed`` empty are informational.  :mod:`dperm.analysis` only
+measures: the drivers here compute every claimed bound and every ``passed``
+cell.  The pass rules, with tol = ``AUDIT_TOL`` = 1e-9 and SE a row's
+standard error:
+
+- audit: each realized ``max_log_ratio`` or realized delta <= bound + tol,
+  the bound cell holding the claimed epsilon or delta;
+  ``tight_below_relaxed``: value < bound (the relaxed epsilon), strictly.
+- stability: gap <= bound + tol, the bound cell holding e^eps - 1, or 2 eps
+  (for eps <= 1 only).
+- aerm: ``aerm_gap_mean`` <= bound + tol, the bound cell holding
+  :func:`aerm_bound`; no SE margin.
+- utility-tail: tail mass <= bound + 1e-12, the bound cell holding
+  ratio(t) exp(-em_scale t).
+- consistency: ``stability_gap`` <= e^eps - 1 + tol; ``aerm_gap`` <=
+  :func:`aerm_bound` + tol, no SE margin; |``generalization_gap``| <= bound +
+  4 SE + tol, the bound cell holding the stability gap; ``excess_risk`` <=
+  bound + 4 hypot(excess SE, aerm SE) + tol, the bound cell holding
+  generalization + aerm.  Every SE of exact mode is 0.
+- counterexample: ``max_aerm_gap`` > 0.5 strictly, the bound cell holding
+  0.5, checked only where ln(resolution) / em_scale(eps, n) >=
+  ``ratio_threshold`` (informational, with no bound, below);
+  ``gap_monotone_nondecreasing`` (bound 1.0, value 1.0 if it holds, else
+  0.0) passes when every gap is >= the gap before it - tol;
+  ``final_gap_exceeds_half``: the last gap > 0.5 strictly.
+- phase: drop or separation > bound strictly, the bound cell holding the
+  margin, 4 hypot(SE, SE) of the two cells compared.
+- boost: ``failure_frequency`` <= bound + 3 SE + tol, the bound cell holding
+  the target delta and the stderr cell the binomial SE.
+- rates: slope_lo <= ``loglog_slope`` <= slope_hi; the bound cell holds only
+  slope_hi.
+- sublevel: each mean ratio <= bound + 1e-6, the bound cell holding |H|.
 """
 
 from __future__ import annotations
@@ -23,7 +53,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .analysis import (
-    AUDIT_TOL,
     TRIAL_BLOCK,
     aerm_bound,
     aerm_bound_stated,
@@ -62,6 +91,9 @@ from .problems import (
 )
 from .seeding import spawn_seed, spawn_seeds, trial_rng
 from .spaces import estimate_sublevel_condition
+
+# The exact-arithmetic slack of a checked inequality.
+AUDIT_TOL = 1e-9
 
 CSV_COLUMNS = (
     "experiment",
@@ -226,47 +258,39 @@ def run_audit(config: RunConfig) -> ExperimentOutcome:
     rows: list[Row] = []
     wits: list[dict] = []
 
+    def check(mech, problem_name, eps, delta, metric, value, bound, witness, **context):
+        # One checked row, value <= bound + AUDIT_TOL, and the audit's
+        # witness under ``context`` when it fails.
+        ok = value <= bound + AUDIT_TOL
+        rows.append(Row("audit", mech.name, problem_name, n, eps, delta, seed, metric,
+                        value, None, bound, ok))
+        if not ok and witness:
+            wits.append({**context, **witness})
+
     for eps in config["epsilon"]:
         mech = exponential_mechanism(problem, space, eps)
         report = audit_pure_dp(mech, pairs)
-        ok = report.max_log_ratio <= eps + AUDIT_TOL
-        rows.append(
-            Row("audit", mech.name, problem.name, n, eps, 0.0, seed,
-                "max_log_ratio", report.max_log_ratio, None, eps, ok)
-        )
-        if not ok and report.witness:
-            wits.append({"epsilon": eps, **report.witness})
+        check(mech, problem.name, eps, 0.0, "max_log_ratio", report.max_log_ratio, eps,
+              report.witness, epsilon=eps)
 
         wrapped = subsample_wrapper(mech, m)
         tight = wrapped.claimed_budget(n).epsilon
         relaxed = amplify_pure(eps, m / n).relaxed
-        sub_report = audit_pure_dp(wrapped, pairs)
-        sub_ok = sub_report.max_log_ratio <= tight + AUDIT_TOL
-        rows.append(
-            Row("audit", wrapped.name, problem.name, n, eps, 0.0, seed,
-                "subsampled_max_log_ratio", sub_report.max_log_ratio, None,
-                tight, sub_ok)
-        )
+        report = audit_pure_dp(wrapped, pairs)
+        check(wrapped, problem.name, eps, 0.0, "subsampled_max_log_ratio",
+              report.max_log_ratio, tight, report.witness, epsilon=eps, stage="subsampled")
         rows.append(
             Row("audit", wrapped.name, problem.name, n, eps, 0.0, seed,
                 "tight_below_relaxed", tight, None, relaxed, tight < relaxed)
         )
-        if not sub_ok and sub_report.witness:
-            wits.append({"epsilon": eps, "stage": "subsampled", **sub_report.witness})
 
     # The sqrt rule: subsampling an arbitrary (here deterministic) learner.
     raw = erm_mechanism(problem, space)
     sqrt_wrapped = subsample_wrapper(raw, "sqrt")
     claimed_delta = sqrt_wrapped.claimed_budget(n).delta
-    zero_eps = audit_approx_dp(sqrt_wrapped, pairs, epsilon=0.0)
-    sqrt_ok = zero_eps.realized_delta <= claimed_delta + AUDIT_TOL
-    rows.append(
-        Row("audit", sqrt_wrapped.name, problem.name, n, 0.0, claimed_delta, seed,
-            "sqrt_rule_realized_delta", zero_eps.realized_delta, None,
-            claimed_delta, sqrt_ok)
-    )
-    if not sqrt_ok and zero_eps.witness:
-        wits.append({"stage": "sqrt-rule", **zero_eps.witness})
+    report = audit_approx_dp(sqrt_wrapped, pairs, epsilon=0.0)
+    check(sqrt_wrapped, problem.name, 0.0, claimed_delta, "sqrt_rule_realized_delta",
+          report.realized_delta, claimed_delta, report.witness, stage="sqrt-rule")
 
     # Approximate-budget base: realized delta at claimed epsilon, then again
     # after subsampling at the amplified (epsilon', delta').
@@ -274,26 +298,15 @@ def run_audit(config: RunConfig) -> ExperimentOutcome:
     flag_delta = config["approx_delta"]
     marker = float(universe.x[0] if universe.x.ndim == 1 else universe.x[0, 0])
     flag = membership_flag_mechanism(flag_eps, flag_delta, marker)
-    flag_report = audit_approx_dp(flag, pairs, epsilon=flag_eps)
-    flag_ok = flag_report.realized_delta <= flag_delta + AUDIT_TOL
-    rows.append(
-        Row("audit", flag.name, "membership-flag", n, flag_eps, flag_delta, seed,
-            "approx_realized_delta", flag_report.realized_delta, None,
-            flag_delta, flag_ok)
-    )
+    report = audit_approx_dp(flag, pairs, epsilon=flag_eps)
+    check(flag, "membership-flag", flag_eps, flag_delta, "approx_realized_delta",
+          report.realized_delta, flag_delta, report.witness, stage="approx-base")
     sub_flag = subsample_wrapper(flag, m)
     amplified = sub_flag.claimed_budget(n)
-    sub_flag_report = audit_approx_dp(sub_flag, pairs, epsilon=amplified.epsilon)
-    sub_flag_ok = sub_flag_report.realized_delta <= amplified.delta + AUDIT_TOL
-    rows.append(
-        Row("audit", sub_flag.name, "membership-flag", n, amplified.epsilon,
-            amplified.delta, seed, "approx_subsampled_realized_delta",
-            sub_flag_report.realized_delta, None, amplified.delta, sub_flag_ok)
-    )
-    if not flag_ok and flag_report.witness:
-        wits.append({"stage": "approx-base", **flag_report.witness})
-    if not sub_flag_ok and sub_flag_report.witness:
-        wits.append({"stage": "approx-subsampled", **sub_flag_report.witness})
+    report = audit_approx_dp(sub_flag, pairs, epsilon=amplified.epsilon)
+    check(sub_flag, "membership-flag", amplified.epsilon, amplified.delta,
+          "approx_subsampled_realized_delta", report.realized_delta, amplified.delta,
+          report.witness, stage="approx-subsampled")
     return _finish("audit", rows, wits)
 
 
@@ -378,7 +391,8 @@ def run_utility_tail(config: RunConfig) -> ExperimentOutcome:
     dataset = distribution.sample(n, trial_rng(config.seed, 0))
     rows = [
         Row("utility-tail", mech.name, problem.name, n, eps, 0.0, config.seed,
-            f"tail_mass[t={r.t:.6g}]", r.tail_mass, None, r.bound, r.ok)
+            f"tail_mass[t={r.t:.6g}]", r.tail_mass, None, r.bound,
+            r.tail_mass <= r.bound + 1e-12)
         for r in utility_tail_check(mech, dataset, t_grid)
     ]
     return _finish("utility-tail", rows, [])
@@ -390,32 +404,31 @@ def run_consistency(config: RunConfig) -> ExperimentOutcome:
     or by Monte Carlo with a 4-SE margin."""
     if config["mode"] not in ("exact", "mc"):
         raise ConfigError(f"mode must be 'exact' or 'mc', got {config['mode']!r}")
-    problem, space = threshold_classification(resolution=config["resolution"])
-    distribution = discrete_points(
-        x=np.array([0.3, 0.7]), y=np.array([0.0, 1.0])
-    )
-    mech = exponential_mechanism(problem, space, config["epsilon"])
-    report = consistency_suite(
-        mech,
-        distribution,
-        n=config["n"],
-        mode=config["mode"],
-        trials=config["trials"],
-        seed=config.seed,
-    )
     n, eps = config["n"], config["epsilon"]
+    problem, space = threshold_classification(resolution=config["resolution"])
+    distribution = discrete_points(x=np.array([0.3, 0.7]), y=np.array([0.0, 1.0]))
+    mech = exponential_mechanism(problem, space, eps)
+    report = consistency_suite(mech, distribution, n=n, mode=config["mode"],
+                               trials=config["trials"], seed=config.seed)
+    stability_bound = math.expm1(eps)
+    aerm_claim = aerm_bound(n, eps, space.size, 0.0, problem.zeta(n)) if n >= 2 else math.inf
+
+    def margin(se: float) -> float:
+        return 4.0 * se + AUDIT_TOL
+
+    gen, aerm = report.generalization_gap, report.aerm_gap
     common = ("consistency", mech.name, problem.name, n, eps, 0.0, config.seed)
     rows = [
-        Row(*common, "stability_gap", report.stability_gap, None,
-            report.stability_bound,
-            report.stability_gap <= report.stability_bound + AUDIT_TOL),
-        Row(*common, "generalization_gap", report.generalization_gap,
-            report.generalization_se, report.stability_gap,
-            report.generalization_ok),
-        Row(*common, "aerm_gap", report.aerm_gap, report.aerm_se,
-            report.aerm_bound, report.aerm_gap <= report.aerm_bound + AUDIT_TOL),
-        Row(*common, "excess_risk", report.excess_risk, report.excess_se,
-            report.generalization_gap + report.aerm_gap, report.decomposition_ok),
+        Row(*common, "stability_gap", report.stability_gap, None, stability_bound,
+            report.stability_gap <= stability_bound + AUDIT_TOL),
+        Row(*common, "generalization_gap", gen, report.generalization_se,
+            report.stability_gap,
+            abs(gen) <= report.stability_gap + margin(report.generalization_se)),
+        Row(*common, "aerm_gap", aerm, report.aerm_se, aerm_claim,
+            aerm <= aerm_claim + AUDIT_TOL),
+        Row(*common, "excess_risk", report.excess_risk, report.excess_se, gen + aerm,
+            report.excess_risk
+            <= gen + aerm + margin(math.hypot(report.excess_se, report.aerm_se))),
     ]
     return _finish("consistency", rows, [])
 
@@ -428,31 +441,32 @@ def run_counterexample(config: RunConfig) -> ExperimentOutcome:
         epsilon=config["epsilon"],
         n=config["n"],
         resolutions=config["resolutions"],
-        ratio_threshold=config["ratio_threshold"],
     )
     seed = config.seed
     rows: list[Row] = []
     for r in result.rows:
+        # Past the ratio threshold the gap must exceed one half.
+        gated = r.ratio >= config["ratio_threshold"]
         rows.append(
             Row("counterexample", f"em(threshold,eps={result.epsilon:g})",
                 f"threshold[grid={r.resolution}]", result.n, result.epsilon,
                 0.0, seed, f"max_aerm_gap[grid={r.resolution}]", r.max_gap, None,
-                0.5 if r.must_exceed_half else None,
-                r.exceeds_half if r.must_exceed_half else None)
+                0.5 if gated else None, r.max_gap > 0.5 if gated else None)
         )
     gaps = [r.max_gap for r in result.rows]
+    monotone = all(b >= a - AUDIT_TOL for a, b in zip(gaps, gaps[1:]))
     rows.append(
         Row("counterexample", "em(threshold)", "threshold", result.n,
             result.epsilon, 0.0, seed, "gap_monotone_nondecreasing",
-            1.0 if result.monotone else 0.0, None, 1.0, result.monotone)
+            1.0 if monotone else 0.0, None, 1.0, monotone)
     )
     rows.append(
         Row("counterexample", "em(threshold)", "threshold", result.n,
             result.epsilon, 0.0, seed, "final_gap_exceeds_half", gaps[-1],
-            None, 0.5, result.final_exceeds_half)
+            None, 0.5, gaps[-1] > 0.5)
     )
     witnesses = []
-    if not result.monotone:
+    if not monotone:
         witnesses.append(
             {
                 "stage": "monotonicity",

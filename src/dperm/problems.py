@@ -228,19 +228,17 @@ class Problem:
 
 @dataclass(eq=False)
 class DataDistribution:
-    """Distribution over points, discrete (enumerable atoms) or continuous.
+    """Distribution over points: discrete (enumerable atoms), or else x
+    uniform on [0, 1] labeled 1(x > theta).
 
     A discrete law builds its ``support``, the atoms as one read-only
     :class:`Dataset`, once at construction; the datasets it draws carry
     their atom ids into it.
     """
 
-    kind: str
     x_atoms: np.ndarray | None = None
     y_atoms: np.ndarray | None = None
     probs: np.ndarray | None = None
-    lower: np.ndarray | None = None
-    upper: np.ndarray | None = None
     theta: float | None = None
     support: Dataset | None = field(default=None, init=False, repr=False)
 
@@ -257,7 +255,7 @@ class DataDistribution:
 
     def atoms(self) -> Dataset:
         if not self.discrete:
-            raise ValueError(f"{self.kind} distribution has no finite support")
+            raise ValueError("a continuous distribution has no finite support")
         return Dataset(x=self.x_atoms.copy(), y=None if self.y_atoms is None else self.y_atoms.copy())
 
     def datasets_at(self, u: np.ndarray) -> DatasetBlock:
@@ -268,7 +266,7 @@ class DataDistribution:
         and the dataset at ``u[i, idx]`` is the one at ``u[i]`` taken at
         ``idx``."""
         if not self.discrete:
-            raise ValueError(f"{self.kind} distribution has no finite support")
+            raise ValueError("a continuous distribution has no finite support")
         u = np.asarray(u, dtype=float)
         if u.ndim != 2:
             raise ValueError(f"expected one row of uniforms per dataset, got shape {u.shape}")
@@ -285,9 +283,7 @@ class DataDistribution:
             raise ValueError(f"sample size must be >= 1, got {n}")
         if self.discrete:
             return self.dataset_at(rng.random(n))
-        x = rng.uniform(self.lower, self.upper, size=(n, len(self.lower)))
-        if x.shape[1] == 1:
-            x = x[:, 0]
+        x = rng.uniform(0.0, 1.0, n)
         return Dataset(x=x, y=(x > self.theta).astype(float))
 
 
@@ -305,7 +301,7 @@ def discrete_points(x, y=None, probs=None) -> DataDistribution:
             raise ValueError(f"probs sum to {p.sum()}, not 1")
     if ya is not None and ya.shape != (len(xa),):
         raise ValueError("labels must align with atoms")
-    return DataDistribution(kind="discrete-points", x_atoms=xa, y_atoms=ya, probs=p)
+    return DataDistribution(x_atoms=xa, y_atoms=ya, probs=p)
 
 
 def labeled_threshold(theta: float, support_size: int = 0) -> DataDistribution:
@@ -319,9 +315,7 @@ def labeled_threshold(theta: float, support_size: int = 0) -> DataDistribution:
     if support_size:
         xs = (np.arange(support_size) + 0.5) / support_size
         return discrete_points(xs, y=(xs > theta).astype(float))
-    return DataDistribution(
-        kind="labeled-threshold", lower=np.array([0.0]), upper=np.array([1.0]), theta=theta
-    )
+    return DataDistribution(theta=theta)
 
 
 # ---------------------------------------------------------------------------

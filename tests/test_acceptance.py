@@ -26,12 +26,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from dperm import experiments
 from dperm.analysis import (
     audit_approx_dp,
     audit_pure_dp,
     chi_square_gof,
-    consistency_suite,
-    counterexample_experiment,
     empirical_law_on_grid,
     exhaustive_neighbor_pairs,
     sample_counts,
@@ -51,7 +50,6 @@ from dperm.mechanisms import (
 from dperm.problems import (
     PROBLEM_BUILDERS,
     Dataset,
-    discrete_points,
     labeled_threshold,
 )
 from dperm.seeding import trial_rng
@@ -187,56 +185,64 @@ def test_c06_utility_tail(problem):
         assert outcome.checked == 20
 
 
-def test_c07_consistency_decomposition_exact():
+def judged_consistency(monkeypatch, **params):
+    """The consistency driver's rows, by metric, at its defaults and
+    ``params``, and the report of ``consistency_suite`` that it judged."""
+    reports = []
+    measure = experiments.consistency_suite
+    monkeypatch.setattr(experiments, "consistency_suite",
+                        lambda *a, **k: reports.append(measure(*a, **k)) or reports[-1])
+    outcome = run_experiment(default_config("consistency", **params))
+    (report,) = reports
+    return {row.metric: row for row in outcome.rows}, report
+
+
+def test_c07_consistency_decomposition_exact(monkeypatch):
     """n=3 exact enumeration: excess risk <= stability + mean AERM gap."""
     with Budget(30):
-        problem, space = PROBLEM_BUILDERS["threshold"](resolution=16)
-        mech = exponential_mechanism(problem, space, 1.0)
-        dist = discrete_points(
-            np.array([0.3, 0.7]), y=np.array([0.0, 1.0]),
-            probs=np.array([0.5, 0.5]),
-        )
-        report = consistency_suite(mech, dist, n=3, mode="exact")
+        rows, report = judged_consistency(monkeypatch, mode="exact", n=3)
         slack = report.stability_gap + report.aerm_gap + 1e-9
         assert report.excess_risk <= slack, (
             f"excess {report.excess_risk:.12g} > stability "
             f"{report.stability_gap:.12g} + aerm {report.aerm_gap:.12g}"
         )
-        assert report.decomposition_ok and report.generalization_ok
+        assert rows["excess_risk"].passed and rows["generalization_gap"].passed
 
 
-def test_c07_consistency_decomposition_mc():
+def test_c07_consistency_decomposition_mc(monkeypatch):
     """n=100 Monte Carlo: the same inequality within 4 pooled SE."""
     with Budget(120):
-        problem, space = PROBLEM_BUILDERS["threshold"](resolution=16)
-        mech = exponential_mechanism(problem, space, 1.0)
-        dist = discrete_points(
-            np.array([0.3, 0.7]), y=np.array([0.0, 1.0]),
-            probs=np.array([0.5, 0.5]),
-        )
-        report = consistency_suite(mech, dist, n=100, mode="mc", trials=2000)
+        rows, report = judged_consistency(monkeypatch, mode="mc", n=100, trials=2000)
         assert report.trials == 2000
-        assert report.decomposition_ok, (
+        assert rows["excess_risk"].passed, (
             f"excess {report.excess_risk:.6g} vs gen "
             f"{report.generalization_gap:.6g} + aerm {report.aerm_gap:.6g}"
         )
-        assert report.generalization_ok
+        assert rows["generalization_gap"].passed
 
 
 @pytest.fixture(scope="module")
 def packed_gap_sweep():
+    """The counterexample driver's rows at its defaults over four grids."""
     with Budget(120):
-        return counterexample_experiment(1.0, 3, [2**4, 2**8, 2**12, 2**16])
+        config = default_config("counterexample", resolutions=[2**4, 2**8, 2**12, 2**16])
+        return run_experiment(config).rows
+
+
+def gap_rows(rows):
+    return [row for row in rows if row.metric.startswith("max_aerm_gap")]
 
 
 def test_c08_final_gap_exceeds_half(packed_gap_sweep):
     """At the finest grid the worst packed-dataset gap exceeds 1/2."""
     assert math.ceil(math.exp(3)) == 21  # family size the sweep packs
-    final = packed_gap_sweep.rows[-1]
-    assert final.resolution == 2**16
-    assert final.max_gap > 0.5, f"final gap {final.max_gap:.12g}"
-    assert packed_gap_sweep.final_exceeds_half
-    assert packed_gap_sweep.threshold_ok
+    final = gap_rows(packed_gap_sweep)[-1]
+    assert final.metric == f"max_aerm_gap[grid={2**16}]"
+    assert final.value > 0.5, f"final gap {final.value:.12g}"
+    (verdict,) = [r for r in packed_gap_sweep if r.metric == "final_gap_exceeds_half"]
+    assert verdict.passed
+    # Every gap row past the ratio threshold exceeds one half.
+    assert all(row.passed for row in gap_rows(packed_gap_sweep) if row.passed is not None)
 
 
 def test_c08_gap_growth_monotone(packed_gap_sweep):
@@ -247,8 +253,9 @@ def test_c08_gap_growth_monotone(packed_gap_sweep):
     The climb is real from 2^4 to 2^8; past that the gap sits at its
     ceiling and wobbles downward, so exact nondecrease fails.
     """
-    gaps = [row.max_gap for row in packed_gap_sweep.rows]
-    assert packed_gap_sweep.monotone, (
+    gaps = [row.value for row in gap_rows(packed_gap_sweep)]
+    (monotone,) = [r for r in packed_gap_sweep if r.metric == "gap_monotone_nondecreasing"]
+    assert monotone.passed, (
         f"gap sequence {[f'{g:.12g}' for g in gaps]} is not nondecreasing"
     )
 

@@ -253,6 +253,16 @@ class TestSummarize:
         assert main(["summarize", str(path)]) == 1
         assert capsys.readouterr().err.startswith("config-error:")
 
+    @pytest.mark.parametrize("cell", ["False", "no", "TRUE", "1"])
+    def test_passed_cell_outside_true_false_empty_rejected(self, tmp_path, capsys, cell):
+        path = tmp_path / "bad.csv"
+        passing = "audit,em,threshold,3,1,0,0,max_log_ratio,0.5,,1.0,true"
+        path.write_text(f"{','.join(CSV_COLUMNS)}\n{passing}\n{passing[:-4]}{cell}\n")
+        assert main(["summarize", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config-error:")
+        assert f"{str(path)!r}, line 3" in err and repr(cell) in err
+
 
 def test_version(capsys):
     with pytest.raises(SystemExit) as exc:

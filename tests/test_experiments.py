@@ -4,6 +4,7 @@ import collections
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,9 +13,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dperm import problems
-from dperm.config import parse_config_file
+from dperm import experiments, problems
+from dperm.analysis import (
+    CounterexampleResult,
+    CounterexampleRow,
+    GapReport,
+    TailCheckRow,
+    aerm_bound,
+)
+from dperm.config import default_config, parse_config_file
 from dperm.experiments import (
+    AUDIT_TOL,
     CSV_COLUMNS,
     Row,
     _at_cell_precision,
@@ -166,3 +175,85 @@ def test_counterexample_gaps_do_not_depend_on_blas_threads():
         assert child.returncode == 0, child.stderr
         gaps.append(child.stdout.split())
     assert len(gaps[0]) == 4 and gaps[0] == gaps[1]
+
+
+def _gaps(**measured):
+    """A consistency report of zero gaps but ``measured``."""
+    zeros = dict.fromkeys(["excess_risk", "generalization_gap", "aerm_gap", "stability_gap",
+                           "excess_se", "generalization_se", "aerm_se"], 0.0)
+    return GapReport(mode="mc", n=3, trials=2, **{**zeros, **measured})
+
+
+def _sweep(*rows):
+    """A counterexample sweep of (max_gap, ratio) rows, at grids 2, 4, ..."""
+    return CounterexampleResult(epsilon=1.0, n=3, rows=tuple(
+        CounterexampleRow(resolution=2 ** (i + 1), max_gap=gap, argmax_dataset=0, ratio=ratio)
+        for i, (gap, ratio) in enumerate(rows)))
+
+
+def _at_most(edge):
+    """A value <= edge rule: passes at the edge, fails one float above."""
+    return [(edge, True), (math.nextafter(edge, math.inf), False)]
+
+
+# The consistency driver's bounds at its defaults (n = 3, eps = 1, 16 thresholds).
+STABILITY_BOUND = math.expm1(1.0)
+AERM_BOUND = aerm_bound(3, 1.0, 16, 0.0, 0.0)
+GEN_SE, EXCESS_SE, AERM_SE = 0.01, 0.03, 0.04
+GEN_EDGE = 0.25 + (4.0 * GEN_SE + AUDIT_TOL)
+EXCESS_EDGE = 0.125 + 0.25 + (4.0 * math.hypot(EXCESS_SE, AERM_SE) + AUDIT_TOL)
+ABOVE_HALF = math.nextafter(0.5, math.inf)
+
+# (experiment, the analysis call its driver makes, its measurement at a
+# value, the judged metric, and (value, passed) at and past the rule's edge)
+RULE_EDGES = {
+    "consistency-stability": (
+        "consistency", "consistency_suite", lambda v: _gaps(stability_gap=v), "stability_gap",
+        _at_most(STABILITY_BOUND + AUDIT_TOL)),
+    "consistency-aerm": (
+        "consistency", "consistency_suite", lambda v: _gaps(aerm_gap=v, aerm_se=AERM_SE),
+        "aerm_gap", _at_most(AERM_BOUND + AUDIT_TOL)),
+    "consistency-generalization-positive": (
+        "consistency", "consistency_suite",
+        lambda v: _gaps(stability_gap=0.25, generalization_gap=v, generalization_se=GEN_SE),
+        "generalization_gap", _at_most(GEN_EDGE)),
+    "consistency-generalization-negative": (
+        "consistency", "consistency_suite",
+        lambda v: _gaps(stability_gap=0.25, generalization_gap=v, generalization_se=GEN_SE),
+        "generalization_gap", [(-GEN_EDGE, True), (math.nextafter(-GEN_EDGE, -math.inf), False)]),
+    "consistency-decomposition": (
+        "consistency", "consistency_suite",
+        lambda v: _gaps(excess_risk=v, generalization_gap=0.125, aerm_gap=0.25,
+                        excess_se=EXCESS_SE, aerm_se=AERM_SE),
+        "excess_risk", _at_most(EXCESS_EDGE)),
+    "counterexample-final-gap": (
+        "counterexample", "counterexample_experiment", lambda v: _sweep((v, 1.0)),
+        "final_gap_exceeds_half", [(ABOVE_HALF, True), (0.5, False)]),
+    "counterexample-gated-gap": (
+        "counterexample", "counterexample_experiment", lambda v: _sweep((v, 14.0)),
+        "max_aerm_gap[grid=2]", [(ABOVE_HALF, True), (0.5, False)]),
+    "counterexample-monotone": (
+        "counterexample", "counterexample_experiment", lambda v: _sweep((0.625, 1.0), (v, 1.0)),
+        "gap_monotone_nondecreasing",
+        [(0.625 - AUDIT_TOL, True), (math.nextafter(0.625 - AUDIT_TOL, -math.inf), False)]),
+    # At ratio_threshold (14 by default) a gap below one half fails; one
+    # float below it the row is informational.
+    "counterexample-ratio-gate": (
+        "counterexample", "counterexample_experiment", lambda v: _sweep((0.25, v)),
+        "max_aerm_gap[grid=2]", [(14.0, False), (math.nextafter(14.0, -math.inf), None)]),
+    "utility-tail": (
+        "utility-tail", "utility_tail_check",
+        lambda v: [TailCheckRow(t=0.1, tail_mass=v, bound=0.25)],
+        "tail_mass[t=0.1]", _at_most(0.25 + 1e-12)),
+}
+
+
+@pytest.mark.parametrize("experiment,call,measured,metric,verdicts",
+                         RULE_EDGES.values(), ids=RULE_EDGES.keys())
+def test_each_rule_holds_at_its_float_edge(monkeypatch, experiment, call, measured, metric,
+                                           verdicts):
+    # The driver judges a measurement built at the edge of its rule.
+    for value, passed in verdicts:
+        monkeypatch.setattr(experiments, call, lambda *args, **kwargs: measured(value))
+        rows = {row.metric: row for row in run_experiment(default_config(experiment)).rows}
+        assert rows[metric].passed is passed, (value, rows[metric])
